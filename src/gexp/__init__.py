@@ -20,7 +20,6 @@ from .core import (
     catalog,
     make_drift,
     make_scenario_lattice,
-    qv_at,
 )
 from .coupling import (
     CouplingReport,
@@ -40,6 +39,7 @@ from .gheat import (
     require_safe,
     safe_window,
     solve,
+    solve_batch,
 )
 from .harnack import (
     HarnackCertificate,
@@ -83,7 +83,6 @@ __all__ = [
     "TestFunction",
     "McConfig",
     "make_scenario_lattice",
-    "qv_at",
     "catalog",
     "make_drift",
     # gheat
@@ -92,6 +91,7 @@ __all__ = [
     "CflError",
     "g_operator",
     "solve",
+    "solve_batch",
     "pbar_pde",
     "safe_window",
     "require_safe",

@@ -18,7 +18,7 @@ from .core import (
     catalog,
     make_scenario_lattice,
 )
-from .gheat import Grid1D, safe_window, solve
+from .gheat import Grid1D, safe_window, solve_batch
 from .simulate import pbar_mc
 
 __all__ = ["run_axioms"]
@@ -32,12 +32,21 @@ def _window_mask(grid: Grid1D, band, horizon):
     return (grid.xs >= lo) & (grid.xs <= hi)
 
 
+_SUMS = (("sigmoid", "bump"), ("cauchy", "sqclip"))
+_SCALED = ("sigmoid", "sqclip")
+_LAM = 2.5
+
+
 def _pde_checks(spec, band, horizon, grid, payoffs, tol):
+    # one stacked solve: the catalog, then the sums, then the scalings
+    rows = [
+        *payoffs.values(),
+        *(payoffs[a].plus(payoffs[b]) for a, b in _SUMS),
+        *(payoffs[pid].scaled(_LAM) for pid in _SCALED),
+    ]
     mask = _window_mask(grid, band, horizon)
-    val = {
-        pid: solve(f, band, horizon, grid, spec).values[mask]
-        for pid, f in payoffs.items()
-    }
+    sols = iter(solve_batch(rows, band, horizon, grid, spec))
+    val = {pid: next(sols).values[mask] for pid in payoffs}
     checks = []
 
     def record(name, violation, limit):
@@ -52,14 +61,13 @@ def _pde_checks(spec, band, horizon, grid, payoffs, tol):
     # constant preservation
     record("pde:constant", np.max(np.abs(val["one"] - 1.0)), tol)
     # subadditivity and homogeneity on representative pairs
-    for a, b in (("sigmoid", "bump"), ("cauchy", "sqclip")):
-        s = solve(payoffs[a].plus(payoffs[b]), band, horizon, grid, spec).values[mask]
+    for a, b in _SUMS:
+        s = next(sols).values[mask]
         record(f"pde:subadd:{a}+{b}", np.max(s - (val[a] + val[b])), tol)
-    lam = 2.5
-    for pid in ("sigmoid", "sqclip"):
-        s = solve(payoffs[pid].scaled(lam), band, horizon, grid, spec).values[mask]
+    for pid in _SCALED:
+        s = next(sols).values[mask]
         scale = max(1.0, float(np.max(np.abs(val[pid]))))
-        record(f"pde:homogeneous:{pid}", np.max(np.abs(s - lam * val[pid])) / scale, tol)
+        record(f"pde:homogeneous:{pid}", np.max(np.abs(s - _LAM * val[pid])) / scale, tol)
     return checks
 
 
@@ -80,14 +88,13 @@ def _mc_checks(spec, band, horizon, payoffs, mc, pieces, levels, tol):
     for pid in ("sigmoid", "cauchy", "bump"):
         record(f"mc:monotone:one>={pid}", est[pid].value - est["one"].value, 0.0)
     record("mc:constant", abs(est["one"].value - 1.0), 0.0)
-    for a, b in (("sigmoid", "bump"), ("cauchy", "sqclip")):
+    for a, b in _SUMS:
         s = pbar_mc(spec, payoffs[a].plus(payoffs[b]), 0.0, horizon, scenarios, mc)
         record(f"mc:subadd:{a}+{b}", s.value - (est[a].value + est[b].value), tol)
-    lam = 2.5
-    for pid in ("sigmoid", "sqclip"):
-        s = pbar_mc(spec, payoffs[pid].scaled(lam), 0.0, horizon, scenarios, mc)
+    for pid in _SCALED:
+        s = pbar_mc(spec, payoffs[pid].scaled(_LAM), 0.0, horizon, scenarios, mc)
         scale = max(1.0, abs(est[pid].value))
-        record(f"mc:homogeneous:{pid}", abs(s.value - lam * est[pid].value) / scale, tol)
+        record(f"mc:homogeneous:{pid}", abs(s.value - _LAM * est[pid].value) / scale, tol)
     return checks
 
 

@@ -3,14 +3,17 @@
 Subcommands: gheat, pbar, harnack, shift-harnack, coupling, kernels, axioms.
 Reports embed the fully resolved configuration plus the artifact version, so
 two runs with the same configuration and --sequential produce byte-identical
-output.  Exit codes: 0 all checks pass, 1 at least one check failed (the
-report is still written), 2 usage or configuration error.
+output.  The worker count is left out of the report: it changes no result.
+Exit codes: 0 all checks pass, 1 at least one check failed (the report is
+still written), 2 usage or configuration error, 3 numerical failure (a
+non-finite state or a failed domain-truncation check; no report is written).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -60,11 +63,14 @@ def _add_common(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gexp")
+    # allow_abbrev=False: a prefix such as --n would be taken for --nx, and
+    # the config file, which sees only the spelled-out flags, would then win
+    parser = argparse.ArgumentParser(prog="gexp", allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    s = subs.add_parser("gheat", help="solve the nonlinear heat equation and dump u(T, .)")
+    s = add_parser("gheat", help="solve the nonlinear heat equation and dump u(T, .)")
     s.add_argument("--band", type=_band, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
     s.add_argument("--T", type=float, required=True)
@@ -73,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nx", type=int, default=401)
     _add_common(s)
 
-    s = subs.add_parser("pbar", help="worst-case semigroup value, PDE and/or MC")
+    s = add_parser("pbar", help="worst-case semigroup value, PDE and/or MC")
     s.add_argument("--kind", choices=("qv", "time"), required=True)
     s.add_argument("--drift", required=True)
     s.add_argument("--band", type=_band, required=True)
@@ -88,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nx", type=int, default=401)
     _add_common(s)
 
-    s = subs.add_parser("harnack", help="two-point Harnack certificate")
+    s = add_parser("harnack", help="two-point Harnack certificate")
     s.add_argument("--drift", required=True)
     s.add_argument("--K", type=float, default=None,
                    help="override the drift catalog Lipschitz constant")
@@ -101,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("pde", "mc"), default="pde")
     _add_common(s)
 
-    s = subs.add_parser("shift-harnack", help="shift Harnack certificate")
+    s = add_parser("shift-harnack", help="shift Harnack certificate")
     s.add_argument("--drift", required=True)
     s.add_argument("--K", type=float, default=None)
     s.add_argument("--band", type=_band, required=True)
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("pde", "mc"), default="pde")
     _add_common(s)
 
-    s = subs.add_parser("coupling", help="coupling / change-of-measure diagnostics")
+    s = add_parser("coupling", help="coupling / change-of-measure diagnostics")
     s.add_argument("--drift", default="ou")
     s.add_argument("--band", type=_band, required=True)
     s.add_argument("--x", type=float, required=True)
@@ -127,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--nsteps", type=int, default=4096)
     _add_common(s)
 
-    s = subs.add_parser("kernels", help="OU kernel suite and the density probe")
+    s = add_parser("kernels", help="OU kernel suite and the density probe")
     s.add_argument("--alpha", type=float, default=2.0)
     _add_common(s)
 
-    s = subs.add_parser("axioms", help="sublinear-expectation axiom suite")
+    s = add_parser("axioms", help="sublinear-expectation axiom suite")
     s.add_argument("--drift", default="zero")
     s.add_argument("--band", type=_band, required=True)
     s.add_argument("--T", type=float, default=1.0)
@@ -190,7 +196,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
 def _resolved_config(args: argparse.Namespace) -> dict:
     out = {}
     for key, val in sorted(vars(args).items()):
-        if key in ("config", "out"):
+        if key in ("config", "out", "workers"):
             continue
         if isinstance(val, VolatilityBand):
             val = [val.sigma_lo, val.sigma_hi]
@@ -372,9 +378,12 @@ def main(argv=None) -> int:
         args.seed = int(os.environ.get("GEXP_SEED", DEFAULT_SEED))
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"gexp: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"gexp: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ __all__ = [
     "TestFunction",
     "McConfig",
     "make_scenario_lattice",
-    "qv_at",
     "catalog",
     "make_drift",
 ]
@@ -123,11 +122,6 @@ class Scenario:
     @property
     def label(self) -> str:
         return "v=" + ",".join(f"{v:g}" for v in self.values)
-
-
-def qv_at(scenario: Scenario, t: float) -> float:
-    """Quadratic variation of the scenario at time t."""
-    return float(scenario.qv(t))
 
 
 def make_scenario_lattice(

@@ -11,6 +11,15 @@ permits a monotone stencil, one-sided otherwise.  Monotonicity gives the
 comparison principle that the property suite checks.  Boundaries use
 zero-curvature (second derivative = 0) extrapolation; values within the
 6*sigma_hi*sqrt(T) padding zone of the boundary are treated as contaminated.
+
+One time-marcher, `solve_batch`, advances a (P, nx) stack of payoffs at
+once: every row shares the grid, the drift values, the upwind choice, the
+CFL step and the step count, and each step works in preallocated buffers,
+so the per-call numpy overhead of a Heun step is paid once per stack rather
+than once per payoff.  The per-element arithmetic is that of a single row,
+so each row is bit-identical to solving its payoff alone; `solve` is the
+one-row case.  Certificate sweeps and axiom checks stack every payoff they
+need at one (band, horizon, drift) into one call.
 """
 
 from __future__ import annotations
@@ -18,12 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .core import GsdeSpec, Kind, TestFunction, VolatilityBand
 
-__all__ = ["Grid1D", "PdeSolution", "CflError", "g_operator", "solve", "pbar_pde"]
+__all__ = [
+    "Grid1D", "PdeSolution", "CflError", "g_operator", "solve", "solve_batch", "pbar_pde",
+]
 
 
 class CflError(ValueError):
@@ -63,7 +75,6 @@ class PdeSolution:
     dt: float
     n_steps: int
     kind: str
-    boundary: str = "neumann-zero-curvature"
 
     def value_at(self, x) -> float:
         x = float(x)
@@ -89,6 +100,12 @@ def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind | Non
     return grid.dx**2 / (band.v_hi + grid.dx * adv)
 
 
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of every run of True in a 1-D mask."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
+
+
 def solve(
     payoff: TestFunction,
     band: VolatilityBand,
@@ -96,18 +113,33 @@ def solve(
     grid: Grid1D,
     spec: GsdeSpec | None = None,
 ) -> PdeSolution:
-    """March u(0,.) = payoff forward to u(horizon,.).
+    """March u(0,.) = payoff forward to u(horizon,.): a one-row solve_batch."""
+    return solve_batch([payoff], band, horizon, grid, spec)[0]
+
+
+def solve_batch(
+    payoffs: Sequence[TestFunction],
+    band: VolatilityBand,
+    horizon: float,
+    grid: Grid1D,
+    spec: GsdeSpec | None = None,
+) -> list[PdeSolution]:
+    """March the stack u(0,.) = payoffs[i] forward to u(horizon,.), one
+    solution per payoff, each holding its row of the stack.
 
     With spec=None the pure G-heat equation is solved; otherwise spec.kind
     selects the qv-driven or time-driven drift equation.  The per-node
     bang-bang optimum of the qv-driven equation takes the upper level on
-    ties (q = 0), which changes no flux but keeps runs reproducible.
+    ties (q = 0), which changes no flux but keeps runs reproducible.  Each
+    row depends only on its own payoff, bit for bit.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     xs = grid.xs
     dx = grid.dx
-    u = np.asarray(payoff(xs), dtype=float).copy()
+    u = np.empty((len(payoffs), grid.nx))
+    for row, payoff in zip(u, payoffs):
+        row[:] = payoff(xs)
 
     if spec is None:
         b = None
@@ -129,51 +161,101 @@ def solve(
         n_steps = max(1, math.ceil(horizon / grid.dt))
     dt = horizon / n_steps
 
-    if b is not None:
-        # centered first differences are monotone iff |b|*dx stays below the
-        # diffusion scale: 1 for the qv-driven equation (v cancels), vlo else
-        pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
-        centered = np.abs(b) * dx <= pe_limit
-        b_pos = b > 0.0
-        b_neg = b < 0.0
-
     v_lo, v_hi = band.v_lo, band.v_hi
     inv_dx2 = 1.0 / dx**2
     inv_2dx = 0.5 / dx
     inv_dx = 1.0 / dx
 
-    def rhs(w: np.ndarray) -> np.ndarray:
-        wxx = np.zeros_like(w)
-        wxx[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) * inv_dx2
-        if b is None:
-            return 0.5 * (v_hi * np.maximum(wxx, 0.0) - v_lo * np.maximum(-wxx, 0.0))
-        wx = np.zeros_like(w)
-        wx[1:-1] = (w[2:] - w[:-2]) * inv_2dx
-        fwd = np.zeros_like(w)
-        fwd[:-1] = (w[1:] - w[:-1]) * inv_dx
-        bwd = np.zeros_like(w)
-        bwd[1:] = (w[1:] - w[:-1]) * inv_dx
-        wx = np.where(centered, wx, np.where(b_pos, fwd, np.where(b_neg, bwd, wx)))
-        # boundary nodes: one-sided only when the flow enters the domain
-        wx[0] = fwd[0] if b[0] > 0.0 else 0.0
-        wx[-1] = bwd[-1] if b[-1] < 0.0 else 0.0
+    # work buffers.  The difference stencils run over each buffer as one flat
+    # array, so the first and last node of every row come out mixed with the
+    # neighbouring row; those columns are set by the boundary rules below.
+    u1 = np.empty_like(u)
+    k = np.empty_like(u)
+    wxx = np.empty_like(u)
+    wxx_in = wxx.reshape(-1)[1:-1]
+    t1 = np.empty_like(u)
+    t2 = np.empty_like(u)
+
+    if b is not None:
+        # centered first differences are monotone iff |b|*dx stays below the
+        # diffusion scale: 1 for the qv-driven equation (v cancels), vlo else;
+        # elsewhere the one-sided difference that follows the flow is used,
+        # and boundary nodes take it only when the flow enters the domain
+        pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
+        upwind = np.abs(b) * dx > pe_limit
+        fwd = upwind & (b > 0.0)
+        fwd[0] = b[0] > 0.0
+        fwd[-1] = False
+        bwd = upwind & (b < 0.0)
+        bwd[0] = False
+        bwd[-1] = b[-1] < 0.0
+        fwd_runs, bwd_runs = _runs(fwd), _runs(bwd)
+        wx = np.empty_like(u)
+        wx_in = wx.reshape(-1)[1:-1]
         if kind is Kind.QV_DRIVEN:
-            q = b * wx + 0.5 * wxx
-            v_star = np.where(q >= 0.0, v_hi, v_lo)
-            return v_star * q
-        return b * wx + 0.5 * (
-            v_hi * np.maximum(wxx, 0.0) - v_lo * np.maximum(-wxx, 0.0)
-        )
+            v_star_hi = np.empty(u.shape, dtype=bool)
+
+    def g_into(out):
+        # G(wxx) = (vhi*max(wxx,0) - vlo*max(-wxx,0)) / 2
+        np.maximum(wxx, 0.0, out=t1)
+        np.multiply(t1, v_hi, out=t1)
+        np.negative(wxx, out=t2)
+        np.maximum(t2, 0.0, out=t2)
+        np.multiply(t2, v_lo, out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.multiply(t1, 0.5, out=out)
+
+    def rhs(w, out):
+        wf = w.reshape(-1)
+        np.multiply(wf[1:-1], 2.0, out=wxx_in)
+        np.subtract(wf[2:], wxx_in, out=wxx_in)
+        np.add(wxx_in, wf[:-2], out=wxx_in)
+        np.multiply(wxx_in, inv_dx2, out=wxx_in)
+        wxx[:, 0] = 0.0  # zero-curvature boundary
+        wxx[:, -1] = 0.0
+        if b is None:
+            g_into(out)
+            return
+        np.subtract(wf[2:], wf[:-2], out=wx_in)
+        np.multiply(wx_in, inv_2dx, out=wx_in)
+        wx[:, 0] = 0.0
+        wx[:, -1] = 0.0
+        for lo, hi in fwd_runs:  # (w_{j+1} - w_j) / dx
+            np.subtract(w[:, lo + 1:hi + 1], w[:, lo:hi], out=wx[:, lo:hi])
+            np.multiply(wx[:, lo:hi], inv_dx, out=wx[:, lo:hi])
+        for lo, hi in bwd_runs:  # (w_j - w_{j-1}) / dx
+            np.subtract(w[:, lo:hi], w[:, lo - 1:hi - 1], out=wx[:, lo:hi])
+            np.multiply(wx[:, lo:hi], inv_dx, out=wx[:, lo:hi])
+        if kind is Kind.QV_DRIVEN:
+            # q = b*wx + wxx/2, times v* = vhi where q >= 0, vlo elsewhere
+            np.multiply(b, wx, out=t1)
+            np.multiply(wxx, 0.5, out=t2)
+            np.add(t1, t2, out=t1)
+            np.greater_equal(t1, 0.0, out=v_star_hi)
+            np.multiply(t1, v_lo, out=out)
+            np.multiply(t1, v_hi, out=t2)
+            np.copyto(out, t2, where=v_star_hi)
+            return
+        g_into(out)
+        np.multiply(b, wx, out=t1)
+        np.add(t1, out, out=out)
 
     for step in range(n_steps):
-        u1 = u + dt * rhs(u)
-        u = 0.5 * (u + u1 + dt * rhs(u1))
+        # Heun: u1 = u + dt*rhs(u);  u <- ((u + u1) + dt*rhs(u1)) / 2
+        rhs(u, k)
+        np.multiply(k, dt, out=k)
+        np.add(u, k, out=u1)
+        rhs(u1, k)
+        np.add(u, u1, out=u)
+        np.multiply(k, dt, out=k)
+        np.add(u, k, out=u)
+        np.multiply(u, 0.5, out=u)
         if step % 128 == 0 and not np.all(np.isfinite(u)):
             raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):
         raise RuntimeError(f"non-finite values at final step {n_steps}")
 
-    return PdeSolution(grid, horizon, u, dt, n_steps, kind_label)
+    return [PdeSolution(grid, horizon, row, dt, n_steps, kind_label) for row in u]
 
 
 def safe_window(grid: Grid1D, band: VolatilityBand, horizon: float) -> tuple[float, float]:

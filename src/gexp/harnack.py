@@ -22,7 +22,7 @@ from .core import (
     VolatilityBand,
     make_scenario_lattice,
 )
-from .gheat import Grid1D, require_safe, solve
+from .gheat import Grid1D, require_safe, solve_batch
 from .simulate import pbar_mc
 
 __all__ = [
@@ -186,8 +186,9 @@ def verify_harnack(
         grid = grid or Grid1D()
         require_safe(x, grid, band, horizon)
         require_safe(y, grid, band, horizon)
-        lhs = solve(payoff, band, horizon, grid, spec).value_at(y) ** p
-        base = solve(payoff.power(p), band, horizon, grid, spec).value_at(x)
+        sol_f, sol_fp = solve_batch([payoff, payoff.power(p)], band, horizon, grid, spec)
+        lhs = sol_f.value_at(y) ** p
+        base = sol_fp.value_at(x)
         budget = PDE_BUDGET if tolerance_budget is None else tolerance_budget
     elif method == "mc":
         mc = mc or McConfig()
@@ -232,8 +233,9 @@ def verify_shift_harnack(
     if method == "pde":
         grid = grid or Grid1D()
         require_safe(x, grid, band, horizon)
-        lhs = solve(payoff, band, horizon, grid, spec).value_at(x) ** p
-        base = solve(shifted, band, horizon, grid, spec).value_at(x)
+        sol_f, sol_shifted = solve_batch([payoff, shifted], band, horizon, grid, spec)
+        lhs = sol_f.value_at(x) ** p
+        base = sol_shifted.value_at(x)
         budget = PDE_BUDGET if tolerance_budget is None else tolerance_budget
     elif method == "mc":
         mc = mc or McConfig()
@@ -264,19 +266,20 @@ def harnack_grid(
     grid: Grid1D | None = None,
     tolerance_budget: float = PDE_BUDGET,
 ) -> list[HarnackCertificate]:
-    """PDE-backend certificate sweep; solutions are reused across the
-    distance grid (one pair of solves per parameter tuple)."""
+    """PDE-backend certificate sweep: one stacked solve per (band, horizon)
+    over f and every f^p of each payoff, reused across the distance grid."""
     grid = grid or Grid1D()
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
     certs = []
     for band in bands:
         for T in horizons:
             require_safe(x0 + max(dists), grid, band, T)
+            rows = [g for f in payoffs for g in (f, *(f.power(p) for p in ps))]
+            sols = iter(solve_batch(rows, band, T, grid, spec))
             for payoff in payoffs:
+                sol_f = next(sols)
                 for p in ps:
-                    sol_f = solve(payoff, band, T, grid, spec)
-                    sol_fp = solve(payoff.power(p), band, T, grid, spec)
-                    base = sol_fp.value_at(x0)
+                    base = next(sols).value_at(x0)
                     for d in dists:
                         y = x0 + float(d)
                         expo = harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0))
@@ -300,26 +303,31 @@ def shift_harnack_grid(
     grid: Grid1D | None = None,
     tolerance_budget: float = PDE_BUDGET,
 ) -> list[HarnackCertificate]:
-    """PDE-backend shift-Harnack sweep; the unshifted solve is shared across
-    the shift grid."""
+    """PDE-backend shift-Harnack sweep: one stacked solve per (band, horizon)
+    over f and every f^p(v + .) of each payoff; the unshifted solution is
+    shared across the shift grid."""
     grid = grid or Grid1D()
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
+    shifts = [float(v) for v in shifts]
     certs = []
     for band in bands:
         for T in horizons:
             require_safe(x0, grid, band, T)
+            rows = [
+                g
+                for f in payoffs
+                for g in (f, *(f.power(p).shifted(v) for p in ps for v in shifts))
+            ]
+            sols = iter(solve_batch(rows, band, T, grid, spec))
             for payoff in payoffs:
-                sol_f = solve(payoff, band, T, grid, spec)
+                sol_f = next(sols)
                 for p in ps:
                     lhs = sol_f.value_at(x0) ** p
                     for v in shifts:
-                        v = float(v)
                         expo = shift_harnack_exponent(
                             p, spec.lipschitz_k, band.sigma_lo, T, v
                         )
-                        base = solve(
-                            payoff.power(p).shifted(v), band, T, grid, spec
-                        ).value_at(x0)
+                        base = next(sols).value_at(x0)
                         certs.append(
                             _certificate(
                                 "shift-harnack", p, T, x0, v, payoff.id, "pde",

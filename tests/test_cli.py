@@ -39,6 +39,31 @@ class TestUsage:
         )
         assert code == 2
 
+    def test_abbreviated_flag_rejected(self, tmp_path):
+        # a prefix of --nx would otherwise parse as --nx and then lose to
+        # the config file, which sees only spelled-out flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 101\n")
+        args = ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25",
+                "--config", str(cfg)]
+        code, _ = run_cli(args + ["--n", "51"])
+        assert code == 2
+        code, out = run_cli(args + ["--nx", "51"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"]["nx"] == 51
+        assert len(rep["values"]) == 51
+
+    def test_numerical_failure_exit_3(self, capsys):
+        with pytest.warns(RuntimeWarning):
+            code, _ = run_cli(
+                ["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "const:1e308",
+                 "--kind", "time", "--x", "0", "--T", "4", "--method", "mc",
+                 "--npaths", "100", "--nsteps", "8"]
+            )
+        assert code == 3
+        assert "non-finite state at step 8" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         import gexp
 
@@ -206,9 +231,9 @@ class TestReproducibility:
         code1, out1 = run_cli(args + ["--sequential"])
         code2, out2 = run_cli(args + ["--workers", "2"])
         assert code1 == code2
-        reports = json.loads(out1)["reports"]
-        assert len(reports) == 4
-        assert json.loads(out2)["reports"] == reports
+        assert len(json.loads(out1)["reports"]) == 4
+        # the whole report, config block included, except the flag itself
+        assert out2 == out1.replace('"sequential": true', '"sequential": false')
 
     def test_out_file_matches_stdout(self, tmp_path):
         args = ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25",

@@ -16,7 +16,6 @@ from gexp import (
     catalog,
     make_drift,
     make_scenario_lattice,
-    qv_at,
 )
 
 
@@ -36,22 +35,22 @@ class TestVolatilityBand:
 class TestScenario:
     def test_qv_constant_unit(self):
         sc = Scenario(VolatilityBand(1.0, 1.0), (0.0, 1.0), (1.0,))
-        assert qv_at(sc, 1.0) == 1.0  # v == 1, t=1
-        assert qv_at(sc, 0.0) == 0.0
+        assert float(sc.qv(1.0)) == 1.0  # v == 1, t=1
+        assert float(sc.qv(0.0)) == 0.0
 
     def test_qv_two_piece_hand_integration(self):
         # v = 0.25 on [0, 0.5), 1 on [0.5, 1]: qv(1) = 0.125 + 0.5 = 0.625
         sc = Scenario(VolatilityBand(0.5, 1.0), (0.0, 0.5, 1.0), (0.25, 1.0))
-        assert qv_at(sc, 1.0) == pytest.approx(0.625, abs=1e-15)
-        assert qv_at(sc, 0.5) == pytest.approx(0.125, abs=1e-15)
+        assert float(sc.qv(1.0)) == pytest.approx(0.625, abs=1e-15)
+        assert float(sc.qv(0.5)) == pytest.approx(0.125, abs=1e-15)
 
     def test_qv_additive_over_adjacent_intervals(self):
         sc = Scenario(VolatilityBand(0.5, 1.0), (0.0, 0.3, 1.0), (0.5, 0.9))
         ts = np.linspace(0.0, 1.0, 17)
         for s, t_mid, t in zip(ts, ts[1:], ts[2:]):
-            left = qv_at(sc, t_mid) - qv_at(sc, s)
-            right = qv_at(sc, t) - qv_at(sc, t_mid)
-            total = qv_at(sc, t) - qv_at(sc, s)
+            left = float(sc.qv(t_mid)) - float(sc.qv(s))
+            right = float(sc.qv(t)) - float(sc.qv(t_mid))
+            total = float(sc.qv(t)) - float(sc.qv(s))
             assert left + right == pytest.approx(total, abs=1e-14)
 
     def test_qv_rejects_outside_horizon(self):
@@ -82,7 +81,7 @@ class TestScenario:
         sc = Scenario(VolatilityBand(0.5, 1.0), bp, tuple(values))
         s = data.draw(st.floats(0.0, 1.0))
         t = data.draw(st.floats(s, 1.0))
-        inc = qv_at(sc, t) - qv_at(sc, s)
+        inc = float(sc.qv(t)) - float(sc.qv(s))
         assert 0.25 * (t - s) - 1e-12 <= inc <= 1.0 * (t - s) + 1e-12
 
 
@@ -102,7 +101,7 @@ class TestScenarioLattice:
         scs = make_scenario_lattice(VolatilityBand(0.5, 1.0), 2.0, 1, 3)
         assert sorted(sc.values[0] for sc in scs) == [0.25, 0.625, 1.0]
         for sc in scs:
-            assert 0.25 * 2.0 - 1e-12 <= qv_at(sc, 2.0) <= 1.0 * 2.0 + 1e-12
+            assert 0.25 * 2.0 - 1e-12 <= float(sc.qv(2.0)) <= 1.0 * 2.0 + 1e-12
 
     def test_extremes_always_present(self):
         scs = make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 2, 3)

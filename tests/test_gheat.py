@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from gexp import (
     require_safe,
     safe_window,
     solve,
+    solve_batch,
 )
+from gexp.gheat import _stable_dt
 from gexp.kernels import normal_expectation
 
 from conftest import classical_params
@@ -59,6 +62,97 @@ class TestGrid:
         grid = Grid1D(dt=1.0)
         with pytest.raises(CflError):
             solve(catalog()["sigmoid"], VolatilityBand(1.0, 1.0), 1.0, grid)
+
+
+def reference_solve(payoff, band, horizon, grid, spec=None):
+    """The one-payoff marcher that solve_batch replaced, with its allocating
+    per-step arithmetic, kept as the bit-exact reference for every row."""
+    xs, dx = grid.xs, grid.dx
+    u = np.asarray(payoff(xs), dtype=float).copy()
+    b = None if spec is None else spec.b(xs)
+    kind = None if spec is None else spec.kind
+    bmax = 0.0 if b is None else float(np.max(np.abs(b)))
+    n_steps = max(1, math.ceil(horizon / (grid.cfl_safety * _stable_dt(grid, band, bmax, kind))))
+    dt = horizon / n_steps
+    if b is not None:
+        pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
+        centered = np.abs(b) * dx <= pe_limit
+    v_lo, v_hi = band.v_lo, band.v_hi
+
+    def rhs(w):
+        wxx = np.zeros_like(w)
+        wxx[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) * (1.0 / dx**2)
+        g = 0.5 * (v_hi * np.maximum(wxx, 0.0) - v_lo * np.maximum(-wxx, 0.0))
+        if b is None:
+            return g
+        wx = np.zeros_like(w)
+        wx[1:-1] = (w[2:] - w[:-2]) * (0.5 / dx)
+        fwd = np.zeros_like(w)
+        fwd[:-1] = (w[1:] - w[:-1]) * (1.0 / dx)
+        bwd = np.zeros_like(w)
+        bwd[1:] = (w[1:] - w[:-1]) * (1.0 / dx)
+        wx = np.where(centered, wx, np.where(b > 0.0, fwd, np.where(b < 0.0, bwd, wx)))
+        wx[0] = fwd[0] if b[0] > 0.0 else 0.0
+        wx[-1] = bwd[-1] if b[-1] < 0.0 else 0.0
+        if kind is Kind.QV_DRIVEN:
+            q = b * wx + 0.5 * wxx
+            return np.where(q >= 0.0, v_hi, v_lo) * q
+        return b * wx + g
+
+    for _ in range(n_steps):
+        u1 = u + dt * rhs(u)
+        u = 0.5 * (u + u1 + dt * rhs(u1))
+    return u, dt, n_steps
+
+
+def _equations():
+    ou = make_drift("ou")
+    steep = make_drift("tanh:20")  # one-sided differences inside the domain
+    return {
+        "gheat": None,
+        "qv-ou": ou,
+        "time-ou": dataclasses.replace(ou, kind=Kind.TIME_DRIVEN),
+        "qv-steep": steep,
+        "time-steep": dataclasses.replace(steep, kind=Kind.TIME_DRIVEN),
+    }
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize("eq", list(_equations()))
+    @pytest.mark.parametrize("stack", ["single", "mixed"])
+    def test_rows_bit_identical_to_single_solves(self, eq, stack, band_wide):
+        spec = _equations()[eq]
+        grid = Grid1D(nx=201)
+        cat = catalog()
+        if stack == "single":
+            rows = [cat["bump"]]
+        else:  # every catalog payoff with mixed powers and shifts, P = 15
+            rows = [
+                g
+                for f in cat.values()
+                for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))
+            ]
+        sols = solve_batch(rows, band_wide, 0.5, grid, spec)
+        assert len(sols) == len(rows)
+        for f, sol in zip(rows, sols):
+            one = solve(f, band_wide, 0.5, grid, spec)
+            assert np.array_equal(sol.values, one.values), f.id
+            assert (sol.dt, sol.n_steps, sol.kind) == (one.dt, one.n_steps, one.kind)
+            ref, dt, n_steps = reference_solve(f, band_wide, 0.5, grid, spec)
+            assert sol.values.tobytes() == ref.tobytes(), f.id
+            assert (sol.dt, sol.n_steps) == (dt, n_steps)
+
+    def test_non_finite_row_fails_the_stack(self, band_wide, ou_spec):
+        nan_at_node = TestFunction(
+            "nan", lambda x: np.where(x == x[200], np.nan, 0.5), positivity=False
+        )
+        rows = [catalog()["sigmoid"], nan_at_node, catalog()["bump"]]
+        with pytest.raises(RuntimeError, match=re.escape("non-finite values at step 0")):
+            solve_batch(rows, band_wide, 1.0, Grid1D(), ou_spec)
+
+    def test_cfl_violation_with_fixed_dt(self, band_wide):
+        with pytest.raises(CflError):
+            solve_batch(list(catalog().values()), band_wide, 1.0, Grid1D(dt=1.0))
 
 
 class TestGHeatSolve:
