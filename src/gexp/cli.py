@@ -224,6 +224,10 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None
         sys.stdout.write(text)
 
 
+def _workers(args) -> int:
+    return 1 if args.sequential else args.workers
+
+
 def _spec(drift_id: str, kind: Kind, k_override=None):
     spec = make_drift(drift_id)
     if k_override is not None:
@@ -257,7 +261,7 @@ def _cmd_pbar(args) -> int:
     if args.method in ("mc", "both"):
         scenarios = make_scenario_lattice(args.band, args.T, args.pieces, args.levels)
         mc = McConfig(args.npaths, args.nsteps, args.seed)
-        est = pbar_mc(spec, payoff, args.x, args.T, scenarios, mc)
+        est = pbar_mc(spec, payoff, args.x, args.T, scenarios, mc, _workers(args))
         report["mc"] = est.to_dict()
     if args.method == "both":
         budget = max(3.0 * est.argmax_std_error, 2e-3 * max(1.0, abs(report["pde_value"])))
@@ -271,23 +275,12 @@ def _cmd_pbar(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_harnack(args) -> int:
-    spec = _spec(args.drift, Kind.QV_DRIVEN, args.K)
-    cert = verify_harnack(
-        spec, catalog()[args.payoff], args.x, args.y, args.p, args.T, args.band,
-        method=args.method, mc=McConfig(seed=args.seed),
-    )
-    report = {"config": _resolved_config(args), "certificate": cert.to_dict()}
-    d = cert.to_dict()
-    _emit(report, args, csv_rows=[[d[k] for k in sorted(d)]], csv_header=sorted(d))
-    return 0 if cert.passed else 1
-
-
-def _cmd_shift_harnack(args) -> int:
-    spec = _spec(args.drift, Kind.TIME_DRIVEN, args.K)
-    cert = verify_shift_harnack(
-        spec, catalog()[args.payoff], args.x, args.v, args.p, args.T, args.band,
-        method=args.method, mc=McConfig(seed=args.seed),
+def _cmd_certificate(verify, kind, y_or_shift, args) -> int:
+    """Harnack-type certificate from `verify` for the equation of `kind`."""
+    spec = _spec(args.drift, kind, args.K)
+    cert = verify(
+        spec, catalog()[args.payoff], args.x, y_or_shift, args.p, args.T, args.band,
+        method=args.method, mc=McConfig(seed=args.seed), workers=_workers(args),
     )
     report = {"config": _resolved_config(args), "certificate": cert.to_dict()}
     d = cert.to_dict()
@@ -303,7 +296,7 @@ def _cmd_coupling(args) -> int:
 
     raw = run_coupling_suite(
         spec, args.x, args.y, args.T, scenarios, mc, args.p, payoff,
-        workers=1 if args.sequential else args.workers,
+        workers=_workers(args),
     )
 
     reports = []
@@ -345,7 +338,9 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_axioms(args) -> int:
     spec = _spec(args.drift, Kind.QV_DRIVEN)
-    result = run_axioms(spec, args.band, args.T, mc=McConfig(seed=args.seed))
+    result = run_axioms(
+        spec, args.band, args.T, mc=McConfig(seed=args.seed), workers=_workers(args)
+    )
     report = {"config": _resolved_config(args), **result}
     rows = [[c["check"], c["violation"], c["limit"], c["pass"]] for c in result["checks"]]
     _emit(report, args, csv_rows=rows, csv_header=["check", "violation", "limit", "pass"])
@@ -355,8 +350,14 @@ def _cmd_axioms(args) -> int:
 _DISPATCH = {
     "gheat": _cmd_gheat,
     "pbar": _cmd_pbar,
-    "harnack": _cmd_harnack,
-    "shift-harnack": _cmd_shift_harnack,
+    # lambdas, not partials: the verify functions are looked up at call time,
+    # so a rebound module attribute (a tracer, a mock) takes effect
+    "harnack": lambda args: _cmd_certificate(
+        verify_harnack, Kind.QV_DRIVEN, args.y, args
+    ),
+    "shift-harnack": lambda args: _cmd_certificate(
+        verify_shift_harnack, Kind.TIME_DRIVEN, args.v, args
+    ),
     "coupling": _cmd_coupling,
     "kernels": _cmd_kernels,
     "axioms": _cmd_axioms,

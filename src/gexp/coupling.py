@@ -14,16 +14,13 @@ the discrete Novikov sum never exceeds the continuous closed-form bound.
 from __future__ import annotations
 
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .harnack import harnack_exponent
-from .simulate import _generator
+from .simulate import _generator, _sweep_blocks
 
 __all__ = [
     "CouplingReport",
@@ -249,14 +246,6 @@ def run_coupling(
     )
 
 
-# paths per block, steps per batch of drawn normals, and batches queued ahead
-# for each worker in _batched_states; the non-finite check every 256 steps
-# needs _STEP_BATCH to divide 256
-_BLOCK_PATHS = 8192
-_STEP_BATCH = 4
-_QUEUED_BATCHES = 2
-
-
 def _advance_block(spec, state, Z, lo, i0, vh, sqv, eta, merge_tol):
     """Advance one path block's (S, b) state views in place over the steps
     i0, i0+1, ... whose normals are the rows of Z, columns lo:lo+b."""
@@ -310,16 +299,13 @@ def _batched_states(
     process is carried as gap = X - Y (exactly zero after slaving), which
     also makes the forcing vanish automatically once paths merge.
 
-    The paths are split into blocks of at most _BLOCK_PATHS, so that each
-    step works on (S, block) arrays instead of the whole (S, n) state.  The
-    calling thread draws the normals _STEP_BATCH steps at a time, in the
-    order of one draw per step.  With `workers` above 1, each of that many
-    threads owns an even share of the blocks and advances them batch after
-    batch from its own queue, so the threads never wait for one another and
-    the drawing overlaps the stepping.  Every element goes through the same
-    arithmetic whatever the block partition or worker count, so the results
-    are bit-identical across both.  Agreement with run_coupling, which
-    orders its floating-point operations differently, holds to round-off.
+    simulate._sweep_blocks splits the paths into blocks, so that each step
+    works on (S, block) arrays instead of the whole (S, n) state, and runs
+    the blocks on `workers` threads.  Every
+    element goes through the same arithmetic whatever the block partition
+    or worker count, so the results are bit-identical across both.
+    Agreement with run_coupling, which orders its floating-point operations
+    differently, holds to round-off.
     """
     K = spec.lipschitz_k
     S = len(scenarios)
@@ -336,73 +322,12 @@ def _batched_states(
     Xref = np.full((S, n), float(y))
     log_m = np.zeros((S, n))
     nov_int = np.zeros((S, n)) if want_novikov else None
-    # a multiple of the worker count of blocks, so the workers get even shares
-    workers = max(1, workers)
-    n_blocks = workers * -(-n // (workers * _BLOCK_PATHS))
-    size = -(-n // n_blocks)
-    blocks = [
-        (lo, tuple(None if a is None else a[:, lo : lo + size]
-                   for a in (X, gap, Xref, log_m, nov_int)))
-        for lo in range(0, n, size)
-    ]
-    rng = _generator(seed)
-
-    def advance(mine, Z, i0):
-        """Advance the blocks `mine` over one batch of normals; return the
-        batch's last step if it is a checked step with a non-finite state."""
-        for lo, state in mine:
-            _advance_block(spec, state, Z, lo, i0, vh, sqv, eta, merge_tol)
-        i1 = i0 + len(Z)
-        if i1 % 256 == 0 and not all(
-            np.all(np.isfinite(st[0])) and np.all(np.isfinite(st[1]))
-            for _, st in mine
-        ):
-            return i1 - 1
-        return None
-
-    def draw(i0):
-        return rng.standard_normal((min(_STEP_BATCH, m - i0), n))
-
-    k = min(workers, len(blocks))
-    if k <= 1:
-        for i0 in range(0, m, _STEP_BATCH):
-            bad = advance(blocks, draw(i0), i0)
-            if bad is not None:
-                raise RuntimeError(f"non-finite state at step {bad}")
-    else:
-
-        def work(q, mine):
-            # after a failure the worker keeps emptying its queue, so that
-            # the drawing thread never blocks on it
-            failure = None
-            while (item := q.get()) is not None:
-                if failure is None:
-                    try:
-                        failure = advance(mine, *item)
-                    except BaseException as exc:
-                        failure = exc
-            return failure
-
-        queues = [queue.Queue(maxsize=_QUEUED_BATCHES) for _ in range(k)]
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            futures = [
-                pool.submit(work, q, blocks[w::k]) for w, q in enumerate(queues)
-            ]
-            try:
-                for i0 in range(0, m, _STEP_BATCH):
-                    Z = draw(i0)
-                    for q in queues:
-                        q.put((Z, i0))
-            finally:
-                for q in queues:
-                    q.put(None)
-            failures = [f.result() for f in futures]
-        for f in failures:
-            if isinstance(f, BaseException):
-                raise f
-        bad = min((f for f in failures if f is not None), default=None)
-        if bad is not None:
-            raise RuntimeError(f"non-finite state at step {bad}")
+    _sweep_blocks(
+        (X, gap, Xref, log_m, nov_int), (0, 1), m, seed, workers,
+        lambda views, Z, lo, i0: _advance_block(
+            spec, views, Z, lo, i0, vh, sqv, eta, merge_tol
+        ),
+    )
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xref))):
         raise RuntimeError(f"non-finite state at step {m}")
     return X, X - gap, log_m, Xref, nov_int
@@ -445,8 +370,6 @@ def run_coupling_suite(
     for sc in scenarios:
         _check_coupling_args(K, sc, horizon)
 
-    if workers is None:
-        workers = os.cpu_count() or 1
     n, m = mc.n_paths, mc.n_steps
     X, Y, log_m, Xref, nov_int = _batched_states(
         spec, x, y, horizon, scenarios, n, m, mc.seed, want_novikov=True,

@@ -23,7 +23,7 @@ from .core import (
     make_scenario_lattice,
 )
 from .gheat import Grid1D, require_safe, solve_batch
-from .simulate import pbar_mc
+from .simulate import _estimate, _terminal_states
 
 __all__ = [
     "HarnackCertificate",
@@ -154,11 +154,16 @@ def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, method, lhs, base, 
     )
 
 
-def _mc_values(spec, payoff, x0, horizon, band, mc, scenarios):
+def _mc_values(spec, payoffs, x0, horizon, band, mc, scenarios, workers):
+    """(value, argmax standard error) of each payoff, all evaluated on one
+    scenario-max sweep started at x0."""
     if scenarios is None:
         scenarios = make_scenario_lattice(band, horizon, pieces=2, levels=3)
-    est = pbar_mc(spec, payoff, x0, horizon, scenarios, mc)
-    return est.value, est.argmax_std_error
+    states = _terminal_states(spec, x0, horizon, scenarios, mc, workers)
+    return [
+        (est.value, est.argmax_std_error)
+        for est in (_estimate(f, states, scenarios, mc) for f in payoffs)
+    ]
 
 
 def verify_harnack(
@@ -174,9 +179,11 @@ def verify_harnack(
     mc: McConfig | None = None,
     scenarios: list[Scenario] | None = None,
     tolerance_budget: float | None = None,
+    workers: int | None = None,
 ) -> HarnackCertificate:
     """Check (Pbar_T f)^p(y) <= Pbar_T f^p(x) * exp(exponent) for the
-    qv-driven equation."""
+    qv-driven equation.  The MC method makes one scenario-max sweep from y
+    and one from x, on `workers` threads (default os.cpu_count())."""
     if not payoff.positivity:
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.QV_DRIVEN:
@@ -192,8 +199,9 @@ def verify_harnack(
         budget = PDE_BUDGET if tolerance_budget is None else tolerance_budget
     elif method == "mc":
         mc = mc or McConfig()
-        vy, sy = _mc_values(spec, payoff, y, horizon, band, mc, scenarios)
-        base, sx = _mc_values(spec, payoff.power(p), x, horizon, band, mc, scenarios)
+        args = (horizon, band, mc, scenarios, workers)
+        [(vy, sy)] = _mc_values(spec, [payoff], y, *args)
+        [(base, sx)] = _mc_values(spec, [payoff.power(p)], x, *args)
         lhs = vy**p
         scale = max(abs(base), 1e-12)
         budget = (
@@ -221,9 +229,12 @@ def verify_shift_harnack(
     mc: McConfig | None = None,
     scenarios: list[Scenario] | None = None,
     tolerance_budget: float | None = None,
+    workers: int | None = None,
 ) -> HarnackCertificate:
     """Check (Pbar_T f(x))^p <= Pbar_T [f^p(v + .)](x) * exp(exponent) for
-    the time-driven equation."""
+    the time-driven equation.  The MC method evaluates f and f^p(v + .) on
+    one scenario-max sweep from x, on `workers` threads (default
+    os.cpu_count())."""
     if not payoff.positivity:
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.TIME_DRIVEN:
@@ -239,8 +250,9 @@ def verify_shift_harnack(
         budget = PDE_BUDGET if tolerance_budget is None else tolerance_budget
     elif method == "mc":
         mc = mc or McConfig()
-        vx, sx = _mc_values(spec, payoff, x, horizon, band, mc, scenarios)
-        base, sb = _mc_values(spec, shifted, x, horizon, band, mc, scenarios)
+        (vx, sx), (base, sb) = _mc_values(
+            spec, [payoff, shifted], x, horizon, band, mc, scenarios, workers
+        )
         lhs = vx**p
         scale = max(abs(base), 1e-12)
         budget = (

@@ -10,7 +10,7 @@ import pytest
 
 import gexp
 from gexp.cli import main
-from gexp.coupling import _BLOCK_PATHS
+from gexp.simulate import _BLOCK_PATHS
 
 
 def run_cli(args, tmp_path=None):
@@ -235,6 +235,23 @@ class TestReproducibility:
         # the whole report, config block included, except the flag itself
         assert out2 == out1.replace('"sequential": true', '"sequential": false')
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pbar", "--kind", "qv", "--drift", "ou", "--band", "0.5,1",
+             "--payoff", "sigmoid", "--T", "0.5", "--x", "0.5",
+             "--npaths", str(2 * _BLOCK_PATHS + 123), "--nsteps", "32"],
+            ["axioms", "--band", "0.5,1", "--drift", "ou"],
+        ],
+        ids=["pbar", "axioms"],
+    )
+    def test_mc_reports_independent_of_workers(self, args):
+        code1, out1 = run_cli(args + ["--sequential"])
+        code2, out2 = run_cli(args + ["--workers", "2"])
+        assert code1 == code2 == 0
+        # the whole report, config block included, except the flag itself
+        assert out2 == out1.replace('"sequential": true', '"sequential": false')
+
     def test_out_file_matches_stdout(self, tmp_path):
         args = ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25",
                 "--nx", "11", "--sequential"]
@@ -268,3 +285,12 @@ class TestEntryPoint:
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == "0.1.0"
+
+    def test_python_m_gexp_runs(self):
+        src = Path(gexp.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "gexp", "--version"], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0.1.0"

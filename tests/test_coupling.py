@@ -19,7 +19,7 @@ from gexp import (
     run_coupling_suite,
 )
 from gexp.core import GsdeSpec, Kind
-from gexp.coupling import _BLOCK_PATHS
+from gexp.simulate import _BLOCK_PATHS
 
 
 def unit_scenario(horizon=1.0):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from gexp import (
     make_scenario_lattice,
     pbar_mc,
     pbar_pde,
+    run_axioms,
     simulate_paths,
 )
+from gexp.core import GsdeSpec
 from gexp.kernels import normal_expectation
+from gexp.simulate import _BLOCK_PATHS
 
 
 def unit_scenario(v=1.0, horizon=1.0):
@@ -148,3 +152,58 @@ class TestPbarMc:
         scs = make_scenario_lattice(band_wide, 2.0, 1, 2)
         with pytest.raises(ValueError):
             pbar_mc(make_drift("ou"), catalog()["one"], 0.0, 1.0, scs, McConfig(10, 16, 1))
+
+
+class TestScenarioSweep:
+    """pbar_mc advances every scenario on one shared draw per step, in path
+    blocks run by worker threads; the per-scenario oracle is simulate_paths."""
+
+    @staticmethod
+    def reference(spec, payoff, x0, scenarios, mc):
+        per = []
+        for sc in scenarios:
+            vals = payoff(simulate_paths(spec, x0, sc, mc))
+            per.append(
+                (float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(mc.n_paths)))
+            )
+        return tuple(per)
+
+    @pytest.mark.parametrize("kind", [Kind.QV_DRIVEN, Kind.TIME_DRIVEN])
+    @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
+    @pytest.mark.parametrize("n_paths", [2 * _BLOCK_PATHS + 123, 3])
+    def test_per_scenario_equals_simulate_paths(self, band_wide, kind, drift, n_paths):
+        # several path blocks, the last one partial, split differently by
+        # each worker count; and fewer paths than workers
+        spec = dataclasses.replace(make_drift(drift), kind=kind)
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        mc = McConfig(n_paths, 16, 41)
+        f = catalog()["sigmoid"]
+        ref = self.reference(spec, f, 0.3, scs, mc)
+        for workers in (1, 2):
+            assert pbar_mc(spec, f, 0.3, 1.0, scs, mc, workers).per_scenario == ref
+        # more workers than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = pbar_mc(spec, f, 0.3, 1.0, scs, mc, workers=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many.per_scenario == ref
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_non_finite_state_reported_for_every_worker_count(self, band_wide):
+        # an unstable drift overflows before the first check (step 255)
+        spec = GsdeSpec(lambda x: 20000.0 * x, 20000.0, Kind.QV_DRIVEN, "unstable")
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        mc = McConfig(2 * _BLOCK_PATHS, 1024, 9)
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="non-finite state at step 255"):
+                pbar_mc(spec, catalog()["sigmoid"], 5.0, 1.0, scs, mc, workers)
+
+    def test_axioms_independent_of_workers(self, band_wide):
+        mc = McConfig(2 * _BLOCK_PATHS + 123, 32, 43)
+        results = [
+            run_axioms(make_drift("ou"), band_wide, mc=mc, workers=w) for w in (1, 2)
+        ]
+        assert results[0]["all_pass"]
+        assert results[0] == results[1]
