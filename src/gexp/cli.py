@@ -166,7 +166,8 @@ _BOOL_KEYS = {"sequential"}
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill from the key = value file; explicit command-line flags win."""
+    """Fill from the key = value file; explicit command-line flags win.  The
+    keys are the options of the chosen subcommand other than --config."""
     if not args.config:
         return
     values = _load_config(args.config)
@@ -175,8 +176,9 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         for tok in argv
         if tok.startswith("--")
     }
+    options = set(vars(args)) - {"command", "config"}
     for key, raw in values.items():
-        if not hasattr(args, key):
+        if key not in options:
             raise ValueError(f"unknown configuration key {key!r}")
         if key in explicit:
             continue

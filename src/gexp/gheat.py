@@ -20,6 +20,16 @@ than once per payoff.  The per-element arithmetic is that of a single row,
 so each row is bit-identical to solving its payoff alone; `solve` is the
 one-row case.  Certificate sweeps and axiom checks stack every payoff they
 need at one (band, horizon, drift) into one call.
+
+At nx = 401 a step costs numpy call overhead, not arithmetic: a Heun step
+is 26 calls for the G-heat equation, 42 (qv-driven) or 44 (time-driven)
+with one upwinded run per side, and 4 more per extra run, whatever P is.
+The max forms G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 and v* q =
+max(vlo*q, vhi*q) give the bits of (vhi*a+ - vlo*a-)/2 and of the masked
+choice of v*: each product has the sign of its factor, rounding is
+monotone and a sign flip is exact, so the larger product is the one the
+masked form takes; + 0.0 maps the -0.0 of a = -0.0 (or of an underflowing
+vlo*a) to the +0.0 that the two-sided form gives.
 """
 
 from __future__ import annotations
@@ -84,13 +94,23 @@ class PdeSolution:
         return float(np.interp(x, g.xs, self.values))
 
 
+def _g_into(a, v_lo, v_hi, out, tmp) -> None:
+    """out = G(a) = (max(vhi*a, vlo*a) + 0.0) / 2; out, tmp must not overlap a."""
+    np.multiply(a, v_hi, out=out)
+    np.multiply(a, v_lo, out=tmp)
+    np.maximum(out, tmp, out=out)
+    np.add(out, 0.0, out=out)
+    np.multiply(out, 0.5, out=out)
+
+
 def g_operator(a, band: VolatilityBand):
     """1-D nonlinear generator G(a) = (vhi*max(a,0) - vlo*max(-a,0)) / 2.
 
     Positively homogeneous and subadditive in a.
     """
     a = np.asarray(a, dtype=float)
-    out = 0.5 * (band.v_hi * np.maximum(a, 0.0) - band.v_lo * np.maximum(-a, 0.0))
+    out = np.empty_like(a)
+    _g_into(a, band.v_lo, band.v_hi, out, np.empty_like(a))
     return float(out) if out.ndim == 0 else out
 
 
@@ -135,23 +155,14 @@ def solve_batch(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    xs = grid.xs
-    dx = grid.dx
+    xs, dx = grid.xs, grid.dx
     u = np.empty((len(payoffs), grid.nx))
     for row, payoff in zip(u, payoffs):
         row[:] = payoff(xs)
 
-    if spec is None:
-        b = None
-        bmax = 0.0
-        kind = None
-        kind_label = "gheat"
-    else:
-        b = spec.b(xs)
-        bmax = float(np.max(np.abs(b)))
-        kind = spec.kind
-        kind_label = spec.kind.value
-
+    kind = None if spec is None else spec.kind
+    b = None if spec is None else spec.b(xs)
+    bmax = 0.0 if b is None else float(np.max(np.abs(b)))
     dt_max = _stable_dt(grid, band, bmax, kind)
     if grid.dt is None:
         n_steps = max(1, math.ceil(horizon / (grid.cfl_safety * dt_max)))
@@ -162,19 +173,14 @@ def solve_batch(
     dt = horizon / n_steps
 
     v_lo, v_hi = band.v_lo, band.v_hi
-    inv_dx2 = 1.0 / dx**2
-    inv_2dx = 0.5 / dx
-    inv_dx = 1.0 / dx
+    inv_dx2, inv_2dx, inv_dx = 1.0 / dx**2, 0.5 / dx, 1.0 / dx
 
     # work buffers.  The difference stencils run over each buffer as one flat
     # array, so the first and last node of every row come out mixed with the
     # neighbouring row; those columns are set by the boundary rules below.
-    u1 = np.empty_like(u)
-    k = np.empty_like(u)
-    wxx = np.empty_like(u)
-    wxx_in = wxx.reshape(-1)[1:-1]
-    t1 = np.empty_like(u)
-    t2 = np.empty_like(u)
+    u1, k, wxx, t1, t2 = (np.empty_like(u) for _ in range(5))
+    wxx_in, wxx_edges = wxx.reshape(-1)[1:-1], wxx[:, ::grid.nx - 1]
+    runs = []
 
     if b is not None:
         # centered first differences are monotone iff |b|*dx stays below the
@@ -184,68 +190,60 @@ def solve_batch(
         pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
         upwind = np.abs(b) * dx > pe_limit
         fwd = upwind & (b > 0.0)
-        fwd[0] = b[0] > 0.0
-        fwd[-1] = False
+        fwd[0], fwd[-1] = b[0] > 0.0, False
         bwd = upwind & (b < 0.0)
-        bwd[0] = False
-        bwd[-1] = b[-1] < 0.0
-        fwd_runs, bwd_runs = _runs(fwd), _runs(bwd)
+        bwd[0], bwd[-1] = False, b[-1] < 0.0
         wx = np.empty_like(u)
-        wx_in = wx.reshape(-1)[1:-1]
-        if kind is Kind.QV_DRIVEN:
-            v_star_hi = np.empty(u.shape, dtype=bool)
+        wx_in, wx_edges = wx.reshape(-1)[1:-1], wx[:, ::grid.nx - 1]
+        # (first shift, second shift) of every run: forward runs take
+        # (w_{j+1} - w_j) / dx, backward runs (w_j - w_{j-1}) / dx
+        runs = [(lo, hi, 1, 0) for lo, hi in _runs(fwd)]
+        runs += [(lo, hi, 0, -1) for lo, hi in _runs(bwd)]
 
-    def g_into(out):
-        # G(wxx) = (vhi*max(wxx,0) - vlo*max(-wxx,0)) / 2
-        np.maximum(wxx, 0.0, out=t1)
-        np.multiply(t1, v_hi, out=t1)
-        np.negative(wxx, out=t2)
-        np.maximum(t2, 0.0, out=t2)
-        np.multiply(t2, v_lo, out=t2)
-        np.subtract(t1, t2, out=t1)
-        np.multiply(t1, 0.5, out=out)
-
-    def rhs(w, out):
+    def stencil(w):
+        # the views rhs reads from w, built once for each of the two buffers
         wf = w.reshape(-1)
-        np.multiply(wf[1:-1], 2.0, out=wxx_in)
-        np.subtract(wf[2:], wxx_in, out=wxx_in)
-        np.add(wxx_in, wf[:-2], out=wxx_in)
+        return wf[1:-1], wf[2:], wf[:-2], [
+            (w[:, lo + s1:hi + s1], w[:, lo + s2:hi + s2], wx[:, lo:hi])
+            for lo, hi, s1, s2 in runs
+        ]
+
+    def rhs(views, out):
+        w_in, w_up, w_dn, w_runs = views
+        np.multiply(w_in, 2.0, out=wxx_in)
+        np.subtract(w_up, wxx_in, out=wxx_in)
+        np.add(wxx_in, w_dn, out=wxx_in)
         np.multiply(wxx_in, inv_dx2, out=wxx_in)
-        wxx[:, 0] = 0.0  # zero-curvature boundary
-        wxx[:, -1] = 0.0
+        wxx_edges.fill(0.0)  # zero-curvature boundary
         if b is None:
-            g_into(out)
+            _g_into(wxx, v_lo, v_hi, out, t2)
             return
-        np.subtract(wf[2:], wf[:-2], out=wx_in)
+        np.subtract(w_up, w_dn, out=wx_in)
         np.multiply(wx_in, inv_2dx, out=wx_in)
-        wx[:, 0] = 0.0
-        wx[:, -1] = 0.0
-        for lo, hi in fwd_runs:  # (w_{j+1} - w_j) / dx
-            np.subtract(w[:, lo + 1:hi + 1], w[:, lo:hi], out=wx[:, lo:hi])
-            np.multiply(wx[:, lo:hi], inv_dx, out=wx[:, lo:hi])
-        for lo, hi in bwd_runs:  # (w_j - w_{j-1}) / dx
-            np.subtract(w[:, lo:hi], w[:, lo - 1:hi - 1], out=wx[:, lo:hi])
-            np.multiply(wx[:, lo:hi], inv_dx, out=wx[:, lo:hi])
+        wx_edges.fill(0.0)
+        for ahead, behind, wx_run in w_runs:
+            np.subtract(ahead, behind, out=wx_run)
+            np.multiply(wx_run, inv_dx, out=wx_run)
         if kind is Kind.QV_DRIVEN:
             # q = b*wx + wxx/2, times v* = vhi where q >= 0, vlo elsewhere
             np.multiply(b, wx, out=t1)
             np.multiply(wxx, 0.5, out=t2)
             np.add(t1, t2, out=t1)
-            np.greater_equal(t1, 0.0, out=v_star_hi)
             np.multiply(t1, v_lo, out=out)
             np.multiply(t1, v_hi, out=t2)
-            np.copyto(out, t2, where=v_star_hi)
+            np.maximum(out, t2, out=out)
             return
-        g_into(out)
+        _g_into(wxx, v_lo, v_hi, out, t2)
         np.multiply(b, wx, out=t1)
         np.add(t1, out, out=out)
 
+    u_views, u1_views = stencil(u), stencil(u1)
     for step in range(n_steps):
         # Heun: u1 = u + dt*rhs(u);  u <- ((u + u1) + dt*rhs(u1)) / 2
-        rhs(u, k)
+        rhs(u_views, k)
         np.multiply(k, dt, out=k)
         np.add(u, k, out=u1)
-        rhs(u1, k)
+        rhs(u1_views, k)
         np.add(u, u1, out=u)
         np.multiply(k, dt, out=k)
         np.add(u, k, out=u)
@@ -255,7 +253,8 @@ def solve_batch(
     if not np.all(np.isfinite(u)):
         raise RuntimeError(f"non-finite values at final step {n_steps}")
 
-    return [PdeSolution(grid, horizon, row, dt, n_steps, kind_label) for row in u]
+    label = "gheat" if kind is None else kind.value
+    return [PdeSolution(grid, horizon, row, dt, n_steps, label) for row in u]
 
 
 def safe_window(grid: Grid1D, band: VolatilityBand, horizon: float) -> tuple[float, float]:

@@ -282,18 +282,19 @@ def harnack_grid(
     over f and every f^p of each payoff, reused across the distance grid."""
     grid = grid or Grid1D()
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
+    ys = [x0 + float(d) for d in dists]
     certs = []
     for band in bands:
         for T in horizons:
-            require_safe(x0 + max(dists), grid, band, T)
+            for point in (x0, *ys):  # every point a solution is read at
+                require_safe(point, grid, band, T)
             rows = [g for f in payoffs for g in (f, *(f.power(p) for p in ps))]
             sols = iter(solve_batch(rows, band, T, grid, spec))
             for payoff in payoffs:
                 sol_f = next(sols)
                 for p in ps:
                     base = next(sols).value_at(x0)
-                    for d in dists:
-                        y = x0 + float(d)
+                    for y in ys:
                         expo = harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0))
                         certs.append(
                             _certificate(

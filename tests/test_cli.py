@@ -166,6 +166,20 @@ class TestConfigFile:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["command = kernels", "config = other.cfg", "alpha = 3"])
+    def test_non_option_config_key_exit_2(self, tmp_path, capsys, line):
+        # only options of the chosen subcommand: `command` may not switch it,
+        # and `alpha` belongs to `kernels`, not `gheat`
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out = run_cli(
+            ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25",
+             "--config", str(cfg)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown configuration key" in capsys.readouterr().err
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")

@@ -48,6 +48,21 @@ class TestGOperator:
         )
         assert g_operator(a + b, band) <= g_operator(a, band) + g_operator(b, band) + 1e-12
 
+    @pytest.mark.parametrize("sigmas", [(0.5, 1.0), (0.7, 0.7)])
+    def test_bits_of_two_sided_formula(self, sigmas):
+        # the max form shared with the marcher against the two-sided formula,
+        # byte for byte, signed zeros and subnormal products included
+        band = VolatilityBand(*sigmas)
+        special = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324]
+        rng = np.random.default_rng(5)
+        scales = 10.0 ** rng.integers(-300, 300, 1000)
+        a = np.concatenate([special, rng.standard_normal(1000) * scales])
+        with np.errstate(over="ignore"):
+            two_sided = 0.5 * (band.v_hi * np.maximum(a, 0.0) - band.v_lo * np.maximum(-a, 0.0))
+            assert g_operator(a, band).tobytes() == two_sided.tobytes()
+            for x, want in zip(special, two_sided):
+                assert np.float64(g_operator(x, band)).tobytes() == want.tobytes(), x
+
 
 class TestGrid:
     def test_validation(self):
@@ -106,21 +121,32 @@ def reference_solve(payoff, band, horizon, grid, spec=None):
 
 
 def _equations():
-    ou = make_drift("ou")
-    steep = make_drift("tanh:20")  # one-sided differences inside the domain
-    return {
-        "gheat": None,
-        "qv-ou": ou,
-        "time-ou": dataclasses.replace(ou, kind=Kind.TIME_DRIVEN),
-        "qv-steep": steep,
-        "time-steep": dataclasses.replace(steep, kind=Kind.TIME_DRIVEN),
+    drifts = {
+        "ou": make_drift("ou"),
+        "steep": make_drift("tanh:20"),  # one-sided differences inside the domain
+        "zero": make_drift("zero"),
+        "const": make_drift("const:0.8"),
     }
+    eqs = {"gheat": None}
+    for name, spec in drifts.items():
+        eqs["qv-" + name] = spec
+        eqs["time-" + name] = dataclasses.replace(spec, kind=Kind.TIME_DRIVEN)
+    return eqs
 
 
 class TestSolveBatch:
-    @pytest.mark.parametrize("eq", list(_equations()))
+    @pytest.mark.parametrize(
+        "eq, sigmas",
+        [
+            pytest.param(eq, sigmas, id=eq + suffix)
+            for eq in _equations()
+            # a degenerate band gives the max forms of G and v* equal operands
+            for suffix, sigmas in (("", (0.5, 1.0)), ("-degenerate", (0.8, 0.8)))
+        ],
+    )
     @pytest.mark.parametrize("stack", ["single", "mixed"])
-    def test_rows_bit_identical_to_single_solves(self, eq, stack, band_wide):
+    def test_rows_bit_identical_to_single_solves(self, eq, sigmas, stack):
+        band = VolatilityBand(*sigmas)
         spec = _equations()[eq]
         grid = Grid1D(nx=201)
         cat = catalog()
@@ -132,13 +158,13 @@ class TestSolveBatch:
                 for f in cat.values()
                 for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))
             ]
-        sols = solve_batch(rows, band_wide, 0.5, grid, spec)
+        sols = solve_batch(rows, band, 0.5, grid, spec)
         assert len(sols) == len(rows)
         for f, sol in zip(rows, sols):
-            one = solve(f, band_wide, 0.5, grid, spec)
+            one = solve(f, band, 0.5, grid, spec)
             assert np.array_equal(sol.values, one.values), f.id
             assert (sol.dt, sol.n_steps, sol.kind) == (one.dt, one.n_steps, one.kind)
-            ref, dt, n_steps = reference_solve(f, band_wide, 0.5, grid, spec)
+            ref, dt, n_steps = reference_solve(f, band, 0.5, grid, spec)
             assert sol.values.tobytes() == ref.tobytes(), f.id
             assert (sol.dt, sol.n_steps) == (dt, n_steps)
 

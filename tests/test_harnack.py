@@ -199,6 +199,18 @@ class TestCertificateGrids:
         by_d = {round(abs(c.y_or_shift - c.x), 6): c.exponent for c in certs}
         assert by_d[0.0] == 0.0
 
+    @pytest.mark.parametrize(
+        "x0, dists", [(-5.0, np.linspace(0.0, 1.0, 6)), (-2.0, [-3.0, 0.0]), (3.5, [0.0, 1.0])]
+    )
+    def test_harnack_sweep_checks_every_point(self, band_wide, x0, dists):
+        # the safe window of this band and horizon on the default grid is
+        # [-4, 4]; x0 or some x0 + d lies outside it, though x0 + max(d) may not
+        with pytest.raises(ValueError, match="boundary-contaminated"):
+            harnack_grid(
+                make_drift("ou"), [catalog()["sigmoid"]], ps=[2.0], horizons=[1.0],
+                bands=[band_wide], dists=dists, x0=x0,
+            )
+
     def test_small_shift_sweep_no_failures(self, band_wide):
         certs = shift_harnack_grid(
             make_drift("ou"),
