@@ -37,7 +37,12 @@ _SCALED = ("sigmoid", "sqclip")
 _LAM = 2.5
 
 
-def _pde_checks(spec, band, horizon, grid, payoffs, tol):
+def _check(name, violation, limit) -> dict:
+    return {"check": name, "violation": float(violation), "limit": limit,
+            "pass": bool(violation <= limit)}
+
+
+def _pde_checks(spec, band, horizon, grid, payoffs):
     # one stacked solve: the catalog, then the sums, then the scalings
     rows = [
         *payoffs.values(),
@@ -47,54 +52,40 @@ def _pde_checks(spec, band, horizon, grid, payoffs, tol):
     mask = _window_mask(grid, band, horizon)
     sols = iter(solve_batch(rows, band, horizon, grid, spec))
     val = {pid: next(sols).values[mask] for pid in payoffs}
-    checks = []
-
-    def record(name, violation, limit):
-        checks.append(
-            {"check": name, "violation": float(violation), "limit": limit,
-             "pass": bool(violation <= limit)}
-        )
-
     # monotonicity: the sub-unit catalog members are dominated by the constant 1
     for pid in ("sigmoid", "cauchy", "bump"):
-        record(f"pde:monotone:one>={pid}", np.max(val[pid] - val["one"]), tol)
+        yield _check(f"pde:monotone:one>={pid}", np.max(val[pid] - val["one"]), PDE_TOL)
     # constant preservation
-    record("pde:constant", np.max(np.abs(val["one"] - 1.0)), tol)
+    yield _check("pde:constant", np.max(np.abs(val["one"] - 1.0)), PDE_TOL)
     # subadditivity and homogeneity on representative pairs
     for a, b in _SUMS:
         s = next(sols).values[mask]
-        record(f"pde:subadd:{a}+{b}", np.max(s - (val[a] + val[b])), tol)
+        yield _check(f"pde:subadd:{a}+{b}", np.max(s - (val[a] + val[b])), PDE_TOL)
     for pid in _SCALED:
         s = next(sols).values[mask]
         scale = max(1.0, float(np.max(np.abs(val[pid]))))
-        record(f"pde:homogeneous:{pid}", np.max(np.abs(s - _LAM * val[pid])) / scale, tol)
-    return checks
-
-
-def _mc_checks(spec, band, horizon, payoffs, mc, pieces, levels, tol, workers):
-    # one sweep: every payoff, sum and scaling is evaluated on the same states
-    scenarios = make_scenario_lattice(band, horizon, pieces, levels)
-    states = _terminal_states(spec, 0.0, horizon, scenarios, mc, workers)
-    est = {pid: _estimate(f, states, scenarios, mc) for pid, f in payoffs.items()}
-    checks = []
-
-    def record(name, violation, limit):
-        checks.append(
-            {"check": name, "violation": float(violation), "limit": limit,
-             "pass": bool(violation <= limit)}
+        yield _check(
+            f"pde:homogeneous:{pid}", np.max(np.abs(s - _LAM * val[pid])) / scale, PDE_TOL
         )
 
+
+def _mc_checks(spec, band, horizon, payoffs, mc, workers):
+    # one sweep: every payoff, sum and scaling is evaluated on the same states
+    scenarios = make_scenario_lattice(band, horizon, pieces=2, levels=2)
+    states = _terminal_states(spec, 0.0, horizon, scenarios, mc, workers)
+    est = {pid: _estimate(f, states, scenarios, mc) for pid, f in payoffs.items()}
     for pid in ("sigmoid", "cauchy", "bump"):
-        record(f"mc:monotone:one>={pid}", est[pid].value - est["one"].value, 0.0)
-    record("mc:constant", abs(est["one"].value - 1.0), 0.0)
+        yield _check(f"mc:monotone:one>={pid}", est[pid].value - est["one"].value, 0.0)
+    yield _check("mc:constant", abs(est["one"].value - 1.0), 0.0)
     for a, b in _SUMS:
         s = _estimate(payoffs[a].plus(payoffs[b]), states, scenarios, mc)
-        record(f"mc:subadd:{a}+{b}", s.value - (est[a].value + est[b].value), tol)
+        yield _check(f"mc:subadd:{a}+{b}", s.value - (est[a].value + est[b].value), MC_TOL)
     for pid in _SCALED:
         s = _estimate(payoffs[pid].scaled(_LAM), states, scenarios, mc)
         scale = max(1.0, abs(est[pid].value))
-        record(f"mc:homogeneous:{pid}", abs(s.value - _LAM * est[pid].value) / scale, tol)
-    return checks
+        yield _check(
+            f"mc:homogeneous:{pid}", abs(s.value - _LAM * est[pid].value) / scale, MC_TOL
+        )
 
 
 def run_axioms(
@@ -103,10 +94,6 @@ def run_axioms(
     horizon: float = 1.0,
     grid: Grid1D | None = None,
     mc: McConfig | None = None,
-    pieces: int = 2,
-    levels: int = 2,
-    pde_tol: float = PDE_TOL,
-    mc_tol: float = MC_TOL,
     workers: int | None = None,
 ) -> dict:
     """Run the axiom suite on the full payoff catalog for both backends.
@@ -117,8 +104,8 @@ def run_axioms(
     grid = grid or Grid1D()
     mc = mc or McConfig(n_paths=4000, n_steps=128)
     payoffs = catalog()
-    checks = _pde_checks(spec, band, horizon, grid, payoffs, pde_tol)
-    checks += _mc_checks(
-        spec, band, horizon, payoffs, mc, pieces, levels, mc_tol, workers
-    )
+    checks = [
+        *_pde_checks(spec, band, horizon, grid, payoffs),
+        *_mc_checks(spec, band, horizon, payoffs, mc, workers),
+    ]
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}

@@ -290,20 +290,17 @@ def catalog() -> dict[str, TestFunction]:
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings.  n_steps must be a power of two so halving
-    checks stay on nested grids.  epsilon0 is the Novikov slack."""
+    checks stay on nested grids."""
 
     n_paths: int = 10_000
     n_steps: int = 256
     seed: int = 12345
-    epsilon0: float = 0.5
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be positive")
         if self.n_steps < 1 or (self.n_steps & (self.n_steps - 1)) != 0:
             raise ValueError("n_steps must be a positive power of two")
-        if self.epsilon0 <= 0:
-            raise ValueError("epsilon0 must be positive")
 
 
 def make_drift(drift_id: str) -> GsdeSpec:

@@ -17,7 +17,6 @@ from .core import (
     GsdeSpec,
     Kind,
     McConfig,
-    Scenario,
     TestFunction,
     VolatilityBand,
     make_scenario_lattice,
@@ -154,16 +153,26 @@ def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, method, lhs, base, 
     )
 
 
-def _mc_values(spec, payoffs, x0, horizon, band, mc, scenarios, workers):
+def _mc_values(spec, payoffs, x0, horizon, band, mc, workers):
     """(value, argmax standard error) of each payoff, all evaluated on one
     scenario-max sweep started at x0."""
-    if scenarios is None:
-        scenarios = make_scenario_lattice(band, horizon, pieces=2, levels=3)
+    scenarios = make_scenario_lattice(band, horizon, pieces=2, levels=3)
     states = _terminal_states(spec, x0, horizon, scenarios, mc, workers)
     return [
         (est.value, est.argmax_std_error)
         for est in (_estimate(f, states, scenarios, mc) for f in payoffs)
     ]
+
+
+def _mc_certificate(kind, p, horizon, x, y_or_shift, payoff_id, at_f, at_base, expo):
+    """MC certificate from the (value, standard error) pairs of f and of the
+    base; its budget is 3 standard errors of lhs - base, relative to the base
+    (the delta method on value^p plus the base's own error)."""
+    (v, s), (base, sb) = at_f, at_base
+    budget = 3.0 * (p * max(v, 0.0) ** (p - 1) * s + sb) / max(abs(base), 1e-12)
+    return _certificate(
+        kind, p, horizon, x, y_or_shift, payoff_id, "mc", v**p, base, expo, budget
+    )
 
 
 def verify_harnack(
@@ -177,43 +186,26 @@ def verify_harnack(
     grid: Grid1D | None = None,
     method: str = "pde",
     mc: McConfig | None = None,
-    scenarios: list[Scenario] | None = None,
-    tolerance_budget: float | None = None,
     workers: int | None = None,
 ) -> HarnackCertificate:
     """Check (Pbar_T f)^p(y) <= Pbar_T f^p(x) * exp(exponent) for the
-    qv-driven equation.  The MC method makes one scenario-max sweep from y
-    and one from x, on `workers` threads (default os.cpu_count())."""
+    qv-driven equation.  The PDE method is the grid sweep at the one point y;
+    the MC method makes one scenario-max sweep from y and one from x, on
+    `workers` threads (default os.cpu_count())."""
     if not payoff.positivity:
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the two-point Harnack inequality targets the qv-driven equation")
+    # the exponent first: it checks p, K and the horizon before any solve
     expo = harnack_exponent(p, spec.lipschitz_k, band, horizon, abs(x - y))
     if method == "pde":
-        grid = grid or Grid1D()
-        require_safe(x, grid, band, horizon)
-        require_safe(y, grid, band, horizon)
-        sol_f, sol_fp = solve_batch([payoff, payoff.power(p)], band, horizon, grid, spec)
-        lhs = sol_f.value_at(y) ** p
-        base = sol_fp.value_at(x)
-        budget = PDE_BUDGET if tolerance_budget is None else tolerance_budget
-    elif method == "mc":
-        mc = mc or McConfig()
-        args = (horizon, band, mc, scenarios, workers)
-        [(vy, sy)] = _mc_values(spec, [payoff], y, *args)
-        [(base, sx)] = _mc_values(spec, [payoff.power(p)], x, *args)
-        lhs = vy**p
-        scale = max(abs(base), 1e-12)
-        budget = (
-            3.0 * (p * max(vy, 0.0) ** (p - 1) * sy + sx) / scale
-            if tolerance_budget is None
-            else tolerance_budget
-        )
-    else:
+        return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y], grid, PDE_BUDGET)[0]
+    if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    return _certificate(
-        "harnack", p, horizon, x, y, payoff.id, method, lhs, base, expo, budget
-    )
+    args = (horizon, band, mc or McConfig(), workers)
+    [at_y] = _mc_values(spec, [payoff], y, *args)
+    [at_x] = _mc_values(spec, [payoff.power(p)], x, *args)
+    return _mc_certificate("harnack", p, horizon, x, y, payoff.id, at_y, at_x, expo)
 
 
 def verify_shift_harnack(
@@ -227,44 +219,77 @@ def verify_shift_harnack(
     grid: Grid1D | None = None,
     method: str = "pde",
     mc: McConfig | None = None,
-    scenarios: list[Scenario] | None = None,
-    tolerance_budget: float | None = None,
     workers: int | None = None,
 ) -> HarnackCertificate:
     """Check (Pbar_T f(x))^p <= Pbar_T [f^p(v + .)](x) * exp(exponent) for
-    the time-driven equation.  The MC method evaluates f and f^p(v + .) on
-    one scenario-max sweep from x, on `workers` threads (default
-    os.cpu_count())."""
+    the time-driven equation.  The PDE method is the grid sweep at the one
+    shift v; the MC method evaluates f and f^p(v + .) on one scenario-max
+    sweep from x, on `workers` threads (default os.cpu_count())."""
     if not payoff.positivity:
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.TIME_DRIVEN:
         raise ValueError("the shift Harnack inequality targets the time-driven equation")
+    # the exponent first: it checks p, K, sigma_lo and the horizon before any solve
     expo = shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, horizon, v)
-    shifted = payoff.power(p).shifted(v)
     if method == "pde":
-        grid = grid or Grid1D()
-        require_safe(x, grid, band, horizon)
-        sol_f, sol_shifted = solve_batch([payoff, shifted], band, horizon, grid, spec)
-        lhs = sol_f.value_at(x) ** p
-        base = sol_shifted.value_at(x)
-        budget = PDE_BUDGET if tolerance_budget is None else tolerance_budget
-    elif method == "mc":
-        mc = mc or McConfig()
-        (vx, sx), (base, sb) = _mc_values(
-            spec, [payoff, shifted], x, horizon, band, mc, scenarios, workers
-        )
-        lhs = vx**p
-        scale = max(abs(base), 1e-12)
-        budget = (
-            3.0 * (p * max(vx, 0.0) ** (p - 1) * sx + sb) / scale
-            if tolerance_budget is None
-            else tolerance_budget
-        )
-    else:
+        return _shift_certs(spec, [payoff], [p], band, horizon, x, [v], grid, PDE_BUDGET)[0]
+    if method != "mc":
         raise ValueError(f"unknown method {method!r}")
-    return _certificate(
-        "shift-harnack", p, horizon, x, v, payoff.id, method, lhs, base, expo, budget
+    payoffs = [payoff, payoff.power(p).shifted(v)]
+    at_x, at_shifted = _mc_values(spec, payoffs, x, horizon, band, mc or McConfig(), workers)
+    return _mc_certificate(
+        "shift-harnack", p, horizon, x, v, payoff.id, at_x, at_shifted, expo
     )
+
+
+def _harnack_certs(spec, payoffs, ps, band, T, x0, ys, grid, budget):
+    """Certificates of every payoff, p and point of `ys` at one (band, T):
+    one stacked solve over f and every f^p of each payoff."""
+    grid = grid or Grid1D()
+    for point in (x0, *ys):  # every point a solution is read at
+        require_safe(point, grid, band, T)
+    rows = [g for f in payoffs for g in (f, *(f.power(p) for p in ps))]
+    sols = iter(solve_batch(rows, band, T, grid, spec))
+    certs = []
+    for payoff in payoffs:
+        sol_f = next(sols)
+        for p in ps:
+            base = next(sols).value_at(x0)
+            for y in ys:
+                expo = harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0))
+                certs.append(
+                    _certificate(
+                        "harnack", p, T, x0, y, payoff.id, "pde",
+                        sol_f.value_at(y) ** p, base, expo, budget,
+                    )
+                )
+    return certs
+
+
+def _shift_certs(spec, payoffs, ps, band, T, x0, shifts, grid, budget):
+    """Certificates of every payoff, p and shift at one (band, T): one
+    stacked solve over f and every f^p(v + .) of each payoff."""
+    grid = grid or Grid1D()
+    require_safe(x0, grid, band, T)
+    rows = [
+        g for f in payoffs for g in (f, *(f.power(p).shifted(v) for p in ps for v in shifts))
+    ]
+    sols = iter(solve_batch(rows, band, T, grid, spec))
+    certs = []
+    for payoff in payoffs:
+        sol_f = next(sols)
+        for p in ps:
+            lhs = sol_f.value_at(x0) ** p
+            for v in shifts:
+                expo = shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, T, v)
+                base = next(sols).value_at(x0)
+                certs.append(
+                    _certificate(
+                        "shift-harnack", p, T, x0, v, payoff.id, "pde",
+                        lhs, base, expo, budget,
+                    )
+                )
+    return certs
 
 
 def harnack_grid(
@@ -280,29 +305,16 @@ def harnack_grid(
 ) -> list[HarnackCertificate]:
     """PDE-backend certificate sweep: one stacked solve per (band, horizon)
     over f and every f^p of each payoff, reused across the distance grid."""
-    grid = grid or Grid1D()
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
     ys = [x0 + float(d) for d in dists]
-    certs = []
-    for band in bands:
-        for T in horizons:
-            for point in (x0, *ys):  # every point a solution is read at
-                require_safe(point, grid, band, T)
-            rows = [g for f in payoffs for g in (f, *(f.power(p) for p in ps))]
-            sols = iter(solve_batch(rows, band, T, grid, spec))
-            for payoff in payoffs:
-                sol_f = next(sols)
-                for p in ps:
-                    base = next(sols).value_at(x0)
-                    for y in ys:
-                        expo = harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0))
-                        certs.append(
-                            _certificate(
-                                "harnack", p, T, x0, y, payoff.id, "pde",
-                                sol_f.value_at(y) ** p, base, expo, tolerance_budget,
-                            )
-                        )
-    return certs
+    return [
+        cert
+        for band in bands
+        for T in horizons
+        for cert in _harnack_certs(
+            spec, payoffs, ps, band, T, x0, ys, grid, tolerance_budget
+        )
+    ]
 
 
 def shift_harnack_grid(
@@ -319,32 +331,13 @@ def shift_harnack_grid(
     """PDE-backend shift-Harnack sweep: one stacked solve per (band, horizon)
     over f and every f^p(v + .) of each payoff; the unshifted solution is
     shared across the shift grid."""
-    grid = grid or Grid1D()
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
     shifts = [float(v) for v in shifts]
-    certs = []
-    for band in bands:
-        for T in horizons:
-            require_safe(x0, grid, band, T)
-            rows = [
-                g
-                for f in payoffs
-                for g in (f, *(f.power(p).shifted(v) for p in ps for v in shifts))
-            ]
-            sols = iter(solve_batch(rows, band, T, grid, spec))
-            for payoff in payoffs:
-                sol_f = next(sols)
-                for p in ps:
-                    lhs = sol_f.value_at(x0) ** p
-                    for v in shifts:
-                        expo = shift_harnack_exponent(
-                            p, spec.lipschitz_k, band.sigma_lo, T, v
-                        )
-                        base = next(sols).value_at(x0)
-                        certs.append(
-                            _certificate(
-                                "shift-harnack", p, T, x0, v, payoff.id, "pde",
-                                lhs, base, expo, tolerance_budget,
-                            )
-                        )
-    return certs
+    return [
+        cert
+        for band in bands
+        for T in horizons
+        for cert in _shift_certs(
+            spec, payoffs, ps, band, T, x0, shifts, grid, tolerance_budget
+        )
+    ]

@@ -160,11 +160,6 @@ class PbarEstimate:
             "seed": self.seed,
         }
 
-    def csv_rows(self) -> list[list]:
-        return [
-            [i, m, s] for i, (m, s) in enumerate(self.per_scenario)
-        ]
-
 
 def simulate_paths(
     spec: GsdeSpec,

@@ -40,8 +40,7 @@ class TestUsage:
         assert code == 2
 
     def test_abbreviated_flag_rejected(self, tmp_path):
-        # a prefix of --nx would otherwise parse as --nx and then lose to
-        # the config file, which sees only spelled-out flags
+        # a prefix of --nx is rejected; the spelled-out flag beats the file
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nx = 101\n")
         args = ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25",
@@ -97,6 +96,31 @@ class TestReports:
         assert len(lines) == 12
         assert all(line.endswith(",1.0") for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "method, keys",
+        [
+            ("mc", ["mc_value", "mc_argmax_std_error"]),
+            ("both", ["pde_value", "mc_value", "mc_argmax_std_error", "cross_check_gap",
+                      "cross_check_budget", "cross_check_pass"]),
+        ],
+    )
+    def test_pbar_csv_keeps_mc_result(self, method, keys):
+        args = ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
+                "--payoff", "sigmoid", "--T", "1", "--x", "0", "--npaths", "500",
+                "--nsteps", "16", "--nx", "101", "--sequential"]
+        code, out = run_cli(args + ["--method", method, "--format", "csv"])
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "key,value"
+        rows = dict(line.split(",") for line in lines[1:])
+        assert list(rows) == keys
+        _, js = run_cli(args + ["--method", method])
+        rep = json.loads(js)
+        assert float(rows["mc_value"]) == rep["mc"]["value"]
+        if method == "both":
+            assert rows["cross_check_pass"] == str(rep["cross_check"]["pass"])
+            assert float(rows["cross_check_gap"]) == rep["cross_check"]["gap"]
+
     def test_pbar_cross_check_pass(self):
         code, out = run_cli(
             ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
@@ -143,6 +167,10 @@ class TestReports:
         assert json.loads(out)["all_pass"] is True
 
 
+_PBAR = ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1", "--payoff", "one",
+         "--T", "0.25", "--x", "0", "--npaths", "100", "--nsteps", "16", "--nx", "51"]
+
+
 class TestConfigFile:
     def test_config_file_with_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -179,6 +207,54 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "unknown configuration key" in capsys.readouterr().err
+
+    def test_required_options_from_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("band = 0.5,1\npayoff = one\nT = 0.25\nnx = 51\n")
+        code, out = run_cli(["gheat", "--config", str(cfg), "--sequential"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["config"]["band"] == [0.5, 1.0]
+        assert rep["config"]["payoff"] == "one"
+        assert rep["config"]["T"] == 0.25
+        assert len(rep["values"]) == 51
+
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["coupling", "--band", "1,1", "--x", "1", "--y", "0", "--npaths", "100",
+              "--nsteps", "16", "--pieces", "1", "--levels", "2"], "payoff = nosuch"),
+            (_PBAR, "method = xyz"),
+            (_PBAR, "format = xml"),
+            (_PBAR, "format = JSON"),
+        ],
+        ids=["payoff", "method", "format", "format-case"],
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, args, line):
+        # file values get the parser's choices check, like flags
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out = run_cli(args + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, code, sequential",
+        [("ture", 2, None), ("no", 0, False), ("TRUE", 0, True), ("0", 0, False)],
+    )
+    def test_sequential_spellings(self, tmp_path, value, code, sequential):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sequential = {value}\n")
+        got, out = run_cli(
+            ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25", "--nx", "11",
+             "--config", str(cfg)]
+        )
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["config"]["sequential"] is sequential
+        else:
+            assert out == ""
 
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

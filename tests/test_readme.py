@@ -1,0 +1,12 @@
+"""The README's Python quick start runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_quick_start_runs():
+    section = README.read_text().split("## Quick start (library)", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
