@@ -53,6 +53,16 @@ def _band(text: str) -> VolatilityBand:
         raise argparse.ArgumentTypeError(f"bad band {text!r}: {exc}")
 
 
+def _worker_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
@@ -61,7 +71,7 @@ def _add_common(sub):
                      help="RNG seed (default GEXP_SEED or %d)" % DEFAULT_SEED)
     sub.add_argument("--sequential", action="store_true",
                      help="force sequential, bit-exact reductions")
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    sub.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
                      help="worker pool size for independent sweeps")
 
 

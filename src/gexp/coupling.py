@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
+from .gheat import _runs
 from .harnack import harnack_exponent
-from .simulate import _generator, _sweep_blocks
+from .simulate import _generator, _se, _sweep_blocks
 
 __all__ = [
     "CouplingReport",
@@ -246,66 +247,98 @@ def run_coupling(
     )
 
 
-def _advance_block(spec, state, Z, lo, i0, vh, sqv, eta, merge_tol):
+def _force(spec, rows, bX, i, merge_tol):
+    """Step i of the forcing on a run of scenario rows: u, log M, the
+    Novikov integral (None: not carried) and gap = X - Y with its merge
+    reset.  `rows` holds the run's views of the state, the scratch and the
+    (S, m) coefficients; bX is b(X) on the run, X not yet advanced."""
+    X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta = rows
+    vhc = vh[:, i : i + 1]
+    np.sign(gap, out=sgn)
+    np.multiply(eta[:, i : i + 1], sgn, out=u)
+    # Y gets a scratch array of its own: b may hand back its argument
+    bY = spec.b(np.subtract(X, gap, out=Y))
+    np.multiply(u, vhc, out=uvh)
+    # log M -= u (db + uvh / 2)
+    np.multiply(uvh, 0.5, out=t)
+    np.add(db, t, out=t)
+    np.multiply(u, t, out=t)
+    np.subtract(log_m, t, out=log_m)
+    if nov_int is not None:
+        np.multiply(u, uvh, out=t)
+        np.add(nov_int, t, out=nov_int)
+    # gap += (bX - bY) vh - uvh, then zero where the sign flipped or the gap
+    # fell below the merge tolerance
+    np.subtract(bX, bY, out=t)
+    np.multiply(t, vhc, out=t)
+    np.subtract(t, uvh, out=t)
+    np.add(gap, t, out=gap)
+    np.multiply(gap, sgn, out=t)
+    np.less_equal(t, merge_tol, out=merged)
+    np.copyto(gap, 0.0, where=merged)
+
+
+def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, merge_tol):
     """Advance one path block's (S, b) state views in place over the steps
-    i0, i0+1, ... whose normals are the rows of Z, columns lo:lo+b."""
-    X, gap, Xref, log_m, nov_int = state
+    i0, i0+1, ... whose normals are the rows of Z, columns lo:lo+b; `tmp`
+    holds the worker's (S, size >= b) scratch arrays.
+
+    The forcing runs only on the runs of scenario rows that hold an unmerged
+    path at the start of the batch.  A merged row has gap == +0.0 on every
+    path, so each update it skips would add an exact zero: the skip is
+    bit-exact.
+    """
+    X, gap, log_m, nov_int, Xref = state
     b = X.shape[1]
-    db, sgn, u, uvh, t = (np.empty_like(X) for _ in range(5))
-    merged = np.empty(X.shape, dtype=bool)
+    db, t, Y, sgn, u, uvh, merged = (a[:, :b] for a in tmp)
+    live = [
+        (slice(r0, r1), tuple(None if a is None else a[r0:r1] for a in (
+            X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta,
+        )))
+        for r0, r1 in _runs(gap.any(axis=1))
+    ]
     for k in range(Z.shape[0]):
         i = i0 + k
         vhc = vh[:, i : i + 1]
         np.multiply(sqv[:, i : i + 1], Z[k, lo : lo + b], out=db)
-        np.sign(gap, out=sgn)
-        np.multiply(eta[:, i : i + 1], sgn, out=u)
         bX = spec.b(X)
-        bY = spec.b(np.subtract(X, gap, out=t))
-        np.multiply(u, vhc, out=uvh)
-        # log M -= u (db + uvh / 2)
-        np.multiply(uvh, 0.5, out=t)
-        np.add(db, t, out=t)
-        np.multiply(u, t, out=t)
-        np.subtract(log_m, t, out=log_m)
-        if nov_int is not None:
-            np.multiply(u, uvh, out=t)
-            np.add(nov_int, t, out=nov_int)
+        for run, rows in live:
+            _force(spec, rows, bX[run], i, merge_tol)
         # X += bX vh + db
         np.multiply(bX, vhc, out=t)
         np.add(t, db, out=t)
         np.add(X, t, out=X)
-        # gap += (bX - bY) vh - uvh, then zero where the sign flipped or
-        # the gap fell below the merge tolerance
-        np.subtract(bX, bY, out=t)
-        np.multiply(t, vhc, out=t)
-        np.subtract(t, uvh, out=t)
-        np.add(gap, t, out=gap)
-        np.multiply(gap, sgn, out=t)
-        np.less_equal(t, merge_tol, out=merged)
-        gap[merged] = 0.0
-        # Xref += b(Xref) vh + db
-        np.multiply(spec.b(Xref), vhc, out=t)
-        np.add(t, db, out=t)
-        np.add(Xref, t, out=Xref)
+        if Xref is not None:
+            # Xref += b(Xref) vh + db
+            np.multiply(spec.b(Xref), vhc, out=t)
+            np.add(t, db, out=t)
+            np.add(Xref, t, out=Xref)
 
 
 def _batched_states(
-    spec, x, y, horizon, scenarios, n, m, seed, want_novikov, workers=1
+    spec, x, y, horizon, scenarios, n, m, seed, novikov, reference, workers=1
 ):
-    """Evolve (X, gap, log M, Xref) for every scenario at once.
+    """Evolve (X, gap, log M) for every scenario at once, with the Novikov
+    integral when `novikov` is set and the reference process Xref (the same
+    equation started at y, on the same noise) when `reference` is set.
+    Return X, Y, log M, Xref and the Novikov integral, None for an array
+    not carried.
 
     Common random numbers make the per-step draw identical across scenarios,
     so one shared normal vector per step drives all of them.  The forced
-    process is carried as gap = X - Y (exactly zero after slaving), which
-    also makes the forcing vanish automatically once paths merge.
+    process is carried as gap = X - Y (exactly +0.0 after slaving), which
+    also makes the forcing vanish once paths merge; a scenario row whose
+    paths have all merged skips the forcing update, bit-exactly (see
+    _advance_block).
 
     simulate._sweep_blocks splits the paths into blocks, so that each step
     works on (S, block) arrays instead of the whole (S, n) state, and runs
-    the blocks on `workers` threads.  Every
-    element goes through the same arithmetic whatever the block partition
-    or worker count, so the results are bit-identical across both.
-    Agreement with run_coupling, which orders its floating-point operations
-    differently, holds to round-off.
+    the blocks on `workers` threads, each with one set of scratch arrays for
+    the whole sweep.  Every element goes through the same arithmetic
+    whatever the block partition, worker count or batch length, so the
+    results are bit-identical across all three.  Agreement with
+    run_coupling, which orders its floating-point operations differently,
+    holds to round-off.
     """
     K = spec.lipschitz_k
     S = len(scenarios)
@@ -318,24 +351,21 @@ def _batched_states(
     merge_tol = 1e-10 * (1.0 + abs(x - y))
 
     X = np.full((S, n), float(x))
-    gap = np.full((S, n), float(x) - float(y))
-    Xref = np.full((S, n), float(y))
+    # + 0.0 turns the -0.0 of x = -0.0, y = 0.0 into the +0.0 of a merged path
+    gap = np.full((S, n), float(x) - float(y) + 0.0)
     log_m = np.zeros((S, n))
-    nov_int = np.zeros((S, n)) if want_novikov else None
+    nov_int = np.zeros((S, n)) if novikov else None
+    Xref = np.full((S, n), float(y)) if reference else None
     _sweep_blocks(
-        (X, gap, Xref, log_m, nov_int), (0, 1), m, seed, workers,
-        lambda views, Z, lo, i0: _advance_block(
-            spec, views, Z, lo, i0, vh, sqv, eta, merge_tol
+        (X, gap, log_m, nov_int, Xref), (0, 1), m, seed, workers,
+        lambda views, tmp, Z, lo, i0: _advance_block(
+            spec, views, tmp, Z, lo, i0, vh, sqv, eta, merge_tol
         ),
+        lambda shape: (*(np.empty(shape) for _ in range(6)), np.empty(shape, bool)),
     )
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xref))):
+    if not (np.all(np.isfinite(X)) and (Xref is None or np.all(np.isfinite(Xref)))):
         raise RuntimeError(f"non-finite state at step {m}")
     return X, X - gap, log_m, Xref, nov_int
-
-
-def _se(a: np.ndarray) -> float:
-    n = a.shape[-1]
-    return float(np.std(a, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def run_coupling_suite(
@@ -354,11 +384,16 @@ def run_coupling_suite(
 
     Equivalent to run_coupling per scenario under the shared seed, up to
     floating-point round-off, but amortizes the random-number stream across
-    scenarios.  When girsanov_paths differs from mc.n_paths, a second lean
-    sweep at that path count supplies the Girsanov-identity fields; every
-    other diagnostic comes from the mc.n_paths sweep.  The path blocks of
-    each sweep run on `workers` threads (default os.cpu_count()); the reports
-    are bit-identical for every worker count.
+    scenarios.  When girsanov_paths differs from mc.n_paths, a second sweep
+    at that path count supplies the Girsanov-identity fields and carries
+    X, gap, log M and the reference process Xref; the mc.n_paths sweep then
+    supplies every other diagnostic and carries X, gap, log M and the
+    Novikov integral.  Otherwise one sweep carries all five arrays.  In both
+    sweeps a scenario row whose paths have all merged skips the forcing
+    update, bit-exactly.  The path blocks of each sweep run on `workers`
+    threads (default os.cpu_count(); fewer than 1 is a ValueError), each
+    with its own scratch arrays for the whole sweep; the reports are
+    bit-identical for every worker count.
     """
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the coupling construction targets the qv-driven equation")
@@ -371,16 +406,17 @@ def run_coupling_suite(
         _check_coupling_args(K, sc, horizon)
 
     n, m = mc.n_paths, mc.n_steps
+    separate = girsanov_paths is not None and girsanov_paths != n
     X, Y, log_m, Xref, nov_int = _batched_states(
-        spec, x, y, horizon, scenarios, n, m, mc.seed, want_novikov=True,
-        workers=workers,
+        spec, x, y, horizon, scenarios, n, m, mc.seed, novikov=True,
+        reference=not separate, workers=workers,
     )
-    if girsanov_paths is None or girsanov_paths == n:
+    if not separate:
         gY, glog_m, gXref = Y, log_m, Xref
     else:
         _, gY, glog_m, gXref, _ = _batched_states(
             spec, x, y, horizon, scenarios, girsanov_paths, m, mc.seed,
-            want_novikov=False, workers=workers,
+            novikov=False, reference=True, workers=workers,
         )
 
     q = p / (p - 1.0)

@@ -9,16 +9,18 @@ constant-preserving, homogeneous and subadditive across payoffs.
 
 It also lets one normal vector per step drive every scenario at once.
 pbar_mc advances the (S, n) float64 state of all S scenarios together (8 S n
-bytes; the coupling suite holds five such arrays), split into blocks of at
-most _BLOCK_PATHS paths that a pool of worker threads steps in place while
-the calling thread draws the normals in stream order.  The terminal states
-are bit-identical to simulate_paths run scenario by scenario, for every
-worker count.  _sweep_blocks is that block driver, shared with the coupling
-suite.
+bytes; a coupling sweep carries four such arrays, five when a single
+sweep supplies every report field), split into blocks of at most _BLOCK_PATHS
+paths that a pool of worker threads steps in place while the calling thread
+draws the normals in stream order.  Each worker allocates its scratch arrays
+once per sweep.  The terminal states are bit-identical to simulate_paths run
+scenario by scenario, for every worker count.  _sweep_blocks is that block
+driver, shared with the coupling suite.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -43,25 +45,28 @@ _STEP_BATCH = 4
 _QUEUED_BATCHES = 2
 
 
-def _sweep_blocks(state, checked, m, seed, workers, advance_block):
+def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
     """Advance the (S, n) arrays of `state` in place over m steps.
 
-    `advance_block(views, Z, lo, i0)` advances one block's (S, b) views of
-    the state (None entries stay None) over the steps i0, i0+1, ... whose
-    normals are the rows of Z, columns lo:lo+b.  The paths are split into
-    blocks of at most _BLOCK_PATHS, a multiple of the worker count of them,
-    so that the workers get even shares.  The calling thread draws the
-    normals _STEP_BATCH steps at a time, in the order of one draw per step.
-    With `workers` above 1 (None: os.cpu_count()), each of that many threads
-    owns its share of the blocks and advances them batch after batch from
-    its own queue, so the threads never wait for one another and the drawing
-    overlaps the stepping.  Every 256 steps the arrays `state[j]`, j in
-    `checked`, must be finite, else RuntimeError names the last step.
+    `advance_block(views, tmp, Z, lo, i0)` advances one block's (S, b) views
+    of the state (None entries stay None) over the steps i0, i0+1, ... whose
+    normals are the rows of Z, columns lo:lo+b; `tmp` is the worker's scratch,
+    `scratch((S, size))` for the widest block, allocated once per worker for
+    the whole sweep.  The paths are split into blocks of at most
+    _BLOCK_PATHS, a multiple of the worker count of them, so that the workers
+    get even shares.  The calling thread draws the normals _STEP_BATCH steps
+    at a time, in the order of one draw per step.  With `workers` above 1
+    (None: os.cpu_count(); below 1 is a ValueError), each of that many
+    threads owns its share of the blocks and advances them batch after batch
+    from its own queue, so the threads never wait for one another and the
+    drawing overlaps the stepping.  Every 256 steps the arrays `state[j]`, j
+    in `checked`, must be finite, else RuntimeError names the last step.
     """
     if workers is None:
         workers = os.cpu_count() or 1
-    n = state[0].shape[1]
-    workers = max(1, workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    S, n = state[0].shape
     n_blocks = workers * -(-n // (workers * _BLOCK_PATHS))
     size = -(-n // n_blocks)
     blocks = [
@@ -70,11 +75,11 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block):
     ]
     rng = _generator(seed)
 
-    def advance(mine, Z, i0):
+    def advance(mine, tmp, Z, i0):
         """Advance the blocks `mine` over one batch of normals; return the
         batch's last step if it is a checked step with a non-finite state."""
         for lo, views in mine:
-            advance_block(views, Z, lo, i0)
+            advance_block(views, tmp, Z, lo, i0)
         i1 = i0 + len(Z)
         if i1 % 256 == 0 and not all(
             np.all(np.isfinite(views[j])) for _, views in mine for j in checked
@@ -87,8 +92,9 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block):
 
     k = min(workers, len(blocks))
     if k <= 1:
+        tmp = scratch((S, size))
         for i0 in range(0, m, _STEP_BATCH):
-            bad = advance(blocks, draw(i0), i0)
+            bad = advance(blocks, tmp, draw(i0), i0)
             if bad is not None:
                 raise RuntimeError(f"non-finite state at step {bad}")
         return
@@ -97,10 +103,11 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block):
         # after a failure the worker keeps emptying its queue, so that the
         # drawing thread never blocks on it
         failure = None
+        tmp = scratch((S, size))
         while (item := q.get()) is not None:
             if failure is None:
                 try:
-                    failure = advance(mine, *item)
+                    failure = advance(mine, tmp, *item)
                 except BaseException as exc:
                     failure = exc
         return failure
@@ -200,12 +207,13 @@ def simulate_paths(
     return paths if keep_paths else x
 
 
-def _advance_terminal(spec, views, Z, lo, i0, c, sq):
+def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
     """Advance one path block's (S, b) state in place over the steps i0,
-    i0+1, ... whose normals are the rows of Z, columns lo:lo+b."""
+    i0+1, ... whose normals are the rows of Z, columns lo:lo+b; `tmp` holds
+    one (S, size >= b) scratch array."""
     (X,) = views
     b = X.shape[1]
-    t = np.empty_like(X)
+    t = tmp[0][:, :b]
     for k in range(Z.shape[0]):
         i = i0 + k
         # X = (X + b(X) c) + sqrt(v h) z, simulate_paths' order of operations
@@ -231,11 +239,20 @@ def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
     X = np.full((len(scenarios), mc.n_paths), float(x0))
     _sweep_blocks(
         (X,), (0,), m, mc.seed, workers,
-        lambda views, Z, lo, i0: _advance_terminal(spec, views, Z, lo, i0, c, sq),
+        lambda views, tmp, Z, lo, i0: _advance_terminal(
+            spec, views, tmp, Z, lo, i0, c, sq
+        ),
+        lambda shape: (np.empty(shape),),
     )
     if not np.all(np.isfinite(X)):
         raise RuntimeError(f"non-finite state at step {m}")
     return X
+
+
+def _se(a: np.ndarray) -> float:
+    """Standard error of the mean of the sample `a`."""
+    n = a.size
+    return float(np.std(a, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 def _estimate(payoff, states, scenarios, mc) -> PbarEstimate:
@@ -244,9 +261,7 @@ def _estimate(payoff, states, scenarios, mc) -> PbarEstimate:
     per = []
     for xt in states:
         vals = np.asarray(payoff(xt), dtype=float)
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(mc.n_paths)) if mc.n_paths > 1 else 0.0
-        per.append((mean, se))
+        per.append((float(np.mean(vals)), _se(vals)))
     means = [m for m, _ in per]
     k = int(np.argmax(means))
     return PbarEstimate(

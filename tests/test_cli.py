@@ -256,6 +256,21 @@ class TestConfigFile:
         else:
             assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags, line",
+        [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "workers = 0")],
+        ids=["zero", "negative", "config"],
+    )
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, flags, line):
+        if line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line + "\n")
+            flags = ["--config", str(cfg)]
+        code, out = run_cli(_PBAR + ["--method", "mc"] + flags)
+        assert code == 2
+        assert out == ""
+        assert "argument --workers: must be at least 1" in capsys.readouterr().err
+
     def test_malformed_config_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n")

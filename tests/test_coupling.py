@@ -18,6 +18,7 @@ from gexp import (
     run_coupling,
     run_coupling_suite,
 )
+from gexp import coupling, simulate
 from gexp.core import GsdeSpec, Kind
 from gexp.simulate import _BLOCK_PATHS
 
@@ -186,6 +187,20 @@ class TestSuite:
                     workers=workers,
                 )
 
+    def test_drift_may_return_its_argument(self, band_wide):
+        # the kernel reads b(X) and b(Y) after writing its scratch arrays, so
+        # a drift that hands back its input must give the same reports as one
+        # that returns a new array
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        reports = [
+            run_coupling_suite(
+                GsdeSpec(b, 1.0, Kind.QV_DRIVEN, "linear"), 1.0, 0.0, 1.0, scs,
+                McConfig(300, 32, 5), 2.0, catalog()["sigmoid"],
+            )
+            for b in (lambda x: x, lambda x: 1.0 * x)
+        ]
+        assert reports[0] == reports[1]
+
     def test_separate_girsanov_path_count(self, band_wide):
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
         suite = run_coupling_suite(
@@ -195,3 +210,55 @@ class TestSuite:
         for rep in suite:
             assert rep.n_paths == 200
             assert rep.girsanov_identity_gap <= 4.0 * rep.girsanov_std_error
+
+
+class TestMergedRows:
+    """The forcing update skips scenario rows whose paths have all merged;
+    the skip must change no bit of the state."""
+
+    @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
+    @pytest.mark.parametrize(
+        "novikov, reference",
+        [(True, True), (True, False), (False, True)],
+        ids=["one-sweep", "main-sweep", "girsanov-sweep"],
+    )
+    def test_states_independent_of_step_batch(
+        self, band_wide, monkeypatch, drift, novikov, reference
+    ):
+        # the rows are tested for merging once per batch of steps, so each
+        # batch length skips them from different steps on
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
+        args = (make_drift(drift), 1.0, 0.0, 1.0, scs, 1000, 64, 3, novikov, reference)
+        live = []
+        advance = coupling._advance_block
+
+        def spy(spec, state, *rest):
+            live.append(int(state[1].any(axis=1).sum()))
+            advance(spec, state, *rest)
+
+        monkeypatch.setattr(coupling, "_advance_block", spy)
+        states = []
+        for batch in (1, 2, 4, 8):
+            monkeypatch.setattr(simulate, "_STEP_BATCH", batch)
+            states.append([
+                None if a is None else a.tobytes()
+                for a in coupling._batched_states(*args)
+            ])
+        # the rows merge at different steps, all of them before the horizon
+        assert len(set(live)) > 3 and live[-1] == 0
+        assert [a is None for a in states[0]] == [
+            False, False, False, not reference, not novikov
+        ]
+        assert states[0] == states[1] == states[2] == states[3]
+
+    @pytest.mark.parametrize("girsanov_paths", [None, 500])
+    def test_same_start_exact(self, band_wide, girsanov_paths):
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        reports = run_coupling_suite(
+            make_drift("ou"), 0.5, 0.5, 1.0, scs, McConfig(300, 32, 5), 2.0,
+            catalog()["sigmoid"], girsanov_paths=girsanov_paths,
+        )
+        for rep in reports:
+            assert rep.m_mean == 1.0
+            assert rep.novikov_pathwise_max == 1.0
+            assert rep.coupling_gap == 0.0

@@ -200,6 +200,13 @@ class TestScenarioSweep:
             with pytest.raises(RuntimeError, match="non-finite state at step 255"):
                 pbar_mc(spec, catalog()["sigmoid"], 5.0, 1.0, scs, mc, workers)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, band_wide, workers):
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            pbar_mc(make_drift("ou"), catalog()["sigmoid"], 0.0, 1.0, scs,
+                    McConfig(100, 16, 1), workers)
+
     def test_axioms_independent_of_workers(self, band_wide):
         mc = McConfig(2 * _BLOCK_PATHS + 123, 32, 43)
         results = [
