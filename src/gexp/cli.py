@@ -53,6 +53,16 @@ def _band(text: str) -> VolatilityBand:
         raise argparse.ArgumentTypeError(f"bad band {text!r}: {exc}")
 
 
+def _env_seed() -> int:
+    text = os.environ.get("GEXP_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"GEXP_SEED must be an integer, got {text!r}") from None
+
+
 def _worker_count(text: str) -> int:
     try:
         n = int(text)
@@ -378,13 +388,13 @@ def main(argv=None) -> int:
                 raise ValueError(f"unknown configuration key {tok[2:].split('=')[0]!r}")
         if extra:
             parser.error("unrecognized arguments: " + " ".join(extra))
+        if args.seed is None:
+            args.seed = _env_seed()
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (ValueError, OSError) as exc:
         print(f"gexp: {exc}", file=sys.stderr)
         return 2
-    if args.seed is None:
-        args.seed = int(os.environ.get("GEXP_SEED", DEFAULT_SEED))
     try:
         return _DISPATCH[args.command](args)
     except ValueError as exc:

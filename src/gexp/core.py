@@ -9,6 +9,7 @@ function of its inputs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -43,6 +44,10 @@ class VolatilityBand:
     sigma_hi: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.sigma_lo) and math.isfinite(self.sigma_hi)):
+            raise ValueError(
+                f"need finite sigmas, got ({self.sigma_lo}, {self.sigma_hi})"
+            )
         if not (0.0 < self.sigma_lo <= self.sigma_hi):
             raise ValueError(
                 f"need 0 < sigma_lo <= sigma_hi, got ({self.sigma_lo}, {self.sigma_hi})"

@@ -249,9 +249,9 @@ def run_coupling(
 
 def _force(spec, rows, bX, i, merge_tol):
     """Step i of the forcing on a run of scenario rows: u, log M, the
-    Novikov integral (None: not carried) and gap = X - Y with its merge
-    reset.  `rows` holds the run's views of the state, the scratch and the
-    (S, m) coefficients; bX is b(X) on the run, X not yet advanced."""
+    Novikov integral and gap = X - Y with its merge reset.  `rows` holds the
+    run's views of the state, the scratch and the (S, m) coefficients; bX is
+    b(X) on the run, X not yet advanced."""
     X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta = rows
     vhc = vh[:, i : i + 1]
     np.sign(gap, out=sgn)
@@ -264,9 +264,8 @@ def _force(spec, rows, bX, i, merge_tol):
     np.add(db, t, out=t)
     np.multiply(u, t, out=t)
     np.subtract(log_m, t, out=log_m)
-    if nov_int is not None:
-        np.multiply(u, uvh, out=t)
-        np.add(nov_int, t, out=nov_int)
+    np.multiply(u, uvh, out=t)
+    np.add(nov_int, t, out=nov_int)
     # gap += (bX - bY) vh - uvh, then zero where the sign flipped or the gap
     # fell below the merge tolerance
     np.subtract(bX, bY, out=t)
@@ -292,7 +291,7 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, merge_tol):
     b = X.shape[1]
     db, t, Y, sgn, u, uvh, merged = (a[:, :b] for a in tmp)
     live = [
-        (slice(r0, r1), tuple(None if a is None else a[r0:r1] for a in (
+        (slice(r0, r1), tuple(a[r0:r1] for a in (
             X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta,
         )))
         for r0, r1 in _runs(gap.any(axis=1))
@@ -308,21 +307,17 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, merge_tol):
         np.multiply(bX, vhc, out=t)
         np.add(t, db, out=t)
         np.add(X, t, out=X)
-        if Xref is not None:
-            # Xref += b(Xref) vh + db
-            np.multiply(spec.b(Xref), vhc, out=t)
-            np.add(t, db, out=t)
-            np.add(Xref, t, out=Xref)
+        # Xref += b(Xref) vh + db
+        np.multiply(spec.b(Xref), vhc, out=t)
+        np.add(t, db, out=t)
+        np.add(Xref, t, out=Xref)
 
 
-def _batched_states(
-    spec, x, y, horizon, scenarios, n, m, seed, novikov, reference, workers=1
-):
-    """Evolve (X, gap, log M) for every scenario at once, with the Novikov
-    integral when `novikov` is set and the reference process Xref (the same
-    equation started at y, on the same noise) when `reference` is set.
-    Return X, Y, log M, Xref and the Novikov integral, None for an array
-    not carried.
+def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
+    """Evolve (X, gap, log M), the reference process Xref (the same equation
+    started at y, on the same noise) and the Novikov integral for every
+    scenario at once over n paths.  Return X, Y, log M, Xref and the Novikov
+    integral, each an (S, n) array.
 
     Common random numbers make the per-step draw identical across scenarios,
     so one shared normal vector per step drives all of them.  The forced
@@ -354,8 +349,8 @@ def _batched_states(
     # + 0.0 turns the -0.0 of x = -0.0, y = 0.0 into the +0.0 of a merged path
     gap = np.full((S, n), float(x) - float(y) + 0.0)
     log_m = np.zeros((S, n))
-    nov_int = np.zeros((S, n)) if novikov else None
-    Xref = np.full((S, n), float(y)) if reference else None
+    nov_int = np.zeros((S, n))
+    Xref = np.full((S, n), float(y))
     _sweep_blocks(
         (X, gap, log_m, nov_int, Xref), (0, 1), m, seed, workers,
         lambda views, tmp, Z, lo, i0: _advance_block(
@@ -363,7 +358,7 @@ def _batched_states(
         ),
         lambda shape: (*(np.empty(shape) for _ in range(6)), np.empty(shape, bool)),
     )
-    if not (np.all(np.isfinite(X)) and (Xref is None or np.all(np.isfinite(Xref)))):
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xref))):
         raise RuntimeError(f"non-finite state at step {m}")
     return X, X - gap, log_m, Xref, nov_int
 
@@ -384,16 +379,14 @@ def run_coupling_suite(
 
     Equivalent to run_coupling per scenario under the shared seed, up to
     floating-point round-off, but amortizes the random-number stream across
-    scenarios.  When girsanov_paths differs from mc.n_paths, a second sweep
-    at that path count supplies the Girsanov-identity fields and carries
-    X, gap, log M and the reference process Xref; the mc.n_paths sweep then
-    supplies every other diagnostic and carries X, gap, log M and the
-    Novikov integral.  Otherwise one sweep carries all five arrays.  In both
-    sweeps a scenario row whose paths have all merged skips the forcing
-    update, bit-exactly.  The path blocks of each sweep run on `workers`
-    threads (default os.cpu_count(); fewer than 1 is a ValueError), each
-    with its own scratch arrays for the whole sweep; the reports are
-    bit-identical for every worker count.
+    scenarios.  The sweep runs N = max(mc.n_paths, girsanov_paths) paths
+    (mc.n_paths when girsanov_paths is None) and carries all five arrays.
+    The Girsanov-identity fields read its first girsanov_paths paths, every
+    other diagnostic its first mc.n_paths paths.  A scenario row whose paths
+    have all merged skips the forcing update, bit-exactly.  The path blocks
+    run on `workers` threads (default os.cpu_count(); fewer than 1 is a
+    ValueError), each with its own scratch arrays for the whole sweep; the
+    reports are bit-identical for every worker count.
     """
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the coupling construction targets the qv-driven equation")
@@ -401,23 +394,19 @@ def run_coupling_suite(
         raise ValueError("p must exceed 1")
     if not scenarios:
         raise ValueError("scenario list is empty")
+    if girsanov_paths is not None and girsanov_paths < 1:
+        raise ValueError("girsanov_paths must be positive")
     K = spec.lipschitz_k
     for sc in scenarios:
         _check_coupling_args(K, sc, horizon)
 
     n, m = mc.n_paths, mc.n_steps
-    separate = girsanov_paths is not None and girsanov_paths != n
+    g = n if girsanov_paths is None else girsanov_paths
     X, Y, log_m, Xref, nov_int = _batched_states(
-        spec, x, y, horizon, scenarios, n, m, mc.seed, novikov=True,
-        reference=not separate, workers=workers,
+        spec, x, y, horizon, scenarios, max(n, g), m, mc.seed, workers=workers
     )
-    if not separate:
-        gY, glog_m, gXref = Y, log_m, Xref
-    else:
-        _, gY, glog_m, gXref, _ = _batched_states(
-            spec, x, y, horizon, scenarios, girsanov_paths, m, mc.seed,
-            novikov=False, reference=True, workers=workers,
-        )
+    gY, glog_m, gXref = Y[:, :g], log_m[:, :g], Xref[:, :g]
+    X, Y, log_m, nov_int = X[:, :n], Y[:, :n], log_m[:, :n], nov_int[:, :n]
 
     q = p / (p - 1.0)
     dist = abs(x - y)

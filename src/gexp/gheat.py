@@ -63,8 +63,12 @@ class Grid1D:
     def __post_init__(self):
         if self.nx < 3:
             raise ValueError("nx must be at least 3")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
 

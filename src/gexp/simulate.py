@@ -9,13 +9,12 @@ constant-preserving, homogeneous and subadditive across payoffs.
 
 It also lets one normal vector per step drive every scenario at once.
 pbar_mc advances the (S, n) float64 state of all S scenarios together (8 S n
-bytes; a coupling sweep carries four such arrays, five when a single
-sweep supplies every report field), split into blocks of at most _BLOCK_PATHS
-paths that a pool of worker threads steps in place while the calling thread
-draws the normals in stream order.  Each worker allocates its scratch arrays
-once per sweep.  The terminal states are bit-identical to simulate_paths run
-scenario by scenario, for every worker count.  _sweep_blocks is that block
-driver, shared with the coupling suite.
+bytes; a coupling sweep carries five such arrays), split into blocks of at
+most _BLOCK_PATHS paths that a pool of worker threads steps in place while
+the calling thread draws the normals in stream order.  Each worker allocates
+its scratch arrays once per sweep.  The terminal states are bit-identical to
+simulate_paths run scenario by scenario, for every worker count.
+_sweep_blocks is that block driver, shared with the coupling suite.
 """
 
 from __future__ import annotations
@@ -49,17 +48,17 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
     """Advance the (S, n) arrays of `state` in place over m steps.
 
     `advance_block(views, tmp, Z, lo, i0)` advances one block's (S, b) views
-    of the state (None entries stay None) over the steps i0, i0+1, ... whose
-    normals are the rows of Z, columns lo:lo+b; `tmp` is the worker's scratch,
-    `scratch((S, size))` for the widest block, allocated once per worker for
-    the whole sweep.  The paths are split into blocks of at most
-    _BLOCK_PATHS, a multiple of the worker count of them, so that the workers
-    get even shares.  The calling thread draws the normals _STEP_BATCH steps
-    at a time, in the order of one draw per step.  With `workers` above 1
-    (None: os.cpu_count(); below 1 is a ValueError), each of that many
-    threads owns its share of the blocks and advances them batch after batch
-    from its own queue, so the threads never wait for one another and the
-    drawing overlaps the stepping.  Every 256 steps the arrays `state[j]`, j
+    of the state over the steps i0, i0+1, ... whose normals are the rows of
+    Z, columns lo:lo+b; `tmp` is the worker's scratch, `scratch((S, size))`
+    for the widest block, allocated once per worker for the whole sweep.
+    The paths are split into blocks of at most _BLOCK_PATHS, a multiple of
+    the worker count of them, so that the workers get even shares.  The
+    calling thread draws the normals _STEP_BATCH steps at a time, in the
+    order of one draw per step.  With `workers` above 1 (None:
+    os.cpu_count(); below 1 is a ValueError), each of that many threads owns
+    its share of the blocks and advances them batch after batch from its own
+    queue, so the threads never wait for one another and the drawing
+    overlaps the stepping.  Every 256 steps the arrays `state[j]`, j
     in `checked`, must be finite, else RuntimeError names the last step.
     """
     if workers is None:
@@ -70,7 +69,7 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
     n_blocks = workers * -(-n // (workers * _BLOCK_PATHS))
     size = -(-n // n_blocks)
     blocks = [
-        (lo, tuple(None if a is None else a[:, lo : lo + size] for a in state))
+        (lo, tuple(a[:, lo : lo + size] for a in state))
         for lo in range(0, n, size)
     ]
     rng = _generator(seed)

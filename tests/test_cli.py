@@ -39,6 +39,14 @@ class TestUsage:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--band", "0.5,inf"], ["--band", "0.5,1", "--xmax=inf"]],
+        ids=["band", "grid"],
+    )
+    def test_non_finite_value_exit_2(self, flags):
+        code, _ = run_cli(["gheat", *flags, "--payoff", "sigmoid", "--T", "1"])
+        assert code == 2
+
     def test_abbreviated_flag_rejected(self, tmp_path):
         # a prefix of --nx is rejected; the spelled-out flag beats the file
         cfg = tmp_path / "run.cfg"
@@ -291,6 +299,15 @@ class TestSeedResolution:
         )
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 777
+
+    def test_bad_env_seed_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("GEXP_SEED", "abc")
+        code, _ = run_cli(
+            ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
+             "--payoff", "one", "--T", "0.5", "--x", "0", "--method", "pde"]
+        )
+        assert code == 2
+        assert "gexp: GEXP_SEED" in capsys.readouterr().err
 
     def test_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("GEXP_SEED", "777")

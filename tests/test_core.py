@@ -26,7 +26,11 @@ class TestVolatilityBand:
         assert not b.degenerate
         assert VolatilityBand(1.0, 1.0).degenerate
 
-    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (0.5, math.inf), (math.inf, math.inf),
+         (math.nan, 1.0), (0.5, math.nan)],
+    )
     def test_invalid(self, lo, hi):
         with pytest.raises(ValueError):
             VolatilityBand(lo, hi)

@@ -201,6 +201,62 @@ class TestSuite:
         ]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_girsanov_fields_equal_a_girsanov_path_suite(self, band_wide, workers):
+        # with girsanov_paths above n_paths the Girsanov fields come from the
+        # same sweep as a suite run at girsanov_paths paths
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        n, g = _BLOCK_PATHS + 7, 2 * _BLOCK_PATHS + 123
+        args = (make_drift("ou"), 1.0, 0.0, 1.0, scs)
+        rest = (2.0, catalog()["sigmoid"])
+        split = run_coupling_suite(
+            *args, McConfig(n, 32, 13), *rest, girsanov_paths=g, workers=workers
+        )
+        whole = run_coupling_suite(*args, McConfig(g, 32, 13), *rest, workers=workers)
+        for a, b in zip(split, whole, strict=True):
+            assert a.girsanov_identity_gap == b.girsanov_identity_gap
+            assert a.girsanov_std_error == b.girsanov_std_error
+
+    @pytest.mark.parametrize("n, g", [(300, 1000), (1000, 300), (500, 500)])
+    def test_fields_read_leading_paths_of_one_sweep(self, band_wide, n, g):
+        # one sweep of max(n, g) paths: the n-path fields are statistics of
+        # its first n columns, the Girsanov fields of its first g columns
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        spec, payoff, p = make_drift("ou"), catalog()["sigmoid"], 2.0
+        reports = run_coupling_suite(
+            spec, 1.0, 0.0, 1.0, scs, McConfig(n, 64, 17), p, payoff,
+            girsanov_paths=g,
+        )
+        X, Y, log_m, Xref, nov_int = coupling._batched_states(
+            spec, 1.0, 0.0, 1.0, scs, max(n, g), 64, 17
+        )
+        for s, rep in enumerate(reports):
+            M = np.exp(log_m[s, :n])
+            mt_vals = np.exp(2.0 * log_m[s, :n])
+            lhs = np.exp(log_m[s, :g]) * payoff(Y[s, :g])
+            ref = payoff(Xref[s, :g])
+            assert rep.n_paths == n
+            assert rep.coupling_gap == float(np.max(np.abs(X[s, :n] - Y[s, :n])))
+            assert rep.novikov_pathwise_max == float(np.exp(np.max(nov_int[s, :n])))
+            assert rep.m_mean == float(np.mean(M))
+            assert rep.m_std_error == simulate._se(M)
+            assert rep.mt_moment == float(np.mean(mt_vals))
+            assert rep.mt_moment_std_error == simulate._se(mt_vals)
+            assert rep.girsanov_identity_gap == abs(
+                float(np.mean(lhs)) - float(np.mean(ref))
+            )
+            assert rep.girsanov_std_error == math.hypot(
+                simulate._se(lhs), simulate._se(ref)
+            )
+
+    def test_girsanov_path_count_validated(self, band_wide):
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        with pytest.raises(ValueError, match="girsanov_paths"):
+            run_coupling_suite(
+                make_drift("ou"), 1.0, 0.0, 1.0, scs, McConfig(200, 16, 1), 2.0,
+                catalog()["sigmoid"], girsanov_paths=0,
+            )
+
     def test_separate_girsanov_path_count(self, band_wide):
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
         suite = run_coupling_suite(
@@ -217,18 +273,11 @@ class TestMergedRows:
     the skip must change no bit of the state."""
 
     @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
-    @pytest.mark.parametrize(
-        "novikov, reference",
-        [(True, True), (True, False), (False, True)],
-        ids=["one-sweep", "main-sweep", "girsanov-sweep"],
-    )
-    def test_states_independent_of_step_batch(
-        self, band_wide, monkeypatch, drift, novikov, reference
-    ):
+    def test_states_independent_of_step_batch(self, band_wide, monkeypatch, drift):
         # the rows are tested for merging once per batch of steps, so each
         # batch length skips them from different steps on
         scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
-        args = (make_drift(drift), 1.0, 0.0, 1.0, scs, 1000, 64, 3, novikov, reference)
+        args = (make_drift(drift), 1.0, 0.0, 1.0, scs, 1000, 64, 3)
         live = []
         advance = coupling._advance_block
 
@@ -240,15 +289,9 @@ class TestMergedRows:
         states = []
         for batch in (1, 2, 4, 8):
             monkeypatch.setattr(simulate, "_STEP_BATCH", batch)
-            states.append([
-                None if a is None else a.tobytes()
-                for a in coupling._batched_states(*args)
-            ])
+            states.append([a.tobytes() for a in coupling._batched_states(*args)])
         # the rows merge at different steps, all of them before the horizon
         assert len(set(live)) > 3 and live[-1] == 0
-        assert [a is None for a in states[0]] == [
-            False, False, False, not reference, not novikov
-        ]
         assert states[0] == states[1] == states[2] == states[3]
 
     @pytest.mark.parametrize("girsanov_paths", [None, 500])

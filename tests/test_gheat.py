@@ -73,6 +73,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(cfl_safety=0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"dt": -0.5}, {"dt": 0.0}, {"dt": math.nan}, {"dt": math.inf},
+         {"x_min": -math.inf}, {"x_max": math.inf}, {"x_max": math.nan}],
+        ids=["dt-negative", "dt-zero", "dt-nan", "dt-inf", "xmin-inf", "xmax-inf",
+             "xmax-nan"],
+    )
+    def test_unusable_values_rejected(self, kw):
+        with pytest.raises(ValueError):
+            Grid1D(**kw)
+
     def test_cfl_violation_with_fixed_dt(self):
         grid = Grid1D(dt=1.0)
         with pytest.raises(CflError):
