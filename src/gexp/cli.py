@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -63,6 +64,16 @@ def _env_seed() -> int:
         raise ValueError(f"GEXP_SEED must be an integer, got {text!r}") from None
 
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
 def _worker_count(text: str) -> int:
     try:
         n = int(text)
@@ -96,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = add_parser("gheat", help="solve the nonlinear heat equation and dump u(T, .)")
     s.add_argument("--band", type=_band, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    s.add_argument("--T", type=float, required=True)
-    s.add_argument("--xmin", type=float, default=-10.0)
-    s.add_argument("--xmax", type=float, default=10.0)
+    s.add_argument("--T", type=_finite_float, required=True)
+    s.add_argument("--xmin", type=_finite_float, default=-10.0)
+    s.add_argument("--xmax", type=_finite_float, default=10.0)
     s.add_argument("--nx", type=int, default=401)
     _add_common(s)
 
@@ -107,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--drift", required=True)
     s.add_argument("--band", type=_band, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    s.add_argument("--T", type=float, required=True)
-    s.add_argument("--x", type=float, required=True)
+    s.add_argument("--T", type=_finite_float, required=True)
+    s.add_argument("--x", type=_finite_float, required=True)
     s.add_argument("--method", choices=("pde", "mc", "both"), default="both")
     s.add_argument("--npaths", type=int, default=20000)
     s.add_argument("--nsteps", type=int, default=256)
@@ -119,25 +130,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add_parser("harnack", help="two-point Harnack certificate")
     s.add_argument("--drift", required=True)
-    s.add_argument("--K", type=float, default=None,
+    s.add_argument("--K", type=_finite_float, default=None,
                    help="override the drift catalog Lipschitz constant")
     s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--T", type=float, required=True)
-    s.add_argument("--x", type=float, required=True)
-    s.add_argument("--y", type=float, required=True)
+    s.add_argument("--p", type=_finite_float, required=True)
+    s.add_argument("--T", type=_finite_float, required=True)
+    s.add_argument("--x", type=_finite_float, required=True)
+    s.add_argument("--y", type=_finite_float, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
     s.add_argument("--method", choices=("pde", "mc"), default="pde")
     _add_common(s)
 
     s = add_parser("shift-harnack", help="shift Harnack certificate")
     s.add_argument("--drift", required=True)
-    s.add_argument("--K", type=float, default=None)
+    s.add_argument("--K", type=_finite_float, default=None)
     s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--p", type=float, required=True)
-    s.add_argument("--T", type=float, required=True)
-    s.add_argument("--x", type=float, required=True)
-    s.add_argument("--v", type=float, required=True)
+    s.add_argument("--p", type=_finite_float, required=True)
+    s.add_argument("--T", type=_finite_float, required=True)
+    s.add_argument("--x", type=_finite_float, required=True)
+    s.add_argument("--v", type=_finite_float, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
     s.add_argument("--method", choices=("pde", "mc"), default="pde")
     _add_common(s)
@@ -145,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = add_parser("coupling", help="coupling / change-of-measure diagnostics")
     s.add_argument("--drift", default="ou")
     s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--x", type=float, required=True)
-    s.add_argument("--y", type=float, required=True)
-    s.add_argument("--T", type=float, default=1.0)
-    s.add_argument("--p", type=float, default=2.0)
+    s.add_argument("--x", type=_finite_float, required=True)
+    s.add_argument("--y", type=_finite_float, required=True)
+    s.add_argument("--T", type=_finite_float, default=1.0)
+    s.add_argument("--p", type=_finite_float, default=2.0)
     s.add_argument("--payoff", default="sigmoid", choices=sorted(catalog()))
     s.add_argument("--pieces", type=int, default=2)
     s.add_argument("--levels", type=int, default=3)
@@ -157,13 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
 
     s = add_parser("kernels", help="OU kernel suite and the density probe")
-    s.add_argument("--alpha", type=float, default=2.0)
+    s.add_argument("--alpha", type=_finite_float, default=2.0)
     _add_common(s)
 
     s = add_parser("axioms", help="sublinear-expectation axiom suite")
     s.add_argument("--drift", default="zero")
     s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--T", type=float, default=1.0)
+    s.add_argument("--T", type=_finite_float, default=1.0)
     _add_common(s)
 
     return parser

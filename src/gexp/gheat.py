@@ -157,8 +157,8 @@ def solve_batch(
     ties (q = 0), which changes no flux but keeps runs reproducible.  Each
     row depends only on its own payoff, bit for bit.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     xs, dx = grid.xs, grid.dx
     u = np.empty((len(payoffs), grid.nx))
     for row, payoff in zip(u, payoffs):

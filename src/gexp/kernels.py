@@ -9,6 +9,10 @@ e^{-theta} x is the default, with the printed form kept behind a flag for
 fidelity experiments.  Quadratures against the unbounded sup-kernel are
 defined as truncated integrals on [-Z, Z] with the radius reported; the
 exact integral diverges and the truncation exposes rather than hides that.
+
+scipy is imported inside the two quadratures that use it (Gauss-Hermite
+nodes and adaptive `quad`), so importing gexp, and every command but
+`gexp kernels`, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from functools import lru_cache
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import roots_hermite
 
 from .core import TestFunction, catalog
 
@@ -71,6 +73,8 @@ class OuFamily:
 def _hermgauss(order: int):
     # scipy's recurrence-based nodes stay finite at high orders where the
     # companion-matrix route overflows
+    from scipy.special import roots_hermite
+
     t, w = roots_hermite(order)
     return t, w
 
@@ -188,6 +192,7 @@ def member_invariance_gap(theta: float, payoff: TestFunction) -> float:
     Adaptive quadrature is used on both sides so that non-smooth catalog
     payoffs do not leak fixed-order quadrature error into the gap.
     """
+    from scipy.integrate import IntegrationWarning, quad
 
     def lhs_integrand(x):
         return ou_semigroup(theta, payoff, x, MeanMode.OU_CONSISTENT) * float(

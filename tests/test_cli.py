@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,15 @@ def run_cli(args, tmp_path=None):
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+_GHEAT = ["gheat", "--band", "0.5,1", "--payoff", "sigmoid", "--T", "1"]
+_HARNACK = ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sigmoid",
+            "--p", "2", "--T", "1", "--x", "0", "--y", "0.7"]
+_SHIFT = ["shift-harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "bump",
+          "--p", "2", "--T", "1", "--x", "0", "--v", "0.5"]
+_COUPLING = ["coupling", "--band", "0.5,1", "--x", "0", "--y", "1", "--npaths", "100",
+             "--nsteps", "16"]
 
 
 class TestUsage:
@@ -46,6 +56,43 @@ class TestUsage:
     def test_non_finite_value_exit_2(self, flags):
         code, _ = run_cli(["gheat", *flags, "--payoff", "sigmoid", "--T", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [(_GHEAT, "xmin"), (_GHEAT, "xmax"), (_HARNACK, "x"), (_HARNACK, "y"),
+         (_HARNACK, "p"), (_HARNACK, "K"), (_SHIFT, "v"), (_COUPLING, "T"),
+         (_COUPLING, "p"), (["kernels"], "alpha")],
+        ids=["gheat-xmin", "gheat-xmax", "harnack-x", "harnack-y", "harnack-p",
+             "harnack-K", "shift-harnack-v", "coupling-T", "coupling-p", "kernels-alpha"],
+    )
+    def test_non_finite_float_option_exit_2(self, tmp_path, capsys, args, option):
+        # before the check these wrote NaN/Infinity reports and exited 0 or 1
+        cfg = tmp_path / "run.cfg"
+        for value in ("inf", "-inf", "nan"):
+            cfg.write_text(f"{option} = {value}\n")
+            for extra in ([f"--{option}={value}"], ["--config", str(cfg)]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, out = run_cli(args + extra)
+                assert code == 2
+                assert out == ""
+                err = capsys.readouterr().err
+                assert f"argument --{option}: must be finite, got {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("inf", "argument --T: must be finite, got 'inf'"),
+         ("nan", "argument --T: must be finite, got 'nan'"),
+         ("0", "gexp: horizon must be finite and positive, got 0.0"),
+         ("-1", "gexp: horizon must be finite and positive, got -1.0")],
+        ids=["inf", "nan", "zero", "negative"],
+    )
+    def test_unusable_gheat_horizon_exit_2(self, capsys, value, message):
+        # --T inf died with an OverflowError traceback (exit 1)
+        code, out = run_cli(_GHEAT + [f"--T={value}"])
+        assert code == 2
+        assert out == ""
+        assert message in capsys.readouterr().err
 
     def test_abbreviated_flag_rejected(self, tmp_path):
         # a prefix of --nx is rejected; the spelled-out flag beats the file
@@ -416,3 +463,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0.1.0"
+
+    def test_only_kernels_load_scipy(self):
+        """scipy serves only the kernel quadratures: importing gexp and running
+        the numpy-only commands leaves it unloaded, and the kernel suite then
+        imports it on first use."""
+        script = """
+import contextlib, io, sys
+import gexp, gexp.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()[:3]
+for argv in (
+    ["gheat", "--band", "0.5,1", "--payoff", "sigmoid", "--T", "1"],
+    ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sigmoid",
+     "--p", "2", "--T", "1", "--x", "0", "--y", "0.7"],
+    ["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou",
+     "--kind", "qv", "--x", "1", "--T", "1", "--method", "pde"],
+    ["axioms", "--band", "0.5,1", "--drift", "ou"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gexp.cli.main(argv + ["--sequential"])
+    assert code == 0, (argv, code)
+    assert not scipy_modules(), (argv[0], scipy_modules()[:3])
+rep = gexp.run_kernel_suite()
+assert rep.ex38.sum_dominance_violations == 0
+assert "scipy.integrate" in sys.modules and "scipy.special" in sys.modules
+"""
+        src = Path(gexp.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr

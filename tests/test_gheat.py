@@ -84,6 +84,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(**kw)
 
+    @pytest.mark.parametrize(
+        "horizon", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"]
+    )
+    def test_unusable_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            solve_batch([catalog()["sigmoid"]], VolatilityBand(0.5, 1.0), horizon, Grid1D())
+
     def test_cfl_violation_with_fixed_dt(self):
         grid = Grid1D(dt=1.0)
         with pytest.raises(CflError):
