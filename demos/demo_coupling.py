@@ -26,7 +26,6 @@ from gexp import (
     make_scenario_lattice,
     mt_moment_check,
     novikov_pathwise_bound,
-    run_coupling,
     run_coupling_suite,
 )
 
@@ -40,7 +39,7 @@ scenario = Scenario(band, (0.0, 0.5, 1.0), (1.0, 0.25))
 eta = eta_schedule(scenario, spec.lipschitz_k, x, y, T, 8)
 print("eta schedule (8 midpoints):", np.array_str(eta, precision=3))
 
-rep = run_coupling(spec, x, y, T, scenario, mc, p, catalog()["sigmoid"])
+(rep,) = run_coupling_suite(spec, x, y, T, [scenario], mc, p, catalog()["sigmoid"])
 print(f"\nscenario {rep.scenario}:")
 print(f"  coupling gap         {rep.coupling_gap:.2e}   (must be ~ 0)")
 print(f"  Novikov pathwise max {rep.novikov_pathwise_max:.4f}")

@@ -10,7 +10,6 @@ family with a dominating sup-density.
 
 from .axioms import run_axioms
 from .core import (
-    Convexity,
     GsdeSpec,
     Kind,
     McConfig,
@@ -27,7 +26,6 @@ from .coupling import (
     eta_schedule,
     mt_moment_check,
     novikov_pathwise_bound,
-    run_coupling,
     run_coupling_suite,
 )
 from .gheat import (
@@ -68,7 +66,7 @@ from .kernels import (
     sup_kernel_definition_margin,
     sup_kernel_ex34,
 )
-from .simulate import PbarEstimate, pbar_mc, simulate_paths
+from .simulate import PbarEstimate, pbar_mc
 
 __version__ = "0.1.0"
 
@@ -79,7 +77,6 @@ __all__ = [
     "Scenario",
     "Kind",
     "GsdeSpec",
-    "Convexity",
     "TestFunction",
     "McConfig",
     "make_scenario_lattice",
@@ -97,7 +94,6 @@ __all__ = [
     "require_safe",
     # simulate
     "PbarEstimate",
-    "simulate_paths",
     "pbar_mc",
     # harnack
     "HarnackCertificate",
@@ -112,7 +108,6 @@ __all__ = [
     "eta_schedule",
     "eta_merge_defect",
     "novikov_pathwise_bound",
-    "run_coupling",
     "run_coupling_suite",
     "mt_moment_check",
     # kernels

@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     GsdeSpec,
     McConfig,
-    TestFunction,
     VolatilityBand,
     catalog,
     make_scenario_lattice,

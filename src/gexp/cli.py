@@ -5,8 +5,9 @@ Reports embed the fully resolved configuration plus the artifact version, so
 two runs with the same configuration and --sequential produce byte-identical
 output.  The worker count is left out of the report: it changes no result.
 Exit codes: 0 all checks pass, 1 at least one check failed (the report is
-still written), 2 usage or configuration error, 3 numerical failure (a
-non-finite state or a failed domain-truncation check; no report is written).
+still written), 2 usage or configuration error (a PDE march above the
+step budget included), 3 numerical failure (a non-finite state; no report
+is written).
 Each check is a fixed-level test, so exit 1 also comes by chance: every
 scenario's Girsanov check is a 3-SE test, and a 9-scenario `coupling` run
 exits 1 on about 5% of seeds with nothing wrong (25 of 400 measured).
@@ -23,8 +24,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import __version__
 from .axioms import run_axioms
@@ -91,7 +90,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default GEXP_SEED or %d)" % DEFAULT_SEED)
     sub.add_argument("--sequential", action="store_true",
-                     help="force sequential, bit-exact reductions")
+                     help="run one worker thread, as --workers 1 does")
     sub.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
                      help="worker pool size for independent sweeps")
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "Scenario",
     "Kind",
     "GsdeSpec",
-    "Convexity",
     "TestFunction",
     "McConfig",
     "make_scenario_lattice",
@@ -129,12 +128,15 @@ class Scenario:
         return "v=" + ",".join(f"{v:g}" for v in self.values)
 
 
+# largest scenario lattice make_scenario_lattice builds
+MAX_SCENARIOS = 4096
+
+
 def make_scenario_lattice(
     band: VolatilityBand,
     horizon: float,
     pieces: int,
     levels: int,
-    max_scenarios: int = 4096,
 ) -> list[Scenario]:
     """All piecewise-constant controls on a uniform partition of [0, horizon]
     with levels drawn from a uniform grid of [v_lo, v_hi].
@@ -145,9 +147,9 @@ def make_scenario_lattice(
     if pieces < 1 or levels < 1 or horizon <= 0:
         raise ValueError("need pieces >= 1, levels >= 1, horizon > 0")
     grid = np.unique(np.linspace(band.v_lo, band.v_hi, levels))
-    if len(grid) ** pieces > max_scenarios:
+    if len(grid) ** pieces > MAX_SCENARIOS:
         raise ValueError(
-            f"{len(grid)}^{pieces} scenarios exceeds the cap {max_scenarios}"
+            f"{len(grid)}^{pieces} scenarios exceeds the cap {MAX_SCENARIOS}"
         )
     bp = tuple(np.linspace(0.0, horizon, pieces + 1))
     return [
@@ -197,12 +199,6 @@ class GsdeSpec:
         return np.broadcast_to(out, np.shape(x)) if out.shape != np.shape(x) else out
 
 
-class Convexity(Enum):
-    CONVEX = "convex"
-    CONCAVE = "concave"
-    NEITHER = "neither"
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A bounded payoff with known sup-norm.  Harnack certificates require
@@ -213,7 +209,6 @@ class TestFunction:
     id: str
     eval: Callable[[np.ndarray], np.ndarray]
     positivity: bool = True
-    convexity: Convexity = Convexity.NEITHER
     bound: float = 1.0
 
     def __call__(self, x):
@@ -227,7 +222,6 @@ class TestFunction:
             id=f"{self.id}^{p:g}",
             eval=lambda x, f=f, p=p: f(x) ** p,
             positivity=True,
-            convexity=Convexity.NEITHER,
             bound=self.bound**p,
         )
 
@@ -237,7 +231,6 @@ class TestFunction:
             id=f"{self.id}(+{v:g})",
             eval=lambda x, f=f, v=v: f(x + v),
             positivity=self.positivity,
-            convexity=self.convexity,
             bound=self.bound,
         )
 
@@ -247,7 +240,6 @@ class TestFunction:
             id=f"{self.id}+{other.id}",
             eval=lambda x, f=f, g=g: f(x) + g(x),
             positivity=self.positivity and other.positivity,
-            convexity=Convexity.NEITHER,
             bound=self.bound + other.bound,
         )
 
@@ -259,7 +251,6 @@ class TestFunction:
             id=f"{lam:g}*{self.id}",
             eval=lambda x, f=f, lam=lam: lam * f(x),
             positivity=self.positivity,
-            convexity=self.convexity,
             bound=lam * self.bound,
         )
 
@@ -286,7 +277,6 @@ def catalog() -> dict[str, TestFunction]:
         "sqclip": TestFunction(
             "sqclip",
             lambda x: np.minimum(x**2, SQCLIP_BOUND),
-            convexity=Convexity.NEITHER,
             bound=SQCLIP_BOUND,
         ),
     }
@@ -312,20 +302,23 @@ def make_drift(drift_id: str) -> GsdeSpec:
     """Drift catalog by serializable id: zero, const:c, ou, tanh:K.
 
     The returned spec has QV_DRIVEN kind; callers switch kind with
-    dataclasses.replace when the time-driven equation is wanted.
+    dataclasses.replace when the time-driven equation is wanted.  A
+    parameter c or K must be a finite float.
     """
     if drift_id == "zero":
         return GsdeSpec(lambda x: np.zeros_like(x), 0.0, Kind.QV_DRIVEN, "zero")
     if drift_id == "ou":
         return GsdeSpec(lambda x: -x, 1.0, Kind.QV_DRIVEN, "ou")
-    if drift_id.startswith("const:"):
-        c = float(drift_id.split(":", 1)[1])
+    name, sep, text = drift_id.partition(":")
+    if sep and name in ("const", "tanh"):
+        a = float(text)
+        if not math.isfinite(a):
+            raise ValueError(f"drift {drift_id!r} needs a finite parameter")
+        if name == "const":
+            return GsdeSpec(
+                lambda x, c=a: np.full_like(x, c), 0.0, Kind.QV_DRIVEN, drift_id
+            )
         return GsdeSpec(
-            lambda x, c=c: np.full_like(x, c), 0.0, Kind.QV_DRIVEN, drift_id
-        )
-    if drift_id.startswith("tanh:"):
-        k = float(drift_id.split(":", 1)[1])
-        return GsdeSpec(
-            lambda x, k=k: -k * np.tanh(x), k, Kind.QV_DRIVEN, drift_id
+            lambda x, k=a: -k * np.tanh(x), a, Kind.QV_DRIVEN, drift_id
         )
     raise ValueError(f"unknown drift id {drift_id!r}")

@@ -3,6 +3,11 @@ onto X by an added drift before the horizon, the forcing is removed by a
 Girsanov density M_T, and the Novikov / moment bounds are checked pathwise
 and in expectation, scenario by scenario.
 
+The coupling time is detected on the grid as the first step where X - Y
+changes sign or falls below the merge tolerance; Y is slaved to X afterwards
+(the continuous construction merges exactly, on a grid only approximate
+merging is observable).
+
 The drift schedule eta is deterministic given a scenario (the quadratic
 variation is then a known function of time), so the Novikov integral is a
 deterministic quantity; paths only differ through the detected coupling
@@ -21,14 +26,13 @@ import numpy as np
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
 from .harnack import harnack_exponent
-from .simulate import _generator, _se, _sweep_blocks
+from .simulate import _se, _sweep_blocks
 
 __all__ = [
     "CouplingReport",
     "eta_schedule",
     "eta_merge_defect",
     "novikov_pathwise_bound",
-    "run_coupling",
     "run_coupling_suite",
     "mt_moment_check",
 ]
@@ -142,111 +146,6 @@ class CouplingReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def run_coupling(
-    spec: GsdeSpec,
-    x: float,
-    y: float,
-    horizon: float,
-    scenario: Scenario,
-    mc: McConfig,
-    p: float,
-    payoff: TestFunction,
-) -> CouplingReport:
-    """Simulate the coupled pair (X, Y) with shared noise, the density M_T,
-    and the reference process started at y, then fill every diagnostic.
-
-    The coupling time is detected on the grid as the first step where X - Y
-    changes sign or falls below the merge tolerance; Y is slaved to X
-    afterwards (the continuous construction merges exactly, on a grid only
-    approximate merging is observable).
-    """
-    if spec.kind is not Kind.QV_DRIVEN:
-        raise ValueError("the coupling construction targets the qv-driven equation")
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    K = spec.lipschitz_k
-    _check_coupling_args(K, scenario, horizon)
-
-    n, m = mc.n_paths, mc.n_steps
-    h = horizon / m
-    levels = scenario.step_levels(m)
-    eta = eta_schedule(scenario, K, x, y, horizon, m)
-    merge_tol = 1e-10 * (1.0 + abs(x - y))
-
-    rng = _generator(mc.seed)
-    X = np.full(n, float(x))
-    Y = np.full(n, float(y))
-    Xref = np.full(n, float(y))  # same equation, started at y, same noise
-    log_m = np.zeros(n)
-    nov_int = np.zeros(n)
-    merged = np.zeros(n, dtype=bool) if x != y else np.ones(n, dtype=bool)
-
-    for i in range(m):
-        v = levels[i]
-        vh = v * h
-        sq = math.sqrt(vh)
-        z = rng.standard_normal(n)
-        db = sq * z
-        u = np.where(merged, 0.0, eta[i] * np.sign(X - Y))
-        Xn = X + spec.b(X) * vh + db
-        Yn = Y + spec.b(Y) * vh + db + u * vh
-        log_m -= u * db + 0.5 * u**2 * vh
-        nov_int += u**2 * vh
-        gap_old = X - Y
-        gap_new = Xn - Yn
-        just_merged = (~merged) & (
-            (np.sign(gap_new) * np.sign(gap_old) <= 0.0)
-            | (np.abs(gap_new) <= merge_tol)
-        )
-        merged = merged | just_merged
-        Y = np.where(merged, Xn, Yn)
-        X = Xn
-        Xref = Xref + spec.b(Xref) * vh + db
-        if (i & 255) == 255 and not (
-            np.all(np.isfinite(X)) and np.all(np.isfinite(Y)) and np.all(np.isfinite(Xref))
-        ):
-            raise RuntimeError(f"non-finite state at step {i}")
-
-    M = np.exp(log_m)
-    # the removed-drift identity reads E[M_T f(Y_T)] = E[f(X~_T^y)]; after a
-    # successful coupling Y_T coincides with X_T
-    fY = np.asarray(payoff(Y), dtype=float)
-    fRef = np.asarray(payoff(Xref), dtype=float)
-    lhs_vals = M * fY
-    lhs_mean = float(np.mean(lhs_vals))
-    rhs_mean = float(np.mean(fRef))
-    se = lambda a: float(np.std(a, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
-    q = p / (p - 1.0)
-    mt_vals = np.exp(q * log_m)
-    a = math.exp(-2.0 * scenario.band.v_lo * K * horizon)
-    b_ = math.exp(-2.0 * scenario.band.v_hi * K * horizon)
-
-    return CouplingReport(
-        scenario=scenario.label,
-        x=x,
-        y=y,
-        horizon=horizon,
-        p=p,
-        payoff_id=payoff.id,
-        n_paths=n,
-        n_steps=m,
-        seed=mc.seed,
-        coupling_gap=float(np.max(np.abs(X - Y))),
-        novikov_pathwise_max=float(np.exp(np.max(nov_int))),
-        novikov_bound=novikov_pathwise_bound(K, scenario.band, horizon, abs(x - y)),
-        girsanov_identity_gap=abs(lhs_mean - rhs_mean),
-        girsanov_std_error=math.hypot(se(lhs_vals), se(fRef)),
-        mt_moment=float(np.mean(mt_vals)),
-        mt_moment_std_error=se(mt_vals),
-        mt_moment_bound=_mt_moment_bound(
-            p, K, scenario.band, horizon, abs(x - y)
-        ),
-        m_mean=float(np.mean(M)),
-        m_std_error=se(M),
-    )
-
-
 def _force(spec, rows, bX, i, merge_tol):
     """Step i of the forcing on a run of scenario rows: u, log M, the
     Novikov integral and gap = X - Y with its merge reset.  `rows` holds the
@@ -331,9 +230,9 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     the blocks on `workers` threads, each with one set of scratch arrays for
     the whole sweep.  Every element goes through the same arithmetic
     whatever the block partition, worker count or batch length, so the
-    results are bit-identical across all three.  Agreement with
-    run_coupling, which orders its floating-point operations differently,
-    holds to round-off.
+    results are bit-identical across all three.  Agreement with a
+    per-scenario loop that steps X and Y themselves, which orders its
+    floating-point operations differently, holds to round-off.
     """
     K = spec.lipschitz_k
     S = len(scenarios)
@@ -377,8 +276,8 @@ def run_coupling_suite(
 ) -> list[CouplingReport]:
     """Coupling diagnostics for a whole scenario list in one batched sweep.
 
-    Equivalent to run_coupling per scenario under the shared seed, up to
-    floating-point round-off, but amortizes the random-number stream across
+    Equivalent to one coupling run per scenario under the shared seed, up
+    to floating-point round-off, but amortizes the random-number stream across
     scenarios.  The sweep runs N = max(mc.n_paths, girsanov_paths) paths
     (mc.n_paths when girsanov_paths is None) and carries all five arrays.
     The Girsanov-identity fields read its first girsanov_paths paths, every

@@ -48,6 +48,14 @@ __all__ = [
 ]
 
 
+# fraction of the stability bound taken as the automatic time step
+CFL_SAFETY = 0.9
+# tolerance of pbar_pde's domain-doubling truncation check
+TRUNCATION_TOL = 1e-6
+# most Heun steps solve_batch marches; a longer march is a ValueError
+MAX_STEPS = 10**6
+
+
 class CflError(ValueError):
     """Fixed time step violates the stability bound."""
 
@@ -58,7 +66,6 @@ class Grid1D:
     x_max: float = 10.0
     nx: int = 401
     dt: float | None = None  # None selects the automatic CFL step
-    cfl_safety: float = 0.9
 
     def __post_init__(self):
         if self.nx < 3:
@@ -69,8 +76,6 @@ class Grid1D:
             raise ValueError("need x_min < x_max")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
 
     @property
     def dx(self) -> float:
@@ -160,21 +165,24 @@ def solve_batch(
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     xs, dx = grid.xs, grid.dx
-    u = np.empty((len(payoffs), grid.nx))
-    for row, payoff in zip(u, payoffs):
-        row[:] = payoff(xs)
-
     kind = None if spec is None else spec.kind
     b = None if spec is None else spec.b(xs)
     bmax = 0.0 if b is None else float(np.max(np.abs(b)))
     dt_max = _stable_dt(grid, band, bmax, kind)
     if grid.dt is None:
-        n_steps = max(1, math.ceil(horizon / (grid.cfl_safety * dt_max)))
+        n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * dt_max)))
     else:
         if grid.dt > dt_max:
             raise CflError(f"dt={grid.dt} exceeds the stability bound {dt_max}")
         n_steps = max(1, math.ceil(horizon / grid.dt))
+    if n_steps > MAX_STEPS:
+        raise ValueError(
+            f"the march needs {n_steps} steps, above the budget of {MAX_STEPS}"
+        )
     dt = horizon / n_steps
+    u = np.empty((len(payoffs), grid.nx))
+    for row, payoff in zip(u, payoffs):
+        row[:] = payoff(xs)
 
     v_lo, v_hi = band.v_lo, band.v_hi
     inv_dx2, inv_2dx, inv_dx = 1.0 / dx**2, 0.5 / dx, 1.0 / dx
@@ -283,12 +291,11 @@ def pbar_pde(
     band: VolatilityBand,
     grid: Grid1D | None = None,
     check_truncation: bool = False,
-    truncation_tol: float = 1e-6,
 ) -> float:
     """Worst-case semigroup value at a single point via the PDE solver.
 
     With check_truncation=True the domain is doubled once and the two answers
-    are required to agree within truncation_tol.
+    are required to agree within TRUNCATION_TOL.
     """
     grid = grid or Grid1D()
     require_safe(x, grid, band, horizon)
@@ -300,11 +307,10 @@ def pbar_pde(
             grid.x_max + span / 2,
             2 * grid.nx - 1,
             grid.dt,
-            grid.cfl_safety,
         )
         val_wide = solve(payoff, band, horizon, wide, spec).value_at(x)
-        if abs(val - val_wide) > truncation_tol:
+        if abs(val - val_wide) > TRUNCATION_TOL:
             raise RuntimeError(
-                f"domain truncation error {abs(val - val_wide):.3e} exceeds {truncation_tol}"
+                f"domain truncation error {abs(val - val_wide):.3e} exceeds {TRUNCATION_TOL}"
             )
     return val

@@ -1,5 +1,9 @@
-"""Worst-case Monte Carlo: per-scenario Euler-Maruyama for both G-SDE kinds
-and the scenario-max estimator of the worst-case semigroup.
+"""Worst-case Monte Carlo: Euler-Maruyama for both G-SDE kinds on the
+uniform grid h = T / n_steps, and the scenario-max estimator of the
+worst-case semigroup.  Per step with scenario level v the increment is
+
+  qv-driven:   dX = b(X) v h + sqrt(v h) Z
+  time-driven: dX = b(X) h   + sqrt(v h) Z
 
 Randomness comes from a counter-based (Philox) generator: the draw consumed
 at (path, step) is a fixed function of the seed, so re-running any scenario
@@ -12,9 +16,10 @@ pbar_mc advances the (S, n) float64 state of all S scenarios together (8 S n
 bytes; a coupling sweep carries five such arrays), split into blocks of at
 most _BLOCK_PATHS paths that a pool of worker threads steps in place while
 the calling thread draws the normals in stream order.  Each worker allocates
-its scratch arrays once per sweep.  The terminal states are bit-identical to
-simulate_paths run scenario by scenario, for every worker count.
-_sweep_blocks is that block driver, shared with the coupling suite.
+its scratch arrays once per sweep.  Each scenario's terminal states are
+bit-identical to stepping that scenario alone, for every worker count.
+_sweep_blocks is that block driver, shared with the coupling suite, and the
+only Euler stepping loop in the package.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 
-__all__ = ["PbarEstimate", "simulate_paths", "pbar_mc"]
+__all__ = ["PbarEstimate", "pbar_mc"]
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -167,45 +172,6 @@ class PbarEstimate:
         }
 
 
-def simulate_paths(
-    spec: GsdeSpec,
-    x0: float,
-    scenario: Scenario,
-    mc: McConfig,
-    keep_paths: bool = False,
-):
-    """Euler-Maruyama ensemble on the uniform grid h = T / n_steps.
-
-    Per step with scenario level v the increment is
-      qv-driven:   dX = b(X) v h + sqrt(v h) Z
-      time-driven: dX = b(X) h   + sqrt(v h) Z
-    Returns the terminal values X_T, or the full (n_paths, n_steps+1) path
-    matrix when keep_paths is set.
-    """
-    T = scenario.horizon
-    h = T / mc.n_steps
-    levels = scenario.step_levels(mc.n_steps)
-    rng = _generator(mc.seed)
-    x = np.full(mc.n_paths, float(x0))
-    paths = np.empty((mc.n_paths, mc.n_steps + 1)) if keep_paths else None
-    if keep_paths:
-        paths[:, 0] = x
-    for i in range(mc.n_steps):
-        v = levels[i]
-        z = rng.standard_normal(mc.n_paths)
-        if spec.kind is Kind.QV_DRIVEN:
-            x = x + spec.b(x) * (v * h) + np.sqrt(v * h) * z
-        else:
-            x = x + spec.b(x) * h + np.sqrt(v * h) * z
-        if keep_paths:
-            paths[:, i + 1] = x
-        if (i & 255) == 255 and not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite state at step {i}")
-    if not np.all(np.isfinite(x)):
-        raise RuntimeError(f"non-finite state at step {mc.n_steps}")
-    return paths if keep_paths else x
-
-
 def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
     """Advance one path block's (S, b) state in place over the steps i0,
     i0+1, ... whose normals are the rows of Z, columns lo:lo+b; `tmp` holds
@@ -215,7 +181,7 @@ def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
     t = tmp[0][:, :b]
     for k in range(Z.shape[0]):
         i = i0 + k
-        # X = (X + b(X) c) + sqrt(v h) z, simulate_paths' order of operations
+        # X = (X + b(X) c) + sqrt(v h) z, in that order of operations
         np.multiply(spec.b(X), c[:, i : i + 1], out=t)
         np.add(X, t, out=X)
         np.multiply(sq[:, i : i + 1], Z[k, lo : lo + b], out=t)
@@ -224,7 +190,7 @@ def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
 
 def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
     """Terminal states X_T of every scenario, as an (S, n_paths) array whose
-    row s is bit-identical to simulate_paths(spec, x0, scenarios[s], mc)."""
+    row s is bit-identical to an Euler run of scenarios[s] alone."""
     if not scenarios:
         raise ValueError("scenario list is empty")
     for sc in scenarios:
@@ -287,8 +253,8 @@ def pbar_mc(
     All scenarios advance together on one normal draw per step, in path
     blocks stepped by `workers` threads (default os.cpu_count()); the state
     is one (S, n_paths) float64 array.  The per-scenario means and standard
-    errors equal, bit for bit, those of simulate_paths run scenario by
-    scenario, whatever the worker count.
+    errors equal, bit for bit, those of an Euler run of each scenario
+    alone, whatever the worker count.
     """
     states = _terminal_states(spec, x0, horizon, scenarios, mc, workers)
     return _estimate(payoff, states, scenarios, mc)

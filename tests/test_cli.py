@@ -108,6 +108,29 @@ class TestUsage:
         assert rep["config"]["nx"] == 51
         assert len(rep["values"]) == 51
 
+    @pytest.mark.parametrize(
+        "args, drift",
+        [(_HARNACK, "tanh:nan"), (_SHIFT, "tanh:inf"), (_COUPLING, "const:nan"),
+         (["axioms", "--band", "0.5,1"], "const:-inf"),
+         (["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--kind", "qv", "--x", "0",
+           "--T", "1", "--method", "pde"], "tanh:inf")],
+        ids=["harnack", "shift-harnack", "coupling", "axioms", "pbar"],
+    )
+    def test_non_finite_drift_parameter_exit_2(self, capsys, args, drift):
+        # coupling exited 3 at the first finiteness check of its sweep, the
+        # others 2 only by way of a failed float-to-int conversion
+        code, out = run_cli(args + [f"--drift={drift}"])
+        assert code == 2
+        assert out == ""
+        assert f"gexp: drift {drift!r} needs a finite parameter" in capsys.readouterr().err
+
+    def test_gheat_step_budget_exit_2(self, capsys):
+        # about 4.5e11 Heun steps, which ran unbounded before the budget
+        code, out = run_cli(_GHEAT + ["--T=1e9"])
+        assert code == 2
+        assert out == ""
+        assert "above the budget of" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, capsys):
         with pytest.warns(RuntimeWarning):
             code, _ = run_cli(

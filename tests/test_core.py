@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexp import (
-    Convexity,
     GsdeSpec,
     Kind,
     McConfig,
@@ -130,6 +129,11 @@ class TestGsdeSpec:
         assert th.b(np.array([0.0]))[0] == 0.0
         with pytest.raises(ValueError):
             make_drift("cubic")
+
+    @pytest.mark.parametrize("drift_id", ["tanh:nan", "tanh:inf", "const:nan", "const:-inf"])
+    def test_non_finite_parameter_rejected(self, drift_id):
+        with pytest.raises(ValueError, match=f"drift '{drift_id}' needs a finite parameter"):
+            make_drift(drift_id)
 
     def test_broadcasting(self):
         spec = make_drift("const:1.5")

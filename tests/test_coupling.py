@@ -15,12 +15,13 @@ from gexp import (
     make_scenario_lattice,
     mt_moment_check,
     novikov_pathwise_bound,
-    run_coupling,
     run_coupling_suite,
 )
 from gexp import coupling, simulate
 from gexp.core import GsdeSpec, Kind
 from gexp.simulate import _BLOCK_PATHS
+
+from oracles import run_coupling
 
 
 def unit_scenario(horizon=1.0):

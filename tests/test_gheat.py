@@ -22,7 +22,7 @@ from gexp import (
     solve,
     solve_batch,
 )
-from gexp.gheat import _stable_dt
+from gexp.gheat import CFL_SAFETY, _stable_dt
 from gexp.kernels import normal_expectation
 
 from conftest import classical_params
@@ -70,8 +70,6 @@ class TestGrid:
             Grid1D(nx=2)
         with pytest.raises(ValueError):
             Grid1D(x_min=1.0, x_max=0.0)
-        with pytest.raises(ValueError):
-            Grid1D(cfl_safety=0.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -91,6 +89,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             solve_batch([catalog()["sigmoid"]], VolatilityBand(0.5, 1.0), horizon, Grid1D())
 
+    @pytest.mark.parametrize("dt", [None, 1e-3], ids=["cfl", "fixed"])
+    def test_step_budget(self, dt):
+        # the budget is checked before a payoff is evaluated or a step taken
+        calls = []
+        payoff = TestFunction("spy", lambda x: calls.append(1) or np.zeros_like(x))
+        grid = Grid1D(dt=dt)
+        with pytest.raises(ValueError, match=r"needs \d+ steps, above the budget"):
+            solve_batch([payoff], VolatilityBand(0.5, 1.0), 1e9, grid)
+        assert calls == []
+
     def test_cfl_violation_with_fixed_dt(self):
         grid = Grid1D(dt=1.0)
         with pytest.raises(CflError):
@@ -105,7 +113,7 @@ def reference_solve(payoff, band, horizon, grid, spec=None):
     b = None if spec is None else spec.b(xs)
     kind = None if spec is None else spec.kind
     bmax = 0.0 if b is None else float(np.max(np.abs(b)))
-    n_steps = max(1, math.ceil(horizon / (grid.cfl_safety * _stable_dt(grid, band, bmax, kind))))
+    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * _stable_dt(grid, band, bmax, kind))))
     dt = horizon / n_steps
     if b is not None:
         pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo

@@ -16,11 +16,11 @@ from gexp import (
     pbar_mc,
     pbar_pde,
     run_axioms,
-    simulate_paths,
 )
 from gexp.core import GsdeSpec
-from gexp.kernels import normal_expectation
 from gexp.simulate import _BLOCK_PATHS
+
+from oracles import simulate_paths
 
 
 def unit_scenario(v=1.0, horizon=1.0):
@@ -63,15 +63,6 @@ class TestSimulatePaths:
         a = simulate_paths(make_drift("ou"), 1.0, unit_scenario(), mc)
         b = simulate_paths(make_drift("ou"), 1.0, unit_scenario(), mc)
         assert np.array_equal(a, b)
-
-    def test_keep_paths_shape(self):
-        mc = McConfig(10, 16, 1)
-        paths = simulate_paths(make_drift("zero"), 2.0, unit_scenario(), mc, keep_paths=True)
-        assert paths.shape == (10, 17)
-        assert np.all(paths[:, 0] == 2.0)
-        # terminal column matches the terminal-only run draw for draw
-        xt = simulate_paths(make_drift("zero"), 2.0, unit_scenario(), mc)
-        assert np.array_equal(paths[:, -1], xt)
 
 
 class TestPbarMc:
