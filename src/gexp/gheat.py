@@ -50,8 +50,6 @@ __all__ = [
 
 # fraction of the stability bound taken as the automatic time step
 CFL_SAFETY = 0.9
-# tolerance of pbar_pde's domain-doubling truncation check
-TRUNCATION_TOL = 1e-6
 # most Heun steps solve_batch marches; a longer march is a ValueError
 MAX_STEPS = 10**6
 
@@ -290,27 +288,8 @@ def pbar_pde(
     horizon: float,
     band: VolatilityBand,
     grid: Grid1D | None = None,
-    check_truncation: bool = False,
 ) -> float:
-    """Worst-case semigroup value at a single point via the PDE solver.
-
-    With check_truncation=True the domain is doubled once and the two answers
-    are required to agree within TRUNCATION_TOL.
-    """
+    """Worst-case semigroup value at a single point via the PDE solver."""
     grid = grid or Grid1D()
     require_safe(x, grid, band, horizon)
-    val = solve(payoff, band, horizon, grid, spec).value_at(x)
-    if check_truncation:
-        span = grid.x_max - grid.x_min
-        wide = Grid1D(
-            grid.x_min - span / 2,
-            grid.x_max + span / 2,
-            2 * grid.nx - 1,
-            grid.dt,
-        )
-        val_wide = solve(payoff, band, horizon, wide, spec).value_at(x)
-        if abs(val - val_wide) > TRUNCATION_TOL:
-            raise RuntimeError(
-                f"domain truncation error {abs(val - val_wide):.3e} exceeds {TRUNCATION_TOL}"
-            )
-    return val
+    return solve(payoff, band, horizon, grid, spec).value_at(x)

@@ -10,9 +10,11 @@ fidelity experiments.  Quadratures against the unbounded sup-kernel are
 defined as truncated integrals on [-Z, Z] with the radius reported; the
 exact integral diverges and the truncation exposes rather than hides that.
 
-scipy is imported inside the two quadratures that use it (Gauss-Hermite
-nodes and adaptive `quad`), so importing gexp, and every command but
-`gexp kernels`, runs on numpy alone.
+The module runs on numpy alone.  Gauss-Hermite nodes come from Tricomi's
+asymptotic formula polished by Newton on the orthonormal three-term
+recurrence, in O(n) memory (Townsend, Trogdon & Olver, IMA J. Numer. Anal.
+36, 2016), with Christoffel-Darboux weights; the member-invariance
+integrals use 15-point Gauss-Kronrod panels.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import warnings
 
 import numpy as np
 
@@ -51,6 +51,11 @@ SUP_KERNEL_NORM = math.sqrt(1.0 - math.exp(-1.0))
 TRUNCATION_RADIUS = 8.0
 # most failing points ex38_probe lists in printed_violation_rows
 EX38_MAX_ROWS = 200
+# Gauss-Kronrod panels on [-10, 10] in member_invariance_gap.  300 nodes keep
+# the order-1024 semigroup matrix at 2.4 MB: glibc raises its mmap threshold
+# to the size of each freed mapped block, so one larger transient would
+# change how every later array up to that size is allocated in the process.
+MEMBER_PANELS = 20
 
 
 class MeanMode(Enum):
@@ -71,20 +76,106 @@ class OuFamily:
                 raise ValueError(f"theta={th} outside [{THETA_LO}, {THETA_HI}]")
 
 
+# Gauss-Kronrod 15-point rule on [-1, 1] (QUADPACK qk15): the nonnegative
+# nodes, their Kronrod weights, and the Gauss-7 weights of every other node
+_KRONROD_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_KRONROD_HALF_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_GAUSS7_HALF_WEIGHTS = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_KRONROD_NODES = np.concatenate([-_KRONROD_HALF[:-1], _KRONROD_HALF[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_KRONROD_HALF_WEIGHTS[:-1], _KRONROD_HALF_WEIGHTS[::-1]])
+_GAUSS7_WEIGHTS = np.concatenate([_GAUSS7_HALF_WEIGHTS[:-1], _GAUSS7_HALF_WEIGHTS[::-1]])
+# rescaling period of the Hermite recurrence: at order 1024, 32 steps grow a
+# value by at most ~1e40, far from overflow
+_RESCALE_EVERY = 32
+
+
+def _hermite_ratio(x: np.ndarray, n: int):
+    """p_n(x) / p_{n-1}(x) and log|p_{n-1}(x)| for the orthonormal Hermite
+    polynomials (weight e^{-t^2}); the recurrence is rescaled every
+    _RESCALE_EVERY steps and the scale kept as a logarithm, so it never
+    overflows where p_n grows like e^{x^2/2}."""
+    prev = np.zeros_like(x)
+    cur = np.full_like(x, math.pi**-0.25)
+    log_scale = np.zeros_like(x)
+    for k in range(n):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev
+        if k % _RESCALE_EVERY == _RESCALE_EVERY - 1:
+            s = np.abs(prev) + np.abs(cur)
+            prev /= s
+            cur /= s
+            log_scale += np.log(s)
+    return cur / prev, np.log(np.abs(prev)) + log_scale
+
+
 @lru_cache(maxsize=None)
 def _hermgauss(order: int):
-    # scipy's recurrence-based nodes stay finite at high orders where the
-    # companion-matrix route overflows
-    from scipy.special import roots_hermite
+    """Gauss-Hermite nodes and weights for the weight e^{-t^2}, in O(order)
+    memory: Tricomi's asymptotic nodes, then Newton on the recurrence.  The
+    weights are 1 / (n p_{n-1}(t)^2); they underflow to 0 where e^{-t^2} does.
+    """
+    m = order // 2  # positive nodes; an odd order adds the node 0
+    nu = 2 * order + 1
+    # Tricomi: x_k^2 ~ nu cos^2(s_k / 2) - correction, s_k - sin s_k = r_k
+    r = (4 * m - 4 * np.arange(1, m + 1) + 3) * math.pi / nu
+    s = np.full(m, math.pi / 2)
+    for _ in range(7):
+        s -= (s - np.sin(s) - r) / (1.0 - np.cos(s))
+    c = np.cos(s / 2) ** 2
+    x = np.sqrt(nu * c - (5.0 / (4.0 * (1.0 - c) ** 2) - 1.0 / (1.0 - c) - 0.25) / (3.0 * nu))
+    x = np.concatenate([np.zeros(order % 2), x])
+    for _ in range(10):
+        ratio, log_prev = _hermite_ratio(x, order)
+        # Newton step p_n / p_n' with p_n' = sqrt(2n) p_{n-1}
+        step = ratio / math.sqrt(2.0 * order)
+        x -= step
+        if np.all(np.abs(step) <= 1e-15 * x):
+            break
+    # the last step moved no node by more than round-off, so log_prev holds
+    w = np.exp(-math.log(order) - 2.0 * log_prev)
+    return np.concatenate([-x[::-1][:m], x]), np.concatenate([w[::-1][:m], w])
 
-    t, w = roots_hermite(order)
-    return t, w
 
-
-def normal_expectation(f, mean: float, var: float, order: int = 64) -> float:
-    """Gauss-Hermite quadrature of f against N(mean, var)."""
+def normal_expectation(f, mean, var: float, order: int = 64):
+    """Gauss-Hermite quadrature of f against N(mean, var); mean may be a
+    float (a float is returned) or an array (one value per mean)."""
     t, w = _hermgauss(order)
-    return float(w @ np.asarray(f(mean + math.sqrt(2.0 * var) * t), dtype=float)) / math.sqrt(math.pi)
+    mean = np.asarray(mean, dtype=float)
+    vals = np.asarray(f(mean[..., None] + math.sqrt(2.0 * var) * t), dtype=float)
+    out = vals @ w / math.sqrt(math.pi)
+    return float(out) if out.ndim == 0 else out
+
+
+def _gauss_kronrod(f, lo: float, hi: float, panels: int, tol: float = math.inf) -> float:
+    """Integral of f on [lo, hi] by the 15-point Gauss-Kronrod rule on equal
+    panels, f evaluated on all nodes at once.  With a finite tol, a panel on
+    which the Kronrod and embedded Gauss-7 values differ by more than tol is
+    bisected until none does."""
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1], edges[1:]
+    total = 0.0
+    while a.size:
+        half = (b - a) / 2.0
+        vals = f((a + half)[:, None] + half[:, None] * _KRONROD_NODES)
+        kronrod = half * (vals @ _KRONROD_WEIGHTS)
+        # a NaN difference counts as done, so a NaN payoff ends the loop
+        done = ~(np.abs(kronrod - half * (vals @ _GAUSS7_WEIGHTS)) > tol)
+        total += float(kronrod[done].sum())
+        a, b, half = a[~done], b[~done], half[~done]
+        a, b = np.concatenate([a, a + half]), np.concatenate([a + half, b])
+    return total
 
 
 def _kernel_mean(theta: float, x, mean_mode: MeanMode):
@@ -96,26 +187,28 @@ def _kernel_mean(theta: float, x, mean_mode: MeanMode):
 def ou_semigroup(
     theta: float,
     payoff: TestFunction,
-    x: float,
+    x,
     mean_mode: MeanMode = MeanMode.OU_CONSISTENT,
     tol: float = 1e-10,
-) -> float:
+):
     """Time-1 OU semigroup value by Gauss-Hermite quadrature against the
-    normal law with variance 1 - e^{-2 theta}; the order is doubled until
-    the result moves by less than tol."""
+    normal law with variance 1 - e^{-2 theta}; at each point the order is
+    doubled until the value there moves by less than tol.  x may be a float
+    (a float is returned) or an array (an array of its shape is returned)."""
     if not THETA_LO <= theta <= THETA_HI:
         raise ValueError(f"theta={theta} outside [{THETA_LO}, {THETA_HI}]")
     var = 1.0 - math.exp(-2.0 * theta)
-    mean = _kernel_mean(theta, x, mean_mode)
+    mean = _kernel_mean(theta, np.asarray(x, dtype=float), mean_mode).ravel()
     order = 64
     val = normal_expectation(payoff, mean, var, order)
-    while order < 1024:
+    live = np.arange(mean.size)
+    while order < 1024 and live.size:
         order *= 2
-        nxt = normal_expectation(payoff, mean, var, order)
-        if abs(nxt - val) < tol:
-            return nxt
-        val = nxt
-    return val
+        nxt = normal_expectation(payoff, mean[live], var, order)
+        moved = ~(np.abs(nxt - val[live]) < tol)
+        val[live] = nxt
+        live = live[moved]
+    return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
 
 
 def ou_kernel(theta: float, x, z, mean_mode: MeanMode = MeanMode.OU_CONSISTENT):
@@ -167,8 +260,10 @@ def dominance_check(
     return {"violations": violations, "worst_excess": worst, "worst_at": worst_at}
 
 
-def _pbar_pointwise(payoff, x, family: OuFamily):
-    return max(ou_semigroup(th, payoff, x, family.mean_mode) for th in family.thetas)
+def _pbar(payoff, x, family: OuFamily):
+    """max over the family of P_theta f at x (a float or an array)."""
+    vals = [ou_semigroup(th, payoff, x, family.mean_mode) for th in family.thetas]
+    return np.max(vals, axis=0)
 
 
 def quasi_invariance_check(
@@ -182,9 +277,7 @@ def quasi_invariance_check(
         raise ValueError("quasi-invariance check requires a nonnegative payoff")
     family = family or OuFamily()
     t, w = _hermgauss(outer_order)
-    xs = math.sqrt(2.0) * t
-    pbar_vals = np.array([_pbar_pointwise(payoff, float(x), family) for x in xs])
-    lhs = float(w @ pbar_vals) / math.sqrt(math.pi)
+    lhs = float(w @ _pbar(payoff, math.sqrt(2.0) * t, family)) / math.sqrt(math.pi)
     rhs = 2.0 * normal_expectation(payoff, 0.0, 1.0, outer_order)
     return lhs - rhs
 
@@ -193,25 +286,19 @@ def member_invariance_gap(theta: float, payoff: TestFunction) -> float:
     """E0[P_theta f] - E0[f] in the OU-consistent mode; N(0,1) is stationary
     for each member, so the gap is quadrature error only.
 
-    Adaptive quadrature is used on both sides so that non-smooth catalog
-    payoffs do not leak fixed-order quadrature error into the gap.
+    Both sides are integrals on [-10, 10].  P_theta f is smooth, so its side
+    takes a fixed rule: an adaptive one would chase the ~1e-10 noise of the
+    order doubling in ou_semigroup.  f may have kinks, so its side bisects
+    panels until the Kronrod error estimate is below 1e-13.
     """
-    from scipy.integrate import IntegrationWarning, quad
-
-    def lhs_integrand(x):
-        return ou_semigroup(theta, payoff, x, MeanMode.OU_CONSISTENT) * float(
-            _standard_normal_pdf(x)
-        )
-
-    def rhs_integrand(x):
-        return float(payoff(x)) * float(_standard_normal_pdf(x))
-
     lim = TRUNCATION_RADIUS + 2.0
-    with warnings.catch_warnings():
-        # near machine precision quadpack flags round-off; best effort is fine
-        warnings.simplefilter("ignore", IntegrationWarning)
-        lhs, _ = quad(lhs_integrand, -lim, lim, epsabs=1e-11, epsrel=1e-11, limit=200)
-        rhs, _ = quad(rhs_integrand, -lim, lim, epsabs=1e-11, epsrel=1e-11, limit=200)
+    lhs = _gauss_kronrod(
+        lambda x: ou_semigroup(theta, payoff, x) * _standard_normal_pdf(x),
+        -lim, lim, MEMBER_PANELS,
+    )
+    rhs = _gauss_kronrod(
+        lambda x: payoff(x) * _standard_normal_pdf(x), -lim, lim, MEMBER_PANELS, tol=1e-13
+    )
     return lhs - rhs
 
 
@@ -267,7 +354,7 @@ def sup_kernel_definition_margin(
             zs,
         )
     )
-    return rhs - _pbar_pointwise(payoff, x, family)
+    return rhs - float(_pbar(payoff, x, family))
 
 
 @dataclass(frozen=True)
@@ -368,6 +455,8 @@ class KernelReport:
 
 def run_kernel_suite(alpha: float = 2.0) -> KernelReport:
     """Run every kernel-level check on the shipped payoff catalog."""
+    if alpha <= 1:
+        raise ValueError("alpha must exceed 1")
     payoffs = catalog()
     family = OuFamily()
     quasi = {pid: quasi_invariance_check(f, family) for pid, f in payoffs.items()}

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -130,6 +131,24 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "above the budget of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1", "0.5", "-2"])
+    def test_kernels_alpha_at_most_one_exit_2_before_quadrature(
+        self, monkeypatch, capsys, alpha
+    ):
+        # every invariance gap used to be computed before the lower-bound
+        # check raised
+        from gexp import kernels
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature ran before the alpha check")
+
+        monkeypatch.setattr(kernels, "normal_expectation", no_quadrature)
+        monkeypatch.setattr(kernels, "_gauss_kronrod", no_quadrature)
+        code, out = run_cli(["kernels", f"--alpha={alpha}"])
+        assert code == 2
+        assert out == ""
+        assert "gexp: alpha must exceed 1" in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, capsys):
         with pytest.warns(RuntimeWarning):
@@ -487,10 +506,9 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0.1.0"
 
-    def test_only_kernels_load_scipy(self):
-        """scipy serves only the kernel quadratures: importing gexp and running
-        the numpy-only commands leaves it unloaded, and the kernel suite then
-        imports it on first use."""
+    def test_no_command_loads_scipy(self):
+        """gexp runs on numpy alone: importing it, running every command and
+        the kernel suite leaves no scipy module loaded."""
         script = """
 import contextlib, io, sys
 import gexp, gexp.cli
@@ -501,10 +519,15 @@ def scipy_modules():
 assert not scipy_modules(), scipy_modules()[:3]
 for argv in (
     ["gheat", "--band", "0.5,1", "--payoff", "sigmoid", "--T", "1"],
-    ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sigmoid",
-     "--p", "2", "--T", "1", "--x", "0", "--y", "0.7"],
     ["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou",
      "--kind", "qv", "--x", "1", "--T", "1", "--method", "pde"],
+    ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sigmoid",
+     "--p", "2", "--T", "1", "--x", "0", "--y", "0.7"],
+    ["shift-harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "bump",
+     "--p", "2", "--T", "1", "--x", "0", "--v", "0.5"],
+    ["coupling", "--band", "0.5,1", "--x", "0", "--y", "1", "--npaths", "100",
+     "--nsteps", "16"],
+    ["kernels"],
     ["axioms", "--band", "0.5,1", "--drift", "ou"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -513,7 +536,7 @@ for argv in (
     assert not scipy_modules(), (argv[0], scipy_modules()[:3])
 rep = gexp.run_kernel_suite()
 assert rep.ex38.sum_dominance_violations == 0
-assert "scipy.integrate" in sys.modules and "scipy.special" in sys.modules
+assert not scipy_modules(), scipy_modules()[:3]
 """
         src = Path(gexp.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -521,3 +544,15 @@ assert "scipy.integrate" in sys.modules and "scipy.special" in sys.modules
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_package_never_imports_scipy(self):
+        root = Path(gexp.__file__).resolve().parent
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert all(n.split(".")[0] != "scipy" for n in names), (path.name, node.lineno)

@@ -304,11 +304,13 @@ class TestPbarPde:
             require_safe(-9.5, Grid1D(), band_classical, 1.0)
 
     def test_truncation_check_passes_for_interior_point(self, band_classical):
+        # doubling the default domain [-10, 10] moves an interior value by
+        # less than 1e-6
         spec = make_drift("zero")
-        val = pbar_pde(
-            spec, catalog()["sigmoid"], 0.0, 1.0, band_classical,
-            check_truncation=True,
-        )
+        f = catalog()["sigmoid"]
+        val = pbar_pde(spec, f, 0.0, 1.0, band_classical)
+        wide = pbar_pde(spec, f, 0.0, 1.0, band_classical, Grid1D(-20.0, 20.0, 801))
+        assert abs(val - wide) <= 1e-6
         assert 0.4 < val < 0.6
 
     def test_subadditive_and_homogeneous(self, grid, band_wide, ou_spec):

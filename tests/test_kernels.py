@@ -20,6 +20,7 @@ from gexp import (
     sup_kernel_definition_margin,
     sup_kernel_ex34,
 )
+from gexp.kernels import _hermgauss
 
 
 class TestQuadrature:
@@ -44,6 +45,62 @@ class TestQuadrature:
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
             ou_semigroup(0.2, catalog()["one"], 0.0)
+
+
+class TestHermiteRule:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65])
+    def test_exact_through_degree_2n_minus_1(self, n):
+        # sum w t^{2k} = Gamma(k + 1/2) for every 2k <= 2n - 1, that is
+        # k <= n - 1; the odd moments vanish
+        t, w = _hermgauss(n)
+        for k in range(n):
+            assert float(w @ t ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=1e-13), k
+            odd = float(w @ t ** (2 * k + 1))
+            assert abs(odd) <= 1e-15 * float(w @ np.abs(t) ** (2 * k + 1)), k
+
+    @pytest.mark.parametrize("order", [64, 128, 256, 512, 1024])
+    def test_orders_in_use_are_sound(self, order):
+        # numpy's companion-matrix hermgauss gives non-finite weights at
+        # 512 and 1024
+        t, w = _hermgauss(order)
+        assert t.shape == w.shape == (order,)
+        assert np.all(np.diff(t) > 0)  # Newton found each root once
+        np.testing.assert_array_equal(t, -t[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        assert float(w.sum()) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+    @pytest.mark.parametrize("order", [64, 1024])
+    def test_nodes_and_weights_match_mpmath(self, order):
+        import mpmath
+
+        t, w = _hermgauss(order)
+        last = int(np.flatnonzero(w > 1e-280)[-1])
+        with mpmath.workdps(40):
+            for i in (order // 2, 3 * order // 4, last):
+                root = mpmath.mpf(float(t[i]))
+                for _ in range(6):  # Newton on H_n, with H_n' = 2n H_{n-1}
+                    root -= mpmath.hermite(order, root) / (
+                        2 * order * mpmath.hermite(order - 1, root)
+                    )
+                weight = (
+                    2 ** (order - 1) * mpmath.factorial(order) * mpmath.sqrt(mpmath.pi)
+                    / (order**2 * mpmath.hermite(order - 1, root) ** 2)
+                )
+                assert abs(float(root) - t[i]) <= 1e-14 * max(1.0, abs(t[i])), i
+                assert float(weight) == pytest.approx(w[i], rel=1e-12), i
+
+    def test_array_ou_semigroup_matches_pointwise(self):
+        xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        for pid in ("sigmoid", "sqclip"):
+            f = catalog()[pid]
+            for mode in MeanMode:
+                vals = ou_semigroup(0.5, f, xs, mode)
+                assert vals.shape == xs.shape
+                for x, v in zip(xs.ravel(), vals.ravel()):
+                    point = ou_semigroup(0.5, f, float(x), mode)
+                    assert isinstance(point, float)
+                    assert v == pytest.approx(point, rel=0, abs=1e-14), (pid, mode, x)
 
 
 class TestSupKernel:
