@@ -22,20 +22,16 @@ from .core import (
 )
 from .coupling import (
     CouplingReport,
-    eta_merge_defect,
     eta_schedule,
     mt_moment_check,
     novikov_pathwise_bound,
     run_coupling_suite,
 )
 from .gheat import (
-    CflError,
     Grid1D,
     PdeSolution,
     g_operator,
     pbar_pde,
-    require_safe,
-    safe_window,
     solve,
     solve_batch,
 )
@@ -52,7 +48,6 @@ from .kernels import (
     Ex38Report,
     KernelReport,
     MeanMode,
-    OuFamily,
     classical_ou_harnack_exponent,
     dominance_check,
     ex38_probe,
@@ -63,7 +58,6 @@ from .kernels import (
     ou_semigroup,
     quasi_invariance_check,
     run_kernel_suite,
-    sup_kernel_definition_margin,
     sup_kernel_ex34,
 )
 from .simulate import PbarEstimate, pbar_mc
@@ -85,13 +79,10 @@ __all__ = [
     # gheat
     "Grid1D",
     "PdeSolution",
-    "CflError",
     "g_operator",
     "solve",
     "solve_batch",
     "pbar_pde",
-    "safe_window",
-    "require_safe",
     # simulate
     "PbarEstimate",
     "pbar_mc",
@@ -106,13 +97,11 @@ __all__ = [
     # coupling
     "CouplingReport",
     "eta_schedule",
-    "eta_merge_defect",
     "novikov_pathwise_bound",
     "run_coupling_suite",
     "mt_moment_check",
     # kernels
     "MeanMode",
-    "OuFamily",
     "KernelReport",
     "Ex38Report",
     "normal_expectation",
@@ -124,7 +113,6 @@ __all__ = [
     "member_invariance_gap",
     "classical_ou_harnack_exponent",
     "kernel_lower_bound_check",
-    "sup_kernel_definition_margin",
     "ex38_probe",
     "run_kernel_suite",
     # axioms

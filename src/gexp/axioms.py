@@ -26,11 +26,6 @@ MC_TOL = 1e-11
 PDE_TOL = 2e-3
 
 
-def _window_mask(grid: Grid1D, band, horizon):
-    lo, hi = safe_window(grid, band, horizon)
-    return (grid.xs >= lo) & (grid.xs <= hi)
-
-
 _SUMS = (("sigmoid", "bump"), ("cauchy", "sqclip"))
 _SCALED = ("sigmoid", "sqclip")
 _LAM = 2.5
@@ -41,14 +36,17 @@ def _check(name, violation, limit) -> dict:
             "pass": bool(violation <= limit)}
 
 
-def _pde_checks(spec, band, horizon, grid, payoffs):
-    # one stacked solve: the catalog, then the sums, then the scalings
+def _pde_checks(spec, band, horizon, payoffs):
+    # one stacked solve on the default grid: the catalog, then the sums, then
+    # the scalings
+    grid = Grid1D()
+    lo, hi = safe_window(grid, band, horizon)
+    mask = (grid.xs >= lo) & (grid.xs <= hi)
     rows = [
         *payoffs.values(),
         *(payoffs[a].plus(payoffs[b]) for a, b in _SUMS),
         *(payoffs[pid].scaled(_LAM) for pid in _SCALED),
     ]
-    mask = _window_mask(grid, band, horizon)
     sols = iter(solve_batch(rows, band, horizon, grid, spec))
     val = {pid: next(sols).values[mask] for pid in payoffs}
     # monotonicity: the sub-unit catalog members are dominated by the constant 1
@@ -91,7 +89,6 @@ def run_axioms(
     spec: GsdeSpec,
     band: VolatilityBand,
     horizon: float = 1.0,
-    grid: Grid1D | None = None,
     mc: McConfig | None = None,
     workers: int | None = None,
 ) -> dict:
@@ -100,11 +97,10 @@ def run_axioms(
     The Monte Carlo checks evaluate every payoff on one scenario-max sweep,
     whose path blocks run on `workers` threads (default os.cpu_count()); the
     result is the same for every worker count."""
-    grid = grid or Grid1D()
     mc = mc or McConfig(n_paths=4000, n_steps=128)
     payoffs = catalog()
     checks = [
-        *_pde_checks(spec, band, horizon, grid, payoffs),
+        *_pde_checks(spec, band, horizon, payoffs),
         *_mc_checks(spec, band, horizon, payoffs, mc, workers),
     ]
     return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}

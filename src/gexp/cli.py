@@ -2,8 +2,8 @@
 
 Subcommands: gheat, pbar, harnack, shift-harnack, coupling, kernels, axioms.
 Reports embed the fully resolved configuration plus the artifact version, so
-two runs with the same configuration and --sequential produce byte-identical
-output.  The worker count is left out of the report: it changes no result.
+two runs with the same configuration produce byte-identical output.  The
+worker count is left out of the report: it changes no result.
 Exit codes: 0 all checks pass, 1 at least one check failed (the report is
 still written), 2 usage or configuration error (a PDE march above the
 step budget included), 3 numerical failure (a non-finite state; no report
@@ -53,14 +53,32 @@ def _band(text: str) -> VolatilityBand:
         raise argparse.ArgumentTypeError(f"bad band {text!r}: {exc}")
 
 
+def _int_from(lo: int):
+    """argparse type: an integer of at least lo."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+
+    return parse
+
+
+_seed = _int_from(0)
+
+
 def _env_seed() -> int:
     text = os.environ.get("GEXP_SEED")
     if text is None:
         return DEFAULT_SEED
     try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"GEXP_SEED must be an integer, got {text!r}") from None
+        return _seed(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"GEXP_SEED: {exc}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -73,25 +91,13 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _worker_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
-
-
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--config", default=None, help="key = value configuration file")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_seed, default=None,
                      help="RNG seed (default GEXP_SEED or %d)" % DEFAULT_SEED)
-    sub.add_argument("--sequential", action="store_true",
-                     help="run one worker thread, as --workers 1 does")
-    sub.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
+    sub.add_argument("--workers", type=_int_from(1), default=os.cpu_count() or 1,
                      help="worker pool size for independent sweeps")
 
 
@@ -195,18 +201,11 @@ def _load_config(path: str) -> dict:
 
 def _config_tokens(path: str) -> list[str]:
     """The file's `key = value` lines as `--key=value` flags, which the parser
-    then checks like any other; `sequential` becomes the bare flag or none."""
-    tokens = []
-    for key, val in _load_config(path).items():
-        if key == "config":
-            raise ValueError(f"unknown configuration key {key!r}")
-        if key != "sequential":
-            tokens.append(f"--{key}={val}")
-        elif val.lower() in ("true", "1", "yes"):
-            tokens.append("--sequential")
-        elif val.lower() not in ("false", "0", "no"):
-            raise ValueError(f"sequential = {val!r}: use true/false, yes/no or 1/0")
-    return tokens
+    then checks like any other."""
+    values = _load_config(path)
+    if "config" in values:
+        raise ValueError("unknown configuration key 'config'")
+    return [f"--{key}={val}" for key, val in values.items()]
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -238,10 +237,6 @@ def _emit(report: dict, args: argparse.Namespace, csv_rows=None, csv_header=None
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _workers(args) -> int:
-    return 1 if args.sequential else args.workers
 
 
 def _spec(drift_id: str, kind: Kind, k_override=None):
@@ -279,7 +274,7 @@ def _cmd_pbar(args) -> int:
     if args.method in ("mc", "both"):
         scenarios = make_scenario_lattice(args.band, args.T, args.pieces, args.levels)
         mc = McConfig(args.npaths, args.nsteps, args.seed)
-        est = pbar_mc(spec, payoff, args.x, args.T, scenarios, mc, _workers(args))
+        est = pbar_mc(spec, payoff, args.x, args.T, scenarios, mc, args.workers)
         report["mc"] = est.to_dict()
         rows += [["mc_value", est.value], ["mc_argmax_std_error", est.argmax_std_error]]
     if args.method == "both":
@@ -299,7 +294,7 @@ def _cmd_certificate(verify, kind, y_or_shift, args) -> int:
     spec = _spec(args.drift, kind, args.K)
     cert = verify(
         spec, catalog()[args.payoff], args.x, y_or_shift, args.p, args.T, args.band,
-        method=args.method, mc=McConfig(seed=args.seed), workers=_workers(args),
+        method=args.method, mc=McConfig(seed=args.seed), workers=args.workers,
     )
     report = {"config": _resolved_config(args), "certificate": cert.to_dict()}
     d = cert.to_dict()
@@ -315,7 +310,7 @@ def _cmd_coupling(args) -> int:
 
     raw = run_coupling_suite(
         spec, args.x, args.y, args.T, scenarios, mc, args.p, payoff,
-        workers=_workers(args),
+        workers=args.workers,
     )
 
     reports = []
@@ -344,6 +339,7 @@ def _cmd_kernels(args) -> int:
         and all(g <= 1e-6 for g in rep.quasi_invariance_gaps.values())
         and all(abs(g) <= 1e-6 for g in rep.member_invariance_gaps.values())
         and all(m >= 0.0 for m in rep.lower_bound_margins.values())
+        and all(m >= -1e-9 for m in rep.sup_kernel_margins.values())
         and rep.ex38.sum_dominance_violations == 0
     )
     report = {"config": _resolved_config(args), "report": rep.to_dict(), "all_pass": ok}
@@ -358,7 +354,7 @@ def _cmd_kernels(args) -> int:
 def _cmd_axioms(args) -> int:
     spec = _spec(args.drift, Kind.QV_DRIVEN)
     result = run_axioms(
-        spec, args.band, args.T, mc=McConfig(seed=args.seed), workers=_workers(args)
+        spec, args.band, args.T, mc=McConfig(seed=args.seed), workers=args.workers
     )
     report = {"config": _resolved_config(args), **result}
     rows = [[c["check"], c["violation"], c["limit"], c["pass"]] for c in result["checks"]]

@@ -180,7 +180,6 @@ class GsdeSpec:
     drift: Callable[[np.ndarray], np.ndarray]
     lipschitz_k: float
     kind: Kind
-    name: str = "drift"
 
     def __post_init__(self):
         if self.lipschitz_k < 0:
@@ -296,6 +295,8 @@ class McConfig:
             raise ValueError("n_paths must be positive")
         if self.n_steps < 1 or (self.n_steps & (self.n_steps - 1)) != 0:
             raise ValueError("n_steps must be a positive power of two")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def make_drift(drift_id: str) -> GsdeSpec:
@@ -306,19 +307,15 @@ def make_drift(drift_id: str) -> GsdeSpec:
     parameter c or K must be a finite float.
     """
     if drift_id == "zero":
-        return GsdeSpec(lambda x: np.zeros_like(x), 0.0, Kind.QV_DRIVEN, "zero")
+        return GsdeSpec(lambda x: np.zeros_like(x), 0.0, Kind.QV_DRIVEN)
     if drift_id == "ou":
-        return GsdeSpec(lambda x: -x, 1.0, Kind.QV_DRIVEN, "ou")
+        return GsdeSpec(lambda x: -x, 1.0, Kind.QV_DRIVEN)
     name, sep, text = drift_id.partition(":")
     if sep and name in ("const", "tanh"):
         a = float(text)
         if not math.isfinite(a):
             raise ValueError(f"drift {drift_id!r} needs a finite parameter")
         if name == "const":
-            return GsdeSpec(
-                lambda x, c=a: np.full_like(x, c), 0.0, Kind.QV_DRIVEN, drift_id
-            )
-        return GsdeSpec(
-            lambda x, k=a: -k * np.tanh(x), a, Kind.QV_DRIVEN, drift_id
-        )
+            return GsdeSpec(lambda x, c=a: np.full_like(x, c), 0.0, Kind.QV_DRIVEN)
+        return GsdeSpec(lambda x, k=a: -k * np.tanh(x), a, Kind.QV_DRIVEN)
     raise ValueError(f"unknown drift id {drift_id!r}")

@@ -343,11 +343,11 @@ def run_coupling_suite(
     return reports
 
 
-def mt_moment_check(report: CouplingReport, n_sigma: float = 3.0) -> tuple[bool, dict]:
+def mt_moment_check(report: CouplingReport) -> tuple[bool, dict]:
     """Sample mean of M_T^{p/(p-1)} against the closed-form ceiling, allowing
-    n_sigma relative standard errors of slack."""
+    3 relative standard errors of slack."""
     rel_se = report.mt_moment_std_error / max(report.mt_moment, 1e-300)
-    limit = report.mt_moment_bound * (1.0 + n_sigma * rel_se)
+    limit = report.mt_moment_bound * (1.0 + 3.0 * rel_se)
     return report.mt_moment <= limit, {
         "mt_moment": report.mt_moment,
         "mt_moment_bound": report.mt_moment_bound,

@@ -44,18 +44,14 @@ import numpy as np
 from .core import GsdeSpec, Kind, TestFunction, VolatilityBand
 
 __all__ = [
-    "Grid1D", "PdeSolution", "CflError", "g_operator", "solve", "solve_batch", "pbar_pde",
+    "Grid1D", "PdeSolution", "g_operator", "solve", "solve_batch", "pbar_pde",
 ]
 
 
-# fraction of the stability bound taken as the automatic time step
+# fraction of the stability bound taken as the time step
 CFL_SAFETY = 0.9
 # most Heun steps solve_batch marches; a longer march is a ValueError
 MAX_STEPS = 10**6
-
-
-class CflError(ValueError):
-    """Fixed time step violates the stability bound."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,6 @@ class Grid1D:
     x_min: float = -10.0
     x_max: float = 10.0
     nx: int = 401
-    dt: float | None = None  # None selects the automatic CFL step
 
     def __post_init__(self):
         if self.nx < 3:
@@ -72,8 +67,6 @@ class Grid1D:
             raise ValueError("x_min and x_max must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
     @property
     def dx(self) -> float:
@@ -167,12 +160,7 @@ def solve_batch(
     b = None if spec is None else spec.b(xs)
     bmax = 0.0 if b is None else float(np.max(np.abs(b)))
     dt_max = _stable_dt(grid, band, bmax, kind)
-    if grid.dt is None:
-        n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * dt_max)))
-    else:
-        if grid.dt > dt_max:
-            raise CflError(f"dt={grid.dt} exceeds the stability bound {dt_max}")
-        n_steps = max(1, math.ceil(horizon / grid.dt))
+    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * dt_max)))
     if n_steps > MAX_STEPS:
         raise ValueError(
             f"the march needs {n_steps} steps, above the budget of {MAX_STEPS}"

@@ -34,7 +34,7 @@ __all__ = [
     "shift_harnack_grid",
 ]
 
-PDE_BUDGET = 2e-3  # default relative tolerance for PDE-backend certificates
+PDE_BUDGET = 2e-3  # relative tolerance of every PDE-backend certificate
 
 
 def harnack_exponent(
@@ -183,7 +183,6 @@ def verify_harnack(
     p: float,
     horizon: float,
     band: VolatilityBand,
-    grid: Grid1D | None = None,
     method: str = "pde",
     mc: McConfig | None = None,
     workers: int | None = None,
@@ -199,7 +198,7 @@ def verify_harnack(
     # the exponent first: it checks p, K and the horizon before any solve
     expo = harnack_exponent(p, spec.lipschitz_k, band, horizon, abs(x - y))
     if method == "pde":
-        return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y], grid, PDE_BUDGET)[0]
+        return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y])[0]
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     args = (horizon, band, mc or McConfig(), workers)
@@ -216,7 +215,6 @@ def verify_shift_harnack(
     p: float,
     horizon: float,
     band: VolatilityBand,
-    grid: Grid1D | None = None,
     method: str = "pde",
     mc: McConfig | None = None,
     workers: int | None = None,
@@ -232,7 +230,7 @@ def verify_shift_harnack(
     # the exponent first: it checks p, K, sigma_lo and the horizon before any solve
     expo = shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, horizon, v)
     if method == "pde":
-        return _shift_certs(spec, [payoff], [p], band, horizon, x, [v], grid, PDE_BUDGET)[0]
+        return _shift_certs(spec, [payoff], [p], band, horizon, x, [v])[0]
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     payoffs = [payoff, payoff.power(p).shifted(v)]
@@ -242,10 +240,10 @@ def verify_shift_harnack(
     )
 
 
-def _harnack_certs(spec, payoffs, ps, band, T, x0, ys, grid, budget):
+def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
     """Certificates of every payoff, p and point of `ys` at one (band, T):
     one stacked solve over f and every f^p of each payoff."""
-    grid = grid or Grid1D()
+    grid = Grid1D()
     for point in (x0, *ys):  # every point a solution is read at
         require_safe(point, grid, band, T)
     rows = [g for f in payoffs for g in (f, *(f.power(p) for p in ps))]
@@ -260,16 +258,16 @@ def _harnack_certs(spec, payoffs, ps, band, T, x0, ys, grid, budget):
                 certs.append(
                     _certificate(
                         "harnack", p, T, x0, y, payoff.id, "pde",
-                        sol_f.value_at(y) ** p, base, expo, budget,
+                        sol_f.value_at(y) ** p, base, expo, PDE_BUDGET,
                     )
                 )
     return certs
 
 
-def _shift_certs(spec, payoffs, ps, band, T, x0, shifts, grid, budget):
+def _shift_certs(spec, payoffs, ps, band, T, x0, shifts):
     """Certificates of every payoff, p and shift at one (band, T): one
     stacked solve over f and every f^p(v + .) of each payoff."""
-    grid = grid or Grid1D()
+    grid = Grid1D()
     require_safe(x0, grid, band, T)
     rows = [
         g for f in payoffs for g in (f, *(f.power(p).shifted(v) for p in ps for v in shifts))
@@ -286,7 +284,7 @@ def _shift_certs(spec, payoffs, ps, band, T, x0, shifts, grid, budget):
                 certs.append(
                     _certificate(
                         "shift-harnack", p, T, x0, v, payoff.id, "pde",
-                        lhs, base, expo, budget,
+                        lhs, base, expo, PDE_BUDGET,
                     )
                 )
     return certs
@@ -300,20 +298,18 @@ def harnack_grid(
     bands: list[VolatilityBand],
     dists: np.ndarray,
     x0: float = 0.0,
-    grid: Grid1D | None = None,
-    tolerance_budget: float = PDE_BUDGET,
 ) -> list[HarnackCertificate]:
-    """PDE-backend certificate sweep: one stacked solve per (band, horizon)
-    over f and every f^p of each payoff, reused across the distance grid."""
+    """PDE-backend certificate sweep on the default Grid1D, each certificate
+    with the PDE_BUDGET relative tolerance: one stacked solve per (band,
+    horizon) over f and every f^p of each payoff, reused across the distance
+    grid."""
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
     ys = [x0 + float(d) for d in dists]
     return [
         cert
         for band in bands
         for T in horizons
-        for cert in _harnack_certs(
-            spec, payoffs, ps, band, T, x0, ys, grid, tolerance_budget
-        )
+        for cert in _harnack_certs(spec, payoffs, ps, band, T, x0, ys)
     ]
 
 
@@ -325,19 +321,16 @@ def shift_harnack_grid(
     bands: list[VolatilityBand],
     shifts: np.ndarray,
     x0: float = 0.0,
-    grid: Grid1D | None = None,
-    tolerance_budget: float = PDE_BUDGET,
 ) -> list[HarnackCertificate]:
-    """PDE-backend shift-Harnack sweep: one stacked solve per (band, horizon)
-    over f and every f^p(v + .) of each payoff; the unshifted solution is
-    shared across the shift grid."""
+    """PDE-backend shift-Harnack sweep on the default Grid1D, each
+    certificate with the PDE_BUDGET relative tolerance: one stacked solve per
+    (band, horizon) over f and every f^p(v + .) of each payoff; the unshifted
+    solution is shared across the shift grid."""
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
     shifts = [float(v) for v in shifts]
     return [
         cert
         for band in bands
         for T in horizons
-        for cert in _shift_certs(
-            spec, payoffs, ps, band, T, x0, shifts, grid, tolerance_budget
-        )
+        for cert in _shift_certs(spec, payoffs, ps, band, T, x0, shifts)
     ]

@@ -30,7 +30,6 @@ from .core import TestFunction, catalog
 
 __all__ = [
     "MeanMode",
-    "OuFamily",
     "KernelReport",
     "Ex38Report",
     "normal_expectation",
@@ -47,8 +46,19 @@ __all__ = [
 
 THETA_LO = 0.5
 THETA_HI = 1.0
+# the two-member family, and the finer theta grid on which the sup-kernel's
+# dominance and definition margins are checked
+THETAS = (THETA_LO, THETA_HI)
+THETA_GRID = tuple(np.linspace(THETA_LO, THETA_HI, 11))
 SUP_KERNEL_NORM = math.sqrt(1.0 - math.exp(-1.0))
 TRUNCATION_RADIUS = 8.0
+# trapezoid nodes on [-TRUNCATION_RADIUS, TRUNCATION_RADIUS]
+TRAPEZOID_NODES = 16001
+# ou_semigroup doubles its order at a point until the value there moves by
+# less than this
+SEMIGROUP_TOL = 1e-10
+# Gauss-Hermite order of the outer N(0, 1) integral of quasi_invariance_check
+OUTER_ORDER = 128
 # most failing points ex38_probe lists in printed_violation_rows
 EX38_MAX_ROWS = 200
 # Gauss-Kronrod panels on [-10, 10] in member_invariance_gap.  300 nodes keep
@@ -61,19 +71,6 @@ MEMBER_PANELS = 20
 class MeanMode(Enum):
     AS_PRINTED = "as_printed"      # kernel mean e^{theta} x
     OU_CONSISTENT = "ou_consistent"  # kernel mean e^{-theta} x
-
-
-@dataclass(frozen=True)
-class OuFamily:
-    """Finite or sampled set of OU volatility parameters with a mean mode."""
-
-    thetas: tuple[float, ...] = (0.5, 1.0)
-    mean_mode: MeanMode = MeanMode.OU_CONSISTENT
-
-    def __post_init__(self):
-        for th in self.thetas:
-            if not THETA_LO <= th <= THETA_HI:
-                raise ValueError(f"theta={th} outside [{THETA_LO}, {THETA_HI}]")
 
 
 # Gauss-Kronrod 15-point rule on [-1, 1] (QUADPACK qk15): the nonnegative
@@ -189,12 +186,12 @@ def ou_semigroup(
     payoff: TestFunction,
     x,
     mean_mode: MeanMode = MeanMode.OU_CONSISTENT,
-    tol: float = 1e-10,
 ):
     """Time-1 OU semigroup value by Gauss-Hermite quadrature against the
     normal law with variance 1 - e^{-2 theta}; at each point the order is
-    doubled until the value there moves by less than tol.  x may be a float
-    (a float is returned) or an array (an array of its shape is returned)."""
+    doubled until the value there moves by less than SEMIGROUP_TOL.  x may be
+    a float (a float is returned) or an array (an array of its shape is
+    returned)."""
     if not THETA_LO <= theta <= THETA_HI:
         raise ValueError(f"theta={theta} outside [{THETA_LO}, {THETA_HI}]")
     var = 1.0 - math.exp(-2.0 * theta)
@@ -205,7 +202,7 @@ def ou_semigroup(
     while order < 1024 and live.size:
         order *= 2
         nxt = normal_expectation(payoff, mean[live], var, order)
-        moved = ~(np.abs(nxt - val[live]) < tol)
+        moved = ~(np.abs(nxt - val[live]) < SEMIGROUP_TOL)
         val[live] = nxt
         live = live[moved]
     return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
@@ -230,26 +227,19 @@ def _standard_normal_pdf(z):
     return np.exp(-np.asarray(z, dtype=float) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def dominance_check(
-    thetas=None,
-    xs=None,
-    zs=None,
-    mean_mode: MeanMode = MeanMode.OU_CONSISTENT,
-    slack: float = 1e-12,
-) -> dict:
+def dominance_check(mean_mode: MeanMode = MeanMode.OU_CONSISTENT) -> dict:
     """Kernel-to-reference ratio against the explicit dominating density on
-    a grid; the inequality is exact, so the allowed slack is round-off only.
+    THETA_GRID x [-2, 2] x [-4, 4]; the inequality is exact, so the allowed
+    slack is round-off only (1e-12 relative).
     """
-    thetas = np.linspace(THETA_LO, THETA_HI, 11) if thetas is None else np.asarray(thetas)
-    xs = np.linspace(-2.0, 2.0, 9) if xs is None else np.asarray(xs)
-    zs = np.linspace(-4.0, 4.0, 17) if zs is None else np.asarray(zs)
+    zs = np.linspace(-4.0, 4.0, 17)
     worst = -np.inf
     worst_at = None
     violations = 0
-    for th in thetas:
-        for x in xs:
+    for th in THETA_GRID:
+        for x in np.linspace(-2.0, 2.0, 9):
             ratio = ou_kernel(th, x, zs, mean_mode) / _standard_normal_pdf(zs)
-            cap = sup_kernel_ex34(x, zs) * (1.0 + slack)
+            cap = sup_kernel_ex34(x, zs) * (1.0 + 1e-12)
             bad = ratio > cap
             violations += int(np.sum(bad))
             excess = ratio - sup_kernel_ex34(x, zs)
@@ -260,25 +250,19 @@ def dominance_check(
     return {"violations": violations, "worst_excess": worst, "worst_at": worst_at}
 
 
-def _pbar(payoff, x, family: OuFamily):
-    """max over the family of P_theta f at x (a float or an array)."""
-    vals = [ou_semigroup(th, payoff, x, family.mean_mode) for th in family.thetas]
-    return np.max(vals, axis=0)
+def _pbar(payoff, x, thetas):
+    """max over thetas of P_theta f at x (a float or an array)."""
+    return np.max([ou_semigroup(th, payoff, x) for th in thetas], axis=0)
 
 
-def quasi_invariance_check(
-    payoff: TestFunction,
-    family: OuFamily | None = None,
-    outer_order: int = 128,
-) -> float:
-    """Gap E0[max_theta P_theta f] - 2 E0[f] under N(0,1); required <= 0 up
-    to quadrature tolerance."""
+def quasi_invariance_check(payoff: TestFunction) -> float:
+    """Gap E0[max_theta P_theta f] - 2 E0[f] under N(0,1), the max over the
+    two-member family; required <= 0 up to quadrature tolerance."""
     if not payoff.positivity:
         raise ValueError("quasi-invariance check requires a nonnegative payoff")
-    family = family or OuFamily()
-    t, w = _hermgauss(outer_order)
-    lhs = float(w @ _pbar(payoff, math.sqrt(2.0) * t, family)) / math.sqrt(math.pi)
-    rhs = 2.0 * normal_expectation(payoff, 0.0, 1.0, outer_order)
+    t, w = _hermgauss(OUTER_ORDER)
+    lhs = float(w @ _pbar(payoff, math.sqrt(2.0) * t, THETAS)) / math.sqrt(math.pi)
+    rhs = 2.0 * normal_expectation(payoff, 0.0, 1.0, OUTER_ORDER)
     return lhs - rhs
 
 
@@ -311,50 +295,35 @@ def classical_ou_harnack_exponent(alpha: float, theta: float, dist: float) -> fl
     return alpha * e2 * dist**2 / (2.0 * (alpha - 1.0) * (1.0 - e2))
 
 
-def kernel_lower_bound_check(
-    x: float,
-    y: float,
-    alpha: float,
-    family: OuFamily | None = None,
-    trunc: float = TRUNCATION_RADIUS,
-    n: int = 16001,
-) -> float:
+def kernel_lower_bound_check(x: float, y: float, alpha: float) -> float:
     """Margin E0[p(x,.) p(y,.)] - e^{-Psi(x,y)} with the explicit sup-kernel.
 
     The exact expectation diverges (the integrand grows like e^{z^2/2}), so
-    the left side is a truncated integral on [-trunc, trunc]; Psi is the
-    classical OU Harnack exponent maximized over the family.
+    the left side is a trapezoid integral on [-TRUNCATION_RADIUS,
+    TRUNCATION_RADIUS]; Psi is the classical OU Harnack exponent maximized
+    over the two-member family.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    family = family or OuFamily()
-    zs = np.linspace(-trunc, trunc, n)
+    zs = np.linspace(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, TRAPEZOID_NODES)
     integrand = sup_kernel_ex34(x, zs) * sup_kernel_ex34(y, zs) * _standard_normal_pdf(zs)
     lhs = float(np.trapezoid(integrand, zs))
-    psi = max(
-        classical_ou_harnack_exponent(alpha, th, abs(x - y)) for th in family.thetas
-    )
+    psi = max(classical_ou_harnack_exponent(alpha, th, abs(x - y)) for th in THETAS)
     return lhs - math.exp(-psi)
 
 
-def sup_kernel_definition_margin(
-    payoff: TestFunction,
-    x: float,
-    family: OuFamily | None = None,
-    trunc: float = TRUNCATION_RADIUS,
-    n: int = 16001,
-) -> float:
-    """Margin E0[p(x,.) f] - max_theta P_theta f(x) (truncated outer
-    integral); nonnegative margins realize the sup-kernel property."""
-    family = family or OuFamily(thetas=tuple(np.linspace(THETA_LO, THETA_HI, 11)))
-    zs = np.linspace(-trunc, trunc, n)
+def sup_kernel_definition_margin(payoff: TestFunction, x: float) -> float:
+    """Margin E0[p(x,.) f] - max_theta P_theta f(x), the max over THETA_GRID
+    and the outer integral truncated like kernel_lower_bound_check's;
+    nonnegative margins realize the sup-kernel property."""
+    zs = np.linspace(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, TRAPEZOID_NODES)
     rhs = float(
         np.trapezoid(
             sup_kernel_ex34(x, zs) * np.asarray(payoff(zs)) * _standard_normal_pdf(zs),
             zs,
         )
     )
-    return rhs - float(_pbar(payoff, x, family))
+    return rhs - float(_pbar(payoff, x, THETA_GRID))
 
 
 @dataclass(frozen=True)
@@ -458,15 +427,14 @@ def run_kernel_suite(alpha: float = 2.0) -> KernelReport:
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     payoffs = catalog()
-    family = OuFamily()
-    quasi = {pid: quasi_invariance_check(f, family) for pid, f in payoffs.items()}
+    quasi = {pid: quasi_invariance_check(f) for pid, f in payoffs.items()}
     member = {
         f"{pid}@theta={th:g}": member_invariance_gap(th, f)
         for pid, f in payoffs.items()
-        for th in family.thetas
+        for th in THETAS
     }
     lower = {
-        f"x={x:g},y={y:g}": kernel_lower_bound_check(x, y, alpha, family)
+        f"x={x:g},y={y:g}": kernel_lower_bound_check(x, y, alpha)
         for x in (-1.0, 0.0, 1.0)
         for y in (-1.0, 0.0, 1.0)
     }

@@ -150,6 +150,16 @@ class TestUsage:
         assert out == ""
         assert "gexp: alpha must exceed 1" in capsys.readouterr().err
 
+    def test_kernels_negative_sup_kernel_margin_exit_1(self, monkeypatch):
+        from gexp import kernels
+
+        monkeypatch.setattr(kernels, "sup_kernel_definition_margin", lambda f, x: -1.0)
+        code, out = run_cli(["kernels"])
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["all_pass"] is False
+        assert set(rep["report"]["sup_kernel_margins"].values()) == {-1.0}
+
     def test_numerical_failure_exit_3(self, capsys):
         with pytest.warns(RuntimeWarning):
             code, _ = run_cli(
@@ -174,7 +184,7 @@ class TestReports:
     def test_gheat_json_schema(self):
         code, out = run_cli(
             ["gheat", "--band", "1,1", "--payoff", "sigmoid", "--T", "0.25",
-             "--nx", "101", "--sequential"]
+             "--nx", "101", "--workers", "1"]
         )
         assert code == 0
         rep = json.loads(out)
@@ -204,7 +214,7 @@ class TestReports:
     def test_pbar_csv_keeps_mc_result(self, method, keys):
         args = ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
                 "--payoff", "sigmoid", "--T", "1", "--x", "0", "--npaths", "500",
-                "--nsteps", "16", "--nx", "101", "--sequential"]
+                "--nsteps", "16", "--nx", "101", "--workers", "1"]
         code, out = run_cli(args + ["--method", method, "--format", "csv"])
         assert code == 0
         lines = out.strip().splitlines()
@@ -222,7 +232,7 @@ class TestReports:
         code, out = run_cli(
             ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
              "--payoff", "sigmoid", "--T", "1", "--x", "0", "--method", "both",
-             "--npaths", "4000", "--nsteps", "64", "--sequential"]
+             "--npaths", "4000", "--nsteps", "64", "--workers", "1"]
         )
         assert code == 0
         rep = json.loads(out)
@@ -232,7 +242,7 @@ class TestReports:
     def test_harnack_certificate_pass(self):
         code, out = run_cli(
             ["harnack", "--drift", "ou", "--band", "1,1", "--p", "2", "--T", "1",
-             "--x", "0", "--y", "0.5", "--payoff", "sigmoid", "--sequential"]
+             "--x", "0", "--y", "0.5", "--payoff", "sigmoid", "--workers", "1"]
         )
         assert code == 0
         rep = json.loads(out)
@@ -242,7 +252,7 @@ class TestReports:
         code, out = run_cli(
             ["shift-harnack", "--drift", "ou", "--band", "0.5,1", "--p", "2",
              "--T", "1", "--x", "0", "--v", "0.5", "--payoff", "bump",
-             "--sequential"]
+             "--workers", "1"]
         )
         assert code == 0
         assert json.loads(out)["certificate"]["pass"] is True
@@ -251,7 +261,7 @@ class TestReports:
         code, out = run_cli(
             ["coupling", "--band", "1,1", "--x", "1", "--y", "0", "--T", "1",
              "--npaths", "500", "--nsteps", "512", "--pieces", "1",
-             "--levels", "2", "--sequential"]
+             "--levels", "2", "--workers", "1"]
         )
         assert code == 0
         rep = json.loads(out)
@@ -259,7 +269,7 @@ class TestReports:
         assert len(rep["reports"]) == 1
 
     def test_axioms_pass(self):
-        code, out = run_cli(["axioms", "--band", "0.5,1", "--sequential"])
+        code, out = run_cli(["axioms", "--band", "0.5,1", "--workers", "1"])
         assert code == 0
         assert json.loads(out)["all_pass"] is True
 
@@ -274,7 +284,7 @@ class TestConfigFile:
         cfg.write_text("# comment\nnx = 51\nT = 0.25\npayoff = one\n")
         code, out = run_cli(
             ["gheat", "--band", "1,1", "--payoff", "sigmoid", "--T", "0.25",
-             "--config", str(cfg), "--sequential"]
+             "--config", str(cfg), "--workers", "1"]
         )
         assert code == 0
         rep = json.loads(out)
@@ -308,7 +318,7 @@ class TestConfigFile:
     def test_required_options_from_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("band = 0.5,1\npayoff = one\nT = 0.25\nnx = 51\n")
-        code, out = run_cli(["gheat", "--config", str(cfg), "--sequential"])
+        code, out = run_cli(["gheat", "--config", str(cfg), "--workers", "1"])
         assert code == 0
         rep = json.loads(out)
         assert rep["config"]["band"] == [0.5, 1.0]
@@ -337,21 +347,24 @@ class TestConfigFile:
         assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "value, code, sequential",
-        [("ture", 2, None), ("no", 0, False), ("TRUE", 0, True), ("0", 0, False)],
+        "line, message",
+        [(None, "unrecognized arguments: --sequential"),
+         ("sequential = true", "unknown configuration key 'sequential'")],
+        ids=["flag", "config"],
     )
-    def test_sequential_spellings(self, tmp_path, value, code, sequential):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"sequential = {value}\n")
-        got, out = run_cli(
+    def test_sequential_exit_2(self, tmp_path, capsys, line, message):
+        flags = ["--sequential"]
+        if line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line + "\n")
+            flags = ["--config", str(cfg)]
+        code, out = run_cli(
             ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25", "--nx", "11",
-             "--config", str(cfg)]
+             *flags]
         )
-        assert got == code
-        if code == 0:
-            assert json.loads(out)["config"]["sequential"] is sequential
-        else:
-            assert out == ""
+        assert code == 2
+        assert out == ""
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, line",
@@ -384,10 +397,32 @@ class TestSeedResolution:
         code, out = run_cli(
             ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
              "--payoff", "one", "--T", "0.5", "--x", "0", "--method", "mc",
-             "--npaths", "100", "--nsteps", "16", "--sequential"]
+             "--npaths", "100", "--nsteps", "16", "--workers", "1"]
         )
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 777
+
+    @pytest.mark.parametrize("command", [_GHEAT, _PBAR], ids=["gheat", "pbar"])
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys, command, source):
+        # the seed is checked when it is parsed, before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a PDE solve ran before the seed check")
+
+        monkeypatch.setattr(gexp.cli, "solve", no_solve)
+        monkeypatch.setattr(gexp.cli, "pbar_pde", no_solve)
+        extra, message = ["--seed", "-1"], "argument --seed: must be at least 0, got -1"
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -1\n")
+            extra = ["--config", str(cfg)]
+        elif source == "env":
+            monkeypatch.setenv("GEXP_SEED", "-5")
+            extra, message = [], "gexp: GEXP_SEED: must be at least 0, got -5"
+        code, out = run_cli(command + extra)
+        assert code == 2
+        assert out == ""
+        assert message in capsys.readouterr().err
 
     def test_bad_env_seed_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("GEXP_SEED", "abc")
@@ -403,7 +438,7 @@ class TestSeedResolution:
         code, out = run_cli(
             ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1",
              "--payoff", "one", "--T", "0.5", "--x", "0", "--method", "mc",
-             "--npaths", "100", "--nsteps", "16", "--seed", "5", "--sequential"]
+             "--npaths", "100", "--nsteps", "16", "--seed", "5", "--workers", "1"]
         )
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 5
@@ -428,8 +463,8 @@ class TestReproducibility:
     )
     def test_byte_identical_sequential_runs(self, args, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        code1, _ = run_cli(args + ["--sequential", "--out", str(out1)])
-        code2, _ = run_cli(args + ["--sequential", "--out", str(out2)])
+        code1, _ = run_cli(args + ["--workers", "1", "--out", str(out1)])
+        code2, _ = run_cli(args + ["--workers", "1", "--out", str(out2)])
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -439,12 +474,12 @@ class TestReproducibility:
         args = ["coupling", "--band", "0.5,1", "--x", "0.5", "--y", "0",
                 "--T", "1", "--npaths", str(2 * _BLOCK_PATHS + 123), "--nsteps", "32",
                 "--pieces", "2", "--levels", "2"]
-        code1, out1 = run_cli(args + ["--sequential"])
+        code1, out1 = run_cli(args + ["--workers", "1"])
         code2, out2 = run_cli(args + ["--workers", "2"])
         assert code1 == code2
         assert len(json.loads(out1)["reports"]) == 4
-        # the whole report, config block included, except the flag itself
-        assert out2 == out1.replace('"sequential": true', '"sequential": false')
+        # the whole report, config block included
+        assert out2 == out1
 
     @pytest.mark.parametrize(
         "args",
@@ -457,15 +492,15 @@ class TestReproducibility:
         ids=["pbar", "axioms"],
     )
     def test_mc_reports_independent_of_workers(self, args):
-        code1, out1 = run_cli(args + ["--sequential"])
+        code1, out1 = run_cli(args + ["--workers", "1"])
         code2, out2 = run_cli(args + ["--workers", "2"])
         assert code1 == code2 == 0
-        # the whole report, config block included, except the flag itself
-        assert out2 == out1.replace('"sequential": true', '"sequential": false')
+        # the whole report, config block included
+        assert out2 == out1
 
     def test_out_file_matches_stdout(self, tmp_path):
         args = ["gheat", "--band", "1,1", "--payoff", "one", "--T", "0.25",
-                "--nx", "11", "--sequential"]
+                "--nx", "11", "--workers", "1"]
         _, stdout = run_cli(args)
         out = tmp_path / "r.json"
         run_cli(args + ["--out", str(out)])
@@ -531,7 +566,7 @@ for argv in (
     ["axioms", "--band", "0.5,1", "--drift", "ou"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = gexp.cli.main(argv + ["--sequential"])
+        code = gexp.cli.main(argv + ["--workers", "1"])
     assert code == 0, (argv, code)
     assert not scipy_modules(), (argv[0], scipy_modules()[:3])
 rep = gexp.run_kernel_suite()

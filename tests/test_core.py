@@ -180,3 +180,8 @@ class TestMcConfig:
     def test_positive_paths(self):
         with pytest.raises(ValueError):
             McConfig(0, 256, 1)
+
+    def test_nonnegative_seed(self):
+        McConfig(100, 256, 0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            McConfig(100, 256, -1)

@@ -9,7 +9,6 @@ from gexp import (
     Scenario,
     VolatilityBand,
     catalog,
-    eta_merge_defect,
     eta_schedule,
     make_drift,
     make_scenario_lattice,
@@ -18,6 +17,7 @@ from gexp import (
     run_coupling_suite,
 )
 from gexp import coupling, simulate
+from gexp.coupling import eta_merge_defect
 from gexp.core import GsdeSpec, Kind
 from gexp.simulate import _BLOCK_PATHS
 
@@ -91,7 +91,7 @@ class TestRunCoupling:
     def test_small_k_limit_driftless_gap_closes(self):
         # b == 0 declared with a tiny Lipschitz constant: eta ~ d/T and the
         # gap ODE integrates to zero by the horizon
-        spec = GsdeSpec(lambda x: np.zeros_like(x), 1e-6, Kind.QV_DRIVEN, "zero-eps")
+        spec = GsdeSpec(lambda x: np.zeros_like(x), 1e-6, Kind.QV_DRIVEN)
         rep = run_coupling(
             spec, 1.0, 0.0, 1.0, unit_scenario(), McConfig(64, 4096, 5), 2.0,
             catalog()["sigmoid"],
@@ -178,7 +178,7 @@ class TestSuite:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_state_reported_for_every_worker_count(self, band_wide):
         # an unstable drift overflows before the first check (step 255)
-        spec = GsdeSpec(lambda x: 20000.0 * x, 20000.0, Kind.QV_DRIVEN, "unstable")
+        spec = GsdeSpec(lambda x: 20000.0 * x, 20000.0, Kind.QV_DRIVEN)
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
         mc = McConfig(2 * _BLOCK_PATHS, 1024, 9)
         for workers in (1, 2):
@@ -195,7 +195,7 @@ class TestSuite:
         scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
         reports = [
             run_coupling_suite(
-                GsdeSpec(b, 1.0, Kind.QV_DRIVEN, "linear"), 1.0, 0.0, 1.0, scs,
+                GsdeSpec(b, 1.0, Kind.QV_DRIVEN), 1.0, 0.0, 1.0, scs,
                 McConfig(300, 32, 5), 2.0, catalog()["sigmoid"],
             )
             for b in (lambda x: x, lambda x: 1.0 * x)

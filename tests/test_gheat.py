@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexp import (
-    CflError,
     Grid1D,
     Kind,
     TestFunction,
@@ -17,12 +16,10 @@ from gexp import (
     g_operator,
     make_drift,
     pbar_pde,
-    require_safe,
-    safe_window,
     solve,
     solve_batch,
 )
-from gexp.gheat import CFL_SAFETY, _stable_dt
+from gexp.gheat import CFL_SAFETY, _stable_dt, require_safe, safe_window
 from gexp.kernels import normal_expectation
 
 from conftest import classical_params
@@ -73,10 +70,8 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"dt": -0.5}, {"dt": 0.0}, {"dt": math.nan}, {"dt": math.inf},
-         {"x_min": -math.inf}, {"x_max": math.inf}, {"x_max": math.nan}],
-        ids=["dt-negative", "dt-zero", "dt-nan", "dt-inf", "xmin-inf", "xmax-inf",
-             "xmax-nan"],
+        [{"x_min": -math.inf}, {"x_max": math.inf}, {"x_max": math.nan}],
+        ids=["xmin-inf", "xmax-inf", "xmax-nan"],
     )
     def test_unusable_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -89,20 +84,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             solve_batch([catalog()["sigmoid"]], VolatilityBand(0.5, 1.0), horizon, Grid1D())
 
-    @pytest.mark.parametrize("dt", [None, 1e-3], ids=["cfl", "fixed"])
-    def test_step_budget(self, dt):
+    def test_step_budget(self):
         # the budget is checked before a payoff is evaluated or a step taken
         calls = []
         payoff = TestFunction("spy", lambda x: calls.append(1) or np.zeros_like(x))
-        grid = Grid1D(dt=dt)
         with pytest.raises(ValueError, match=r"needs \d+ steps, above the budget"):
-            solve_batch([payoff], VolatilityBand(0.5, 1.0), 1e9, grid)
+            solve_batch([payoff], VolatilityBand(0.5, 1.0), 1e9, Grid1D())
         assert calls == []
-
-    def test_cfl_violation_with_fixed_dt(self):
-        grid = Grid1D(dt=1.0)
-        with pytest.raises(CflError):
-            solve(catalog()["sigmoid"], VolatilityBand(1.0, 1.0), 1.0, grid)
 
 
 def reference_solve(payoff, band, horizon, grid, spec=None):
@@ -201,10 +189,6 @@ class TestSolveBatch:
         rows = [catalog()["sigmoid"], nan_at_node, catalog()["bump"]]
         with pytest.raises(RuntimeError, match=re.escape("non-finite values at step 0")):
             solve_batch(rows, band_wide, 1.0, Grid1D(), ou_spec)
-
-    def test_cfl_violation_with_fixed_dt(self, band_wide):
-        with pytest.raises(CflError):
-            solve_batch(list(catalog().values()), band_wide, 1.0, Grid1D(dt=1.0))
 
 
 class TestGHeatSolve:

@@ -5,7 +5,6 @@ import pytest
 
 from gexp import (
     MeanMode,
-    OuFamily,
     catalog,
     classical_ou_harnack_exponent,
     dominance_check,
@@ -17,10 +16,9 @@ from gexp import (
     ou_semigroup,
     quasi_invariance_check,
     run_kernel_suite,
-    sup_kernel_definition_margin,
     sup_kernel_ex34,
 )
-from gexp.kernels import _hermgauss
+from gexp.kernels import _hermgauss, sup_kernel_definition_margin
 
 
 class TestQuadrature:
@@ -208,7 +206,8 @@ class TestGouStationarity:
         # worst-case value shrink and the long-run profile flattens
         import dataclasses
 
-        from gexp import Grid1D, Kind, make_drift, safe_window, solve
+        from gexp import Grid1D, Kind, make_drift, solve
+        from gexp.gheat import safe_window
 
         spec = dataclasses.replace(make_drift("ou"), kind=Kind.TIME_DRIVEN)
         grid = Grid1D(-16.0, 16.0, 641)  # keep a nonempty window at T = 4

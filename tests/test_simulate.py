@@ -184,7 +184,7 @@ class TestScenarioSweep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_state_reported_for_every_worker_count(self, band_wide):
         # an unstable drift overflows before the first check (step 255)
-        spec = GsdeSpec(lambda x: 20000.0 * x, 20000.0, Kind.QV_DRIVEN, "unstable")
+        spec = GsdeSpec(lambda x: 20000.0 * x, 20000.0, Kind.QV_DRIVEN)
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
         mc = McConfig(2 * _BLOCK_PATHS, 1024, 9)
         for workers in (1, 2):
