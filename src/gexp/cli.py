@@ -97,8 +97,8 @@ def _add_common(sub):
     sub.add_argument("--config", default=None, help="key = value configuration file")
     sub.add_argument("--seed", type=_seed, default=None,
                      help="RNG seed (default GEXP_SEED or %d)" % DEFAULT_SEED)
-    sub.add_argument("--workers", type=_int_from(1), default=os.cpu_count() or 1,
-                     help="worker pool size for independent sweeps")
+    sub.add_argument("--workers", type=_int_from(1), default=None,
+                     help="Monte Carlo stepping threads (default: the core count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,6 +346,10 @@ def _cmd_kernels(args) -> int:
     rows = (
         [["quasi_invariance:" + k, v] for k, v in rep.quasi_invariance_gaps.items()]
         + [["lower_bound:" + k, v] for k, v in rep.lower_bound_margins.items()]
+        + [["dominance:violations", rep.dominance["violations"]]]
+        + [["member_invariance:" + k, v] for k, v in rep.member_invariance_gaps.items()]
+        + [["sup_kernel:" + k, v] for k, v in rep.sup_kernel_margins.items()]
+        + [["ex38:sum_dominance_violations", rep.ex38.sum_dominance_violations]]
     )
     _emit(report, args, csv_rows=rows, csv_header=["check", "value"])
     return 0 if ok else 1

@@ -25,13 +25,12 @@ import numpy as np
 
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
-from .harnack import harnack_exponent
+from .harnack import _exp, harnack_exponent
 from .simulate import _se, _sweep_blocks
 
 __all__ = [
     "CouplingReport",
     "eta_schedule",
-    "eta_merge_defect",
     "novikov_pathwise_bound",
     "run_coupling_suite",
     "mt_moment_check",
@@ -49,14 +48,8 @@ def _mt_moment_bound(
     With q = p/(p-1) this is exp{q(q-1)/2 * N} for the Novikov envelope N;
     the Harnack exponent is (p-1) times its logarithm.
     """
-    return math.exp(harnack_exponent(p, K, band, horizon, dist) / (p - 1.0))
-
-
-def _check_coupling_args(K: float, scenario: Scenario, horizon: float) -> None:
-    if K <= 0:
-        raise ValueError("the coupling drift formula requires K > 0")
-    if abs(scenario.horizon - horizon) > 1e-12:
-        raise ValueError("scenario horizon differs from the requested horizon")
+    expo = harnack_exponent(p, K, band, horizon, dist) / (p - 1.0)
+    return _exp("moment-bound", expo)
 
 
 def eta_schedule(
@@ -74,7 +67,10 @@ def eta_schedule(
     evaluated at step midpoints.  The denominator has the exact closed form
     (1 - e^{-2K qv(T)}) / (2K) because qv is continuous and increasing.
     """
-    _check_coupling_args(K, scenario, horizon)
+    if K <= 0:
+        raise ValueError("the coupling drift formula requires K > 0")
+    if abs(scenario.horizon - horizon) > 1e-12:
+        raise ValueError("scenario horizon differs from the requested horizon")
     h = horizon / n_steps
     t_mid = (np.arange(n_steps) + 0.5) * h
     qv_mid = scenario.qv(t_mid)
@@ -106,9 +102,12 @@ def novikov_pathwise_bound(K: float, band, horizon: float, dist: float) -> float
     """Closed-form ceiling for exp{int_0^T |u|^2 d qv} along every path:
     exp{2K shi^4 (1-e^{-2 slo^2 K T}) dist^2 / (slo^6 (1-e^{-2 shi^2 K T})^2)}.
     """
+    if K <= 0:
+        raise ValueError("the coupling drift formula requires K > 0")
     a = math.exp(-2.0 * band.v_lo * K * horizon)
     b = math.exp(-2.0 * band.v_hi * K * horizon)
-    return math.exp(
+    return _exp(
+        "Novikov",
         2.0
         * K
         * band.sigma_hi**4
@@ -251,14 +250,12 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     nov_int = np.zeros((S, n))
     Xref = np.full((S, n), float(y))
     _sweep_blocks(
-        (X, gap, log_m, nov_int, Xref), (0, 1), m, seed, workers,
+        (X, gap, log_m, nov_int, Xref), m, seed, workers,
         lambda views, tmp, Z, lo, i0: _advance_block(
             spec, views, tmp, Z, lo, i0, vh, sqv, eta, merge_tol
         ),
         lambda shape: (*(np.empty(shape) for _ in range(6)), np.empty(shape, bool)),
     )
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xref))):
-        raise RuntimeError(f"non-finite state at step {m}")
     return X, X - gap, log_m, Xref, nov_int
 
 
@@ -285,7 +282,8 @@ def run_coupling_suite(
     have all merged skips the forcing update, bit-exactly.  The path blocks
     run on `workers` threads (default os.cpu_count(); fewer than 1 is a
     ValueError), each with its own scratch arrays for the whole sweep; the
-    reports are bit-identical for every worker count.
+    reports are bit-identical for every worker count.  A closed-form ceiling
+    too large for a float is a ValueError, raised before the sweep.
     """
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the coupling construction targets the qv-driven equation")
@@ -296,8 +294,13 @@ def run_coupling_suite(
     if girsanov_paths is not None and girsanov_paths < 1:
         raise ValueError("girsanov_paths must be positive")
     K = spec.lipschitz_k
-    for sc in scenarios:
-        _check_coupling_args(K, sc, horizon)
+    dist = abs(x - y)
+    # the closed-form ceilings first: one that overflows fails before the sweep
+    ceilings = [
+        (novikov_pathwise_bound(K, sc.band, horizon, dist),
+         _mt_moment_bound(p, K, sc.band, horizon, dist))
+        for sc in scenarios
+    ]
 
     n, m = mc.n_paths, mc.n_steps
     g = n if girsanov_paths is None else girsanov_paths
@@ -308,9 +311,8 @@ def run_coupling_suite(
     X, Y, log_m, nov_int = X[:, :n], Y[:, :n], log_m[:, :n], nov_int[:, :n]
 
     q = p / (p - 1.0)
-    dist = abs(x - y)
     reports = []
-    for s, sc in enumerate(scenarios):
+    for s, (sc, (nov_bound, mt_bound)) in enumerate(zip(scenarios, ceilings)):
         M = np.exp(log_m[s])
         lhs_vals = np.exp(glog_m[s]) * np.asarray(payoff(gY[s]), dtype=float)
         fRef = np.asarray(payoff(gXref[s]), dtype=float)
@@ -328,14 +330,14 @@ def run_coupling_suite(
                 seed=mc.seed,
                 coupling_gap=float(np.max(np.abs(X[s] - Y[s]))),
                 novikov_pathwise_max=float(np.exp(np.max(nov_int[s]))),
-                novikov_bound=novikov_pathwise_bound(K, sc.band, horizon, dist),
+                novikov_bound=nov_bound,
                 girsanov_identity_gap=abs(
                     float(np.mean(lhs_vals)) - float(np.mean(fRef))
                 ),
                 girsanov_std_error=math.hypot(_se(lhs_vals), _se(fRef)),
                 mt_moment=float(np.mean(mt_vals)),
                 mt_moment_std_error=_se(mt_vals),
-                mt_moment_bound=_mt_moment_bound(p, K, sc.band, horizon, dist),
+                mt_moment_bound=mt_bound,
                 m_mean=float(np.mean(M)),
                 m_std_error=_se(M),
             )

@@ -135,8 +135,16 @@ class HarnackCertificate:
         }
 
 
+def _exp(name: str, exponent: float) -> float:
+    """e^exponent; a ValueError names an exponent too large for a float."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise ValueError(f"exp of the {name} exponent {exponent:.6g} overflows") from None
+
+
 def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, method, lhs, base, expo, budget):
-    rhs = base * math.exp(expo)
+    rhs = base * _exp(kind, expo)
     return HarnackCertificate(
         kind=kind,
         p=p,

@@ -39,6 +39,7 @@ __all__ = [
     "dominance_check",
     "quasi_invariance_check",
     "member_invariance_gap",
+    "classical_ou_harnack_exponent",
     "kernel_lower_bound_check",
     "ex38_probe",
     "run_kernel_suite",
@@ -408,7 +409,6 @@ class KernelReport:
     lower_bound_margins: dict
     sup_kernel_margins: dict
     ex38: Ex38Report
-    truncation_radius: float = TRUNCATION_RADIUS
 
     def to_dict(self) -> dict:
         return {
@@ -418,7 +418,7 @@ class KernelReport:
             "lower_bound_margins": self.lower_bound_margins,
             "sup_kernel_margins": self.sup_kernel_margins,
             "ex38": self.ex38.to_dict(),
-            "truncation_radius": self.truncation_radius,
+            "truncation_radius": TRUNCATION_RADIUS,
         }
 
 

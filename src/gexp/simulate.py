@@ -14,12 +14,14 @@ constant-preserving, homogeneous and subadditive across payoffs.
 It also lets one normal vector per step drive every scenario at once.
 pbar_mc advances the (S, n) float64 state of all S scenarios together (8 S n
 bytes; a coupling sweep carries five such arrays), split into blocks of at
-most _BLOCK_PATHS paths that a pool of worker threads steps in place while
-the calling thread draws the normals in stream order.  Each worker allocates
-its scratch arrays once per sweep.  Each scenario's terminal states are
-bit-identical to stepping that scenario alone, for every worker count.
-_sweep_blocks is that block driver, shared with the coupling suite, and the
-only Euler stepping loop in the package.
+most _BLOCK_PATHS paths that a pool of one or more worker threads steps in
+place while the calling thread draws the normals in stream order.  Each
+worker allocates its scratch arrays once per sweep.  Each scenario's
+terminal states are bit-identical to stepping that scenario alone, for
+every worker count.
+_sweep_blocks is that block driver, shared with the coupling suite: the
+only Euler stepping loop in the package, and the one place that rejects a
+non-finite state.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ _STEP_BATCH = 4
 _QUEUED_BATCHES = 2
 
 
-def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
+def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
     """Advance the (S, n) arrays of `state` in place over m steps.
 
     `advance_block(views, tmp, Z, lo, i0)` advances one block's (S, b) views
@@ -59,12 +61,13 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
     The paths are split into blocks of at most _BLOCK_PATHS, a multiple of
     the worker count of them, so that the workers get even shares.  The
     calling thread draws the normals _STEP_BATCH steps at a time, in the
-    order of one draw per step.  With `workers` above 1 (None:
-    os.cpu_count(); below 1 is a ValueError), each of that many threads owns
-    its share of the blocks and advances them batch after batch from its own
-    queue, so the threads never wait for one another and the drawing
-    overlaps the stepping.  Every 256 steps the arrays `state[j]`, j
-    in `checked`, must be finite, else RuntimeError names the last step.
+    order of one draw per step, while `workers` threads (None:
+    os.cpu_count(); below 1 is a ValueError; never more than there are
+    blocks) step them.  Each thread owns its share of the blocks and
+    advances them batch after batch from its own queue, so the threads never
+    wait for one another and the drawing overlaps the stepping.  Every 256
+    steps and after the last step every array of `state` must be finite,
+    else RuntimeError names the step.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -79,43 +82,31 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
     ]
     rng = _generator(seed)
 
-    def advance(mine, tmp, Z, i0):
-        """Advance the blocks `mine` over one batch of normals; return the
-        batch's last step if it is a checked step with a non-finite state."""
-        for lo, views in mine:
-            advance_block(views, tmp, Z, lo, i0)
-        i1 = i0 + len(Z)
-        if i1 % 256 == 0 and not all(
-            np.all(np.isfinite(views[j])) for _, views in mine for j in checked
-        ):
-            return i1 - 1
-        return None
-
-    def draw(i0):
-        return rng.standard_normal((min(_STEP_BATCH, m - i0), n))
-
-    k = min(workers, len(blocks))
-    if k <= 1:
-        tmp = scratch((S, size))
-        for i0 in range(0, m, _STEP_BATCH):
-            bad = advance(blocks, tmp, draw(i0), i0)
-            if bad is not None:
-                raise RuntimeError(f"non-finite state at step {bad}")
-        return
-
     def work(q, mine):
+        """Advance the blocks `mine` over each batch of normals from q; return
+        the first exception, else the last step of the first checked batch
+        with a non-finite state, else None."""
         # after a failure the worker keeps emptying its queue, so that the
         # drawing thread never blocks on it
         failure = None
         tmp = scratch((S, size))
         while (item := q.get()) is not None:
-            if failure is None:
-                try:
-                    failure = advance(mine, tmp, *item)
-                except BaseException as exc:
-                    failure = exc
+            if failure is not None:
+                continue
+            Z, i0 = item
+            try:
+                for lo, views in mine:
+                    advance_block(views, tmp, Z, lo, i0)
+                i1 = i0 + len(Z)
+                if i1 % 256 == 0 and not all(
+                    np.all(np.isfinite(a)) for _, views in mine for a in views
+                ):
+                    failure = i1 - 1
+            except BaseException as exc:
+                failure = exc
         return failure
 
+    k = min(workers, len(blocks))
     queues = [queue.Queue(maxsize=_QUEUED_BATCHES) for _ in range(k)]
     with ThreadPoolExecutor(max_workers=k) as pool:
         futures = [
@@ -123,7 +114,7 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
         ]
         try:
             for i0 in range(0, m, _STEP_BATCH):
-                Z = draw(i0)
+                Z = rng.standard_normal((min(_STEP_BATCH, m - i0), n))
                 for q in queues:
                     q.put((Z, i0))
         finally:
@@ -136,6 +127,10 @@ def _sweep_blocks(state, checked, m, seed, workers, advance_block, scratch):
     bad = min((f for f in failures if f is not None), default=None)
     if bad is not None:
         raise RuntimeError(f"non-finite state at step {bad}")
+    # array by array: a transient above one (S, n) bool would raise glibc's
+    # mmap threshold for the process (see kernels.MEMBER_PANELS)
+    if not all(np.all(np.isfinite(a)) for a in state):
+        raise RuntimeError(f"non-finite state at step {m}")
 
 
 @dataclass(frozen=True)
@@ -203,14 +198,12 @@ def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
     sq = np.sqrt(vh)
     X = np.full((len(scenarios), mc.n_paths), float(x0))
     _sweep_blocks(
-        (X,), (0,), m, mc.seed, workers,
+        (X,), m, mc.seed, workers,
         lambda views, tmp, Z, lo, i0: _advance_terminal(
             spec, views, tmp, Z, lo, i0, c, sq
         ),
         lambda shape: (np.empty(shape),),
     )
-    if not np.all(np.isfinite(X)):
-        raise RuntimeError(f"non-finite state at step {m}")
     return X
 
 

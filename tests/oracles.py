@@ -19,7 +19,6 @@ import numpy as np
 from gexp.core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from gexp.coupling import (
     CouplingReport,
-    _check_coupling_args,
     _mt_moment_bound,
     eta_schedule,
     novikov_pathwise_bound,
@@ -77,7 +76,6 @@ def run_coupling(
     if p <= 1:
         raise ValueError("p must exceed 1")
     K = spec.lipschitz_k
-    _check_coupling_args(K, scenario, horizon)
 
     n, m = mc.n_paths, mc.n_steps
     h = horizon / m

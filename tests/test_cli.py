@@ -1,4 +1,5 @@
 import ast
+import csv
 import json
 import os
 import shutil
@@ -159,6 +160,33 @@ class TestUsage:
         rep = json.loads(out)
         assert rep["all_pass"] is False
         assert set(rep["report"]["sup_kernel_margins"].values()) == {-1.0}
+        # the CSV report shows the margins that set the exit code
+        code, out = run_cli(["kernels", "--format", "csv"])
+        assert code == 1
+        rows = dict(list(csv.reader(out.splitlines()))[1:])
+        margins = {k: v for k, v in rows.items() if k.startswith("sup_kernel:")}
+        assert len(margins) == 25
+        assert set(margins.values()) == {"-1.0"}
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [("harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 4",
+          "harnack exponent 1077.8"),
+         ("coupling --band 0.5,1 --x 0 --y 4", "Novikov exponent 1077.8"),
+         ("shift-harnack --band 0.5,1 --drift ou --payoff bump --p 1.0001 --T 0.01"
+          " --x 0 --v 3", "shift-harnack exponent 1.8182")],
+        ids=["harnack", "coupling", "shift-harnack"],
+    )
+    def test_overflowing_ceiling_exit_2(self, monkeypatch, capsys, args, name):
+        # these printed an OverflowError traceback and exited 1; the coupling
+        # ceilings now come before the sweep
+        from gexp import coupling
+
+        monkeypatch.setattr(coupling, "_batched_states", None)  # never reached
+        code, out = run_cli(args.split())
+        assert code == 2
+        assert out == ""
+        assert f"gexp: exp of the {name}" in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, capsys):
         with pytest.warns(RuntimeWarning):

@@ -185,3 +185,17 @@ class TestMcConfig:
         McConfig(100, 256, 0)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             McConfig(100, 256, -1)
+
+
+class TestPackage:
+    def test_all_is_the_module_lists(self):
+        import gexp
+        from gexp import axioms, core, coupling, gheat, harnack, kernels, simulate
+
+        modules = (core, gheat, simulate, harnack, coupling, kernels, axioms)
+        names = [name for mod in modules for name in mod.__all__]
+        assert gexp.__all__ == ["__version__", *names]
+        assert len(set(names)) == len(names)
+        for mod in modules:
+            for name in mod.__all__:
+                assert getattr(gexp, name) is getattr(mod, name)

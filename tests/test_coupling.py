@@ -177,16 +177,51 @@ class TestSuite:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_state_reported_for_every_worker_count(self, band_wide):
-        # an unstable drift overflows before the first check (step 255)
+        # an unstable drift overflows before the first check (step 255); the
+        # points are close enough for e^(Novikov exponent) to be a float
         spec = GsdeSpec(lambda x: 20000.0 * x, 20000.0, Kind.QV_DRIVEN)
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
         mc = McConfig(2 * _BLOCK_PATHS, 1024, 9)
         for workers in (1, 2):
             with pytest.raises(RuntimeError, match="non-finite state at step 255"):
                 run_coupling_suite(
-                    spec, 5.0, 0.0, 1.0, scs, mc, 2.0, catalog()["sigmoid"],
+                    spec, 5.0, 4.99, 1.0, scs, mc, 2.0, catalog()["sigmoid"],
                     workers=workers,
                 )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_state_at_the_horizon(self, band_wide, workers):
+        # X overflows within 8 steps, before any periodic check
+        spec = GsdeSpec(lambda x: np.full_like(x, 1e308), 1.0, Kind.QV_DRIVEN)
+        scs = make_scenario_lattice(band_wide, 4.0, 1, 2)
+        with pytest.raises(RuntimeError, match="non-finite state at step 8"):
+            run_coupling_suite(
+                spec, 0.0, 1.0, 4.0, scs, McConfig(100, 8, 3), 2.0,
+                catalog()["sigmoid"], workers=workers,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("j", [1, 2, 3], ids=["gap", "log_m", "nov_int"])
+    def test_every_state_array_checked_at_the_horizon(
+        self, band_wide, monkeypatch, workers, j
+    ):
+        # a NaN in the last step's gap, log M or Novikov sum, with X and Xref
+        # finite, fails the sweep instead of reaching the reports
+        advance = coupling._advance_block
+
+        def spoil(spec, state, tmp, Z, lo, i0, *rest):
+            advance(spec, state, tmp, Z, lo, i0, *rest)
+            if i0 + len(Z) == 8:
+                state[j][:, 0] = np.nan
+
+        monkeypatch.setattr(coupling, "_advance_block", spoil)
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        with pytest.raises(RuntimeError, match="non-finite state at step 8"):
+            run_coupling_suite(
+                make_drift("ou"), 0.0, 1.0, 1.0, scs, McConfig(100, 8, 3), 2.0,
+                catalog()["sigmoid"], workers=workers,
+            )
 
     def test_drift_may_return_its_argument(self, band_wide):
         # the kernel reads b(X) and b(Y) after writing its scratch arrays, so

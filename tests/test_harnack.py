@@ -147,6 +147,11 @@ class TestVerifyHarnack:
         with pytest.raises(ValueError):
             verify_harnack(time_spec, catalog()["sigmoid"], 0.0, 1.0, 2.0, 1.0, band_wide)
 
+    def test_overflowing_exponent_rejected(self, band_wide, ou_spec):
+        # y = 4 is inside the safe window, but e^1077.8 is not a float
+        with pytest.raises(ValueError, match="harnack exponent 1077.8"):
+            verify_harnack(ou_spec, catalog()["sigmoid"], 0.0, 4.0, 2.0, 1.0, band_wide)
+
 
 class TestVerifyShiftHarnack:
     def test_zero_shift_jensen(self, band_wide, ou_spec):
