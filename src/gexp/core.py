@@ -188,6 +188,10 @@ class GsdeSpec:
         bx = np.asarray(self.drift(xs), dtype=float)
         if bx.shape != xs.shape:
             bx = np.broadcast_to(bx, xs.shape)
+        # a NaN drift value would pass every comparison below
+        if not np.all(np.isfinite(bx)):
+            x_bad = xs[~np.isfinite(bx)][0]
+            raise ValueError(f"drift is not finite at x = {x_bad:.6g} of the Lipschitz check grid")
         diff = np.abs(bx[:, None] - bx[None, :])
         dist = np.abs(xs[:, None] - xs[None, :])
         if np.any(diff > self.lipschitz_k * dist * (1 + 1e-9) + 1e-12):

@@ -6,7 +6,10 @@ and in expectation, scenario by scenario.
 The coupling time is detected on the grid as the first step where X - Y
 changes sign or falls below the merge tolerance; Y is slaved to X afterwards
 (the continuous construction merges exactly, on a grid only approximate
-merging is observable).
+merging is observable).  Until then X - Y keeps the sign s0 of x - y, so the
+forcing u = eta s0 is one number per scenario and step: a scenario row none
+of whose paths has merged applies it as such, and a row takes the per-path
+forcing from the step after its first merge on (see _advance_block).
 
 The drift schedule eta is deterministic given a scenario (the quadratic
 variation is then a known function of time), so the Novikov integral is a
@@ -100,21 +103,25 @@ def eta_merge_defect(
 
 def novikov_pathwise_bound(K: float, band, horizon: float, dist: float) -> float:
     """Closed-form ceiling for exp{int_0^T |u|^2 d qv} along every path:
-    exp{2K shi^4 (1-e^{-2 slo^2 K T}) dist^2 / (slo^6 (1-e^{-2 shi^2 K T})^2)}.
+    exp{2K shi^4 (1-e^{-2 slo^2 K T}) dist^2 / (slo^6 (1-e^{-2 shi^2 K T})^2)};
+    a ceiling or exponent too large for a float is a ValueError.
     """
     if K <= 0:
         raise ValueError("the coupling drift formula requires K > 0")
     a = math.exp(-2.0 * band.v_lo * K * horizon)
     b = math.exp(-2.0 * band.v_hi * K * horizon)
-    return _exp(
-        "Novikov",
-        2.0
-        * K
-        * band.sigma_hi**4
-        * (1.0 - a)
-        * dist**2
-        / (band.sigma_lo**6 * (1.0 - b) ** 2)
-    )
+    try:
+        expo = (
+            2.0
+            * K
+            * band.sigma_hi**4
+            * (1.0 - a)
+            * dist**2
+            / (band.sigma_lo**6 * (1.0 - b) ** 2)
+        )
+    except OverflowError:  # dist**2 is beyond the float range
+        expo = math.inf
+    return _exp("Novikov", expo)
 
 
 @dataclass(frozen=True)
@@ -146,10 +153,10 @@ class CouplingReport:
 
 
 def _force(spec, rows, bX, i, merge_tol):
-    """Step i of the forcing on a run of scenario rows: u, log M, the
-    Novikov integral and gap = X - Y with its merge reset.  `rows` holds the
-    run's views of the state, the scratch and the (S, m) coefficients; bX is
-    b(X) on the run, X not yet advanced."""
+    """Step i of the per-path forcing on a run of scenario rows: u, log M,
+    the Novikov integral and gap = X - Y with its merge reset.  `rows` holds
+    the run's views of the state, the scratch and the (S, m) coefficients;
+    bX is b(X) on the run, X not yet advanced."""
     X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta = rows
     vhc = vh[:, i : i + 1]
     np.sign(gap, out=sgn)
@@ -175,32 +182,100 @@ def _force(spec, rows, bX, i, merge_tol):
     np.copyto(gap, 0.0, where=merged)
 
 
-def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, merge_tol):
+def _force_rows(spec, rows, bX, i, k, reached, tol):
+    """Step i, the k-th of its batch, of the forcing on a run of scenario
+    rows none of whose paths has merged, with one forcing number per row.
+    `rows` holds the run's views of the state, the scratch, vh, the rows'
+    running Novikov sums and the batch's tables of u, u vh, u vh / 2 and
+    u^2 vh (see _advance_block).  Return whether a path merged at this step
+    (its gap is then zero)."""
+    X, gap, log_m, db, t, Y, merged, vh, nov, u, uvh, half, uuvh = rows
+    # Y gets a scratch array of its own: b may hand back its argument
+    bY = spec.b(np.subtract(X, gap, out=Y))
+    # log M -= u (db + uvh / 2)
+    np.add(db, half[:, k : k + 1], out=t)
+    np.multiply(u[:, k : k + 1], t, out=t)
+    np.subtract(log_m, t, out=log_m)
+    np.add(nov, uuvh[:, k : k + 1], out=nov)
+    # gap += (bX - bY) vh - uvh, then the merge test gap * s0 <= merge_tol
+    np.subtract(bX, bY, out=t)
+    np.multiply(t, vh[:, i : i + 1], out=t)
+    np.subtract(t, uvh[:, k : k + 1], out=t)
+    np.add(gap, t, out=gap)
+    reached(gap, tol, out=merged)
+    if not merged.any():
+        return False
+    np.copyto(gap, 0.0, where=merged)
+    return True
+
+
+def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
     """Advance one path block's (S, b) state views in place over the steps
     i0, i0+1, ... whose normals are the rows of Z, columns lo:lo+b; `tmp`
     holds the worker's (S, size >= b) scratch arrays.
 
-    The forcing runs only on the runs of scenario rows that hold an unmerged
-    path at the start of the batch.  A merged row has gap == +0.0 on every
-    path, so each update it skips would add an exact zero: the skip is
-    bit-exact.
+    A step makes 9 (S, b) passes over every row, counting a drift call as
+    one: the normals, X and Xref.  The forcing adds more, by the group that
+    np.count_nonzero(gap) puts a row in at the start of the batch:
+    - no path unmerged: gap == +0.0 on every path, so each forcing update
+      would add an exact zero, and the row skips it, bit-exactly;
+    - some paths merged: _force, per path, 18 passes;
+    - no path merged: _force_rows, one forcing number per row, 11 passes
+      with the merge test's `any`.  The merge test zeroes a gap at the
+      first step where its sign flips or it falls below merge_tol, so every
+      unmerged path has sign(gap) = s0 = sign(x - y).  Then u = eta_i s0,
+      u vh, u vh / 2 and u^2 vh are one number per row, made in the
+      per-path order of operations for the same bits; the merge test is
+      gap <= merge_tol, or gap >= -merge_tol when s0 = -1; and the Novikov
+      sum, equal on all paths of the row, is one running number, written
+      into nov_int when the row leaves the group and at the end of the
+      batch.  A row leaves at the step where its first path merges and
+      takes the per-path forcing from the next step on.
     """
     X, gap, log_m, nov_int, Xref = state
     b = X.shape[1]
     db, t, Y, sgn, u, uvh, merged = (a[:, :b] for a in tmp)
-    live = [
-        (slice(r0, r1), tuple(a[r0:r1] for a in (
-            X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta,
-        )))
-        for r0, r1 in _runs(gap.any(axis=1))
-    ]
+    unmerged = np.count_nonzero(gap, axis=1)
+    per_path = (unmerged > 0) & (unmerged < b)
+    per_row = unmerged == b
+    reached, tol = (
+        (np.less_equal, merge_tol) if s0 > 0 else (np.greater_equal, -merge_tol)
+    )
+    steps = slice(i0, i0 + Z.shape[0])
+    row_u = eta[:, steps] * s0
+    row_uvh = row_u * vh[:, steps]
+    nov = nov_int[:, :1].copy()
+    by_path = (X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta)
+    by_row = (
+        X, gap, log_m, db, t, Y, merged, vh, nov,
+        row_u, row_uvh, row_uvh * 0.5, row_u * row_uvh,
+    )
+
+    def runs(mask, arrays):
+        return [
+            (slice(r0, r1), tuple(a[r0:r1] for a in arrays))
+            for r0, r1 in _runs(mask)
+        ]
+
+    path_runs, row_runs = runs(per_path, by_path), runs(per_row, by_row)
     for k in range(Z.shape[0]):
         i = i0 + k
         vhc = vh[:, i : i + 1]
         np.multiply(sqv[:, i : i + 1], Z[k, lo : lo + b], out=db)
         bX = spec.b(X)
-        for run, rows in live:
+        for run, rows in path_runs:
             _force(spec, rows, bX[run], i, merge_tol)
+        left = [
+            run for run, rows in row_runs
+            if _force_rows(spec, rows, bX[run], i, k, reached, tol)
+        ]
+        for run in left:
+            np.copyto(nov_int[run], nov[run])
+            moved = merged[run].any(axis=1)
+            per_row[run][moved] = False
+            per_path[run][moved] = True
+        if left:
+            path_runs, row_runs = runs(per_path, by_path), runs(per_row, by_row)
         # X += bX vh + db
         np.multiply(bX, vhc, out=t)
         np.add(t, db, out=t)
@@ -209,6 +284,8 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, merge_tol):
         np.multiply(spec.b(Xref), vhc, out=t)
         np.add(t, db, out=t)
         np.add(Xref, t, out=Xref)
+    for run, _ in row_runs:
+        np.copyto(nov_int[run], nov[run])
 
 
 def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
@@ -220,8 +297,12 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     Common random numbers make the per-step draw identical across scenarios,
     so one shared normal vector per step drives all of them.  The forced
     process is carried as gap = X - Y (exactly +0.0 after slaving), which
-    also makes the forcing vanish once paths merge; a scenario row whose
-    paths have all merged skips the forcing update, bit-exactly (see
+    also makes the forcing vanish once paths merge.  An unmerged path has
+    sign(gap) = s0 = sign(x - y), so a scenario row with no merged path
+    applies the forcing as one number per row, in the per-path order of
+    operations; it switches to the per-path forcing at the step where its
+    first path merges, and a row whose paths have all merged skips the
+    forcing update.  Both forms keep every bit of the per-path forcing (see
     _advance_block).
 
     simulate._sweep_blocks splits the paths into blocks, so that each step
@@ -242,6 +323,7 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
         [eta_schedule(sc, K, x, y, horizon, m) for sc in scenarios]
     )  # (S, m)
     merge_tol = 1e-10 * (1.0 + abs(x - y))
+    s0 = 1.0 if x > y else -1.0
 
     X = np.full((S, n), float(x))
     # + 0.0 turns the -0.0 of x = -0.0, y = 0.0 into the +0.0 of a merged path
@@ -252,7 +334,7 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     _sweep_blocks(
         (X, gap, log_m, nov_int, Xref), m, seed, workers,
         lambda views, tmp, Z, lo, i0: _advance_block(
-            spec, views, tmp, Z, lo, i0, vh, sqv, eta, merge_tol
+            spec, views, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol
         ),
         lambda shape: (*(np.empty(shape) for _ in range(6)), np.empty(shape, bool)),
     )
@@ -278,8 +360,9 @@ def run_coupling_suite(
     scenarios.  The sweep runs N = max(mc.n_paths, girsanov_paths) paths
     (mc.n_paths when girsanov_paths is None) and carries all five arrays.
     The Girsanov-identity fields read its first girsanov_paths paths, every
-    other diagnostic its first mc.n_paths paths.  A scenario row whose paths
-    have all merged skips the forcing update, bit-exactly.  The path blocks
+    other diagnostic its first mc.n_paths paths.  A scenario row with no
+    merged path takes one forcing number per step, and a row whose paths
+    have all merged skips the forcing update, both bit-exactly.  The path blocks
     run on `workers` threads (default os.cpu_count(); fewer than 1 is a
     ValueError), each with its own scratch arrays for the whole sweep; the
     reports are bit-identical for every worker count.  A closed-form ceiling

@@ -158,6 +158,9 @@ def solve_batch(
     xs, dx = grid.xs, grid.dx
     kind = None if spec is None else spec.kind
     b = None if spec is None else spec.b(xs)
+    if b is not None and not np.all(np.isfinite(b)):
+        x_bad = xs[~np.isfinite(b)][0]
+        raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
     bmax = 0.0 if b is None else float(np.max(np.abs(b)))
     dt_max = _stable_dt(grid, band, bmax, kind)
     n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * dt_max)))

@@ -47,7 +47,7 @@ def harnack_exponent(
         (p-1) slo^6 (1 - e^{-2 shi^2 K T})^2
 
     with slo, shi the band edges.  Continuous in all arguments and -> 0 as
-    dist -> 0.
+    dist -> 0; an exponent too large for a float is a ValueError.
 
     The (p-1) power is the one the coupling argument yields: with
     q = p/(p-1), Holder gives (Pbar_T f(y))^p <= E[M^q]^{p-1} Pbar_T f^p(x),
@@ -70,21 +70,26 @@ def harnack_exponent(
         raise ValueError("horizon must be positive")
     a = math.exp(-2.0 * band.v_lo * K * horizon)
     b = math.exp(-2.0 * band.v_hi * K * horizon)
-    return (
-        p
-        * K
-        * band.sigma_hi**4
-        * (1.0 - a)
-        / ((p - 1.0) * band.sigma_lo**6 * (1.0 - b) ** 2)
-        * dist**2
-    )
+    try:
+        expo = (
+            p
+            * K
+            * band.sigma_hi**4
+            * (1.0 - a)
+            / ((p - 1.0) * band.sigma_lo**6 * (1.0 - b) ** 2)
+            * dist**2
+        )
+    except OverflowError:  # dist**2 is beyond the float range
+        expo = math.inf
+    return _finite("harnack", expo)
 
 
 def shift_harnack_exponent(
     p: float, K: float, sigma_lo: float, horizon: float, v: float
 ) -> float:
     """Exponent of the shift Harnack inequality,
-    p v^2 / (2 slo^2 (p-1)) * (1/T + K + K^2 T / 3)."""
+    p v^2 / (2 slo^2 (p-1)) * (1/T + K + K^2 T / 3); an exponent too large
+    for a float is a ValueError."""
     if p <= 1:
         raise ValueError("p must exceed 1")
     if horizon <= 0:
@@ -93,12 +98,16 @@ def shift_harnack_exponent(
         raise ValueError("sigma_lo must be positive")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    return (
-        p
-        * v**2
-        / (2.0 * sigma_lo**2 * (p - 1.0))
-        * (1.0 / horizon + K + K**2 * horizon / 3.0)
-    )
+    try:
+        expo = (
+            p
+            * v**2
+            / (2.0 * sigma_lo**2 * (p - 1.0))
+            * (1.0 / horizon + K + K**2 * horizon / 3.0)
+        )
+    except OverflowError:  # v**2 is beyond the float range
+        expo = math.inf
+    return _finite("shift-harnack", expo)
 
 
 @dataclass(frozen=True)
@@ -135,10 +144,17 @@ class HarnackCertificate:
         }
 
 
+def _finite(name: str, exponent: float) -> float:
+    """The exponent, unless it overflowed to +inf: a ValueError names it."""
+    if exponent == math.inf:
+        raise ValueError(f"the {name} exponent overflows a float")
+    return exponent
+
+
 def _exp(name: str, exponent: float) -> float:
     """e^exponent; a ValueError names an exponent too large for a float."""
     try:
-        return math.exp(exponent)
+        return math.exp(_finite(name, exponent))
     except OverflowError:
         raise ValueError(f"exp of the {name} exponent {exponent:.6g} overflows") from None
 

@@ -188,6 +188,22 @@ class TestUsage:
         assert out == ""
         assert f"gexp: exp of the {name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [("harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 1e200"
+          " --method mc --workers 1", "harnack"),
+         ("shift-harnack --band 0.5,1 --drift ou --payoff bump --p 2 --T 1 --x 0"
+          " --v 1e200 --method mc --workers 1", "shift-harnack"),
+         ("coupling --band 0.5,1 --x 0 --y 1e200", "Novikov")],
+        ids=["harnack", "shift-harnack", "coupling"],
+    )
+    def test_overflowing_exponent_exit_2(self, capsys, args, name):
+        # squaring 1e200 raised an OverflowError: a traceback and exit 1
+        code, out = run_cli(args.split())
+        assert code == 2
+        assert out == ""
+        assert f"gexp: the {name} exponent overflows a float" in capsys.readouterr().err
+
     def test_numerical_failure_exit_3(self, capsys):
         with pytest.warns(RuntimeWarning):
             code, _ = run_cli(

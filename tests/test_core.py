@@ -135,6 +135,17 @@ class TestGsdeSpec:
         with pytest.raises(ValueError, match=f"drift '{drift_id}' needs a finite parameter"):
             make_drift(drift_id)
 
+    @pytest.mark.parametrize(
+        "drift",
+        [lambda x: np.full_like(x, np.nan), lambda x: np.where(np.abs(x) > 3, np.nan, -x),
+         lambda x: np.where(x > 0, np.inf, 0.0)],
+        ids=["nan", "nan-beyond-3", "inf"],
+    )
+    def test_non_finite_drift_rejected(self, drift):
+        # NaN passed the Lipschitz comparison, which is False for NaN
+        with pytest.raises(ValueError, match="drift is not finite at x = "):
+            GsdeSpec(drift, 1.0, Kind.QV_DRIVEN)
+
     def test_broadcasting(self):
         spec = make_drift("const:1.5")
         out = spec.b(np.zeros((2, 3)))

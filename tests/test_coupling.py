@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -137,13 +138,22 @@ class TestRunCoupling:
 
 class TestSuite:
     def test_batched_matches_per_scenario_reference(self, band_wide):
+        self._check_against_oracle(band_wide, 1.0, 0.2)
+
+    def test_batched_matches_per_scenario_reference_x_below_y(self, band_wide):
+        # s0 = sign(x - y) = -1: the one-number forcing and its merge test
+        # gap >= -merge_tol
+        self._check_against_oracle(band_wide, 0.2, 1.0)
+
+    @staticmethod
+    def _check_against_oracle(band_wide, x, y):
         scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
         mc = McConfig(400, 256, 42)
         spec = make_drift("ou")
-        suite = run_coupling_suite(spec, 1.0, 0.2, 1.0, scs, mc, 2.0, catalog()["sigmoid"])
+        suite = run_coupling_suite(spec, x, y, 1.0, scs, mc, 2.0, catalog()["sigmoid"])
         assert [r.scenario for r in suite] == [sc.label for sc in scs]
         for sc, got in zip(scs, suite):
-            ref = run_coupling(spec, 1.0, 0.2, 1.0, sc, mc, 2.0, catalog()["sigmoid"])
+            ref = run_coupling(spec, x, y, 1.0, sc, mc, 2.0, catalog()["sigmoid"])
             assert got.coupling_gap == pytest.approx(ref.coupling_gap, abs=1e-9)
             assert got.m_mean == pytest.approx(ref.m_mean, abs=1e-10)
             assert got.novikov_pathwise_max == pytest.approx(
@@ -228,14 +238,15 @@ class TestSuite:
         # a drift that hands back its input must give the same reports as one
         # that returns a new array
         scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
-        reports = [
-            run_coupling_suite(
-                GsdeSpec(b, 1.0, Kind.QV_DRIVEN), 1.0, 0.0, 1.0, scs,
-                McConfig(300, 32, 5), 2.0, catalog()["sigmoid"],
-            )
-            for b in (lambda x: x, lambda x: 1.0 * x)
-        ]
-        assert reports[0] == reports[1]
+        for x, y in ((1.0, 0.0), (0.0, 1.0)):
+            reports = [
+                run_coupling_suite(
+                    GsdeSpec(b, 1.0, Kind.QV_DRIVEN), x, y, 1.0, scs,
+                    McConfig(300, 32, 5), 2.0, catalog()["sigmoid"],
+                )
+                for b in (lambda x: x, lambda x: 1.0 * x)
+            ]
+            assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_girsanov_fields_equal_a_girsanov_path_suite(self, band_wide, workers):
@@ -305,30 +316,97 @@ class TestSuite:
 
 
 class TestMergedRows:
-    """The forcing update skips scenario rows whose paths have all merged;
-    the skip must change no bit of the state."""
+    """The forcing update skips scenario rows whose paths have all merged,
+    and takes one forcing number per row on rows with no merged path; both
+    must change no bit of the state."""
 
     @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
     def test_states_independent_of_step_batch(self, band_wide, monkeypatch, drift):
-        # the rows are tested for merging once per batch of steps, so each
-        # batch length skips them from different steps on
+        # the rows are sorted once per batch of steps and leave the
+        # one-number forcing at the step of their first merge, so each batch
+        # length switches them at different points of a batch
         scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
-        args = (make_drift(drift), 1.0, 0.0, 1.0, scs, 1000, 64, 3)
-        live = []
         advance = coupling._advance_block
+        mixed = []
 
-        def spy(spec, state, *rest):
-            live.append(int(state[1].any(axis=1).sum()))
-            advance(spec, state, *rest)
+        for (x, y), workers in itertools.product([(1.0, 0.0), (0.0, 1.0)], [1, 2]):
+            args = (make_drift(drift), x, y, 1.0, scs, 1000, 64, 3)
+            live = []
 
-        monkeypatch.setattr(coupling, "_advance_block", spy)
-        states = []
-        for batch in (1, 2, 4, 8):
-            monkeypatch.setattr(simulate, "_STEP_BATCH", batch)
-            states.append([a.tobytes() for a in coupling._batched_states(*args)])
-        # the rows merge at different steps, all of them before the horizon
-        assert len(set(live)) > 3 and live[-1] == 0
-        assert states[0] == states[1] == states[2] == states[3]
+            def spy(spec, state, *rest):
+                unmerged = np.count_nonzero(state[1], axis=1)
+                live.append(int((unmerged > 0).sum()))
+                mixed.append(int(((unmerged > 0) & (unmerged < state[1].shape[1])).sum()))
+                advance(spec, state, *rest)
+
+            monkeypatch.setattr(coupling, "_advance_block", spy)
+            states = []
+            for batch in (1, 2, 4, 8):
+                monkeypatch.setattr(simulate, "_STEP_BATCH", batch)
+                states.append(
+                    [a.tobytes() for a in coupling._batched_states(*args, workers=workers)]
+                )
+            # the rows merge at different steps, all of them before the horizon
+            assert len(set(live)) > 3 and live[-1] == 0
+            assert states[0] == states[1] == states[2] == states[3]
+        if drift == "tanh:2":
+            # some rows start a batch with part of their paths merged: their
+            # first merge came before the batch and the per-path forcing runs
+            assert max(mixed) > 0
+
+    @pytest.mark.parametrize("drift", ["ou", "tanh:2", "identity"])
+    @pytest.mark.parametrize("x, y", [(1.0, 0.0), (0.0, 1.0)], ids=["x>y", "x<y"])
+    def test_row_forcing_equals_path_forcing(self, band_wide, monkeypatch, drift, x, y):
+        # with every live row sent to the per-path forcing, as if one path of
+        # each had merged, the states keep every bit
+        spec = (
+            GsdeSpec(lambda z: z, 1.0, Kind.QV_DRIVEN) if drift == "identity"
+            else make_drift(drift)
+        )
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
+        args = (spec, x, y, 1.0, scs, 1000, 64, 3)
+        calls = {"rows": 0}
+        force_rows = coupling._force_rows
+
+        def counting(*a):
+            calls["rows"] += 1
+            return force_rows(*a)
+
+        monkeypatch.setattr(coupling, "_force_rows", counting)
+        fast = [a.tobytes() for a in coupling._batched_states(*args, workers=2)]
+        assert calls["rows"] > 0
+
+        class PerPathOnly:
+            """numpy, with no row counted as wholly unmerged."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def count_nonzero(a, axis=None):
+                return np.minimum(np.count_nonzero(a, axis=axis), a.shape[1] - 1)
+
+        calls["rows"] = 0
+        monkeypatch.setattr(coupling, "np", PerPathOnly())
+        slow = [a.tobytes() for a in coupling._batched_states(*args, workers=2)]
+        assert calls["rows"] == 0
+        assert fast == slow
+
+    def test_equal_points_never_force(self, band_wide, monkeypatch):
+        # x == y: every gap starts at +0.0, so no row ever takes a forcing
+        # update, and the forced process is the reference process
+        def never(*args):
+            raise AssertionError("a forcing update ran")
+
+        monkeypatch.setattr(coupling, "_force", never)
+        monkeypatch.setattr(coupling, "_force_rows", never)
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
+        for workers in (1, 2):
+            X, Y, log_m, Xref, nov_int = coupling._batched_states(
+                make_drift("tanh:2"), 0.5, 0.5, 1.0, scs, 1000, 64, 3, workers=workers
+            )
+            assert X.tobytes() == Y.tobytes() == Xref.tobytes()
+            assert not log_m.any() and not nov_int.any()
 
     @pytest.mark.parametrize("girsanov_paths", [None, 500])
     def test_same_start_exact(self, band_wide, girsanov_paths):

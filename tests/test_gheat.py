@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gexp import (
     Grid1D,
+    GsdeSpec,
     Kind,
     TestFunction,
     VolatilityBand,
@@ -83,6 +84,16 @@ class TestGrid:
     def test_unusable_horizon_rejected(self, horizon):
         with pytest.raises(ValueError, match="horizon must be finite and positive"):
             solve_batch([catalog()["sigmoid"]], VolatilityBand(0.5, 1.0), horizon, Grid1D())
+
+    def test_non_finite_drift_rejected(self):
+        # finite on the Lipschitz check grid [-10, 10], NaN beyond |x| = 11;
+        # this failed with "cannot convert float NaN to integer"
+        spec = GsdeSpec(lambda x: np.where(np.abs(x) > 11.0, np.nan, -x), 1.0, Kind.QV_DRIVEN)
+        with pytest.raises(ValueError, match="drift is not finite on the grid, first at x = -12"):
+            solve_batch(
+                [catalog()["sigmoid"]], VolatilityBand(0.5, 1.0), 1.0,
+                Grid1D(-12.0, 12.0, 241), spec,
+            )
 
     def test_step_budget(self):
         # the budget is checked before a payoff is evaluated or a step taken

@@ -16,6 +16,7 @@ from gexp import (
     harnack_exponent,
     harnack_grid,
     make_drift,
+    novikov_pathwise_bound,
     shift_harnack_exponent,
     shift_harnack_grid,
     verify_harnack,
@@ -51,6 +52,17 @@ class TestHarnackExponent:
                 val = harnack_exponent(p, 1.0, band, T, 1.0)
                 sharp = p * math.exp(-2 * T) / ((p - 1) * (1 - math.exp(-2 * T)))
                 assert val >= sharp, (p, T)
+
+    @pytest.mark.parametrize("dist", [1e200, 1e154], ids=["square", "product"])
+    def test_overflow_rejected(self, dist):
+        # 1e200**2 raised OverflowError; 1e154 squares to a float but the
+        # exponent is +inf
+        with pytest.raises(ValueError, match="the harnack exponent overflows a float"):
+            harnack_exponent(2.0, 1.0, VolatilityBand(0.5, 1.0), 1.0, dist)
+        with pytest.raises(ValueError, match="the shift-harnack exponent overflows a float"):
+            shift_harnack_exponent(2.0, 1.0, 0.5, 1.0, dist)
+        with pytest.raises(ValueError, match="the Novikov exponent overflows a float"):
+            novikov_pathwise_bound(1.0, VolatilityBand(0.5, 1.0), 1.0, dist)
 
     def test_validation(self):
         band = VolatilityBand(1.0, 1.0)
