@@ -17,7 +17,7 @@ from .core import (
     catalog,
     make_scenario_lattice,
 )
-from .gheat import Grid1D, safe_window, solve_batch
+from .gheat import Grid1D, require_safe, safe_window, solve_batch
 from .simulate import _estimate, _terminal_states
 
 __all__ = ["run_axioms"]
@@ -40,6 +40,7 @@ def _pde_checks(spec, band, horizon, payoffs):
     # one stacked solve on the default grid: the catalog, then the sums, then
     # the scalings
     grid = Grid1D()
+    require_safe(0.0, grid, band, horizon)  # an empty window is a ValueError
     lo, hi = safe_window(grid, band, horizon)
     mask = (grid.xs >= lo) & (grid.xs <= hi)
     rows = [

@@ -6,8 +6,8 @@ two runs with the same configuration produce byte-identical output.  The
 worker count is left out of the report: it changes no result.
 Exit codes: 0 all checks pass, 1 at least one check failed (the report is
 still written), 2 usage or configuration error (a PDE march above the
-step budget included), 3 numerical failure (a non-finite state; no report
-is written).
+step budget and an unwritable --out included), 3 numerical failure (a
+non-finite state; no report is written).
 Each check is a fixed-level test, so exit 1 also comes by chance: every
 scenario's Girsanov check is a 3-SE test, and a 9-scenario `coupling` run
 exits 1 on about 5% of seeds with nothing wrong (25 of 400 measured).
@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=_finite_float, required=True)
     s.add_argument("--y", type=_finite_float, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    s.add_argument("--method", choices=("pde", "mc"), default="pde")
     _add_common(s)
 
     s = add_parser("shift-harnack", help="shift Harnack certificate")
@@ -155,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=_finite_float, required=True)
     s.add_argument("--v", type=_finite_float, required=True)
     s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    s.add_argument("--method", choices=("pde", "mc"), default="pde")
     _add_common(s)
 
     s = add_parser("coupling", help="coupling / change-of-measure diagnostics")
@@ -292,10 +290,7 @@ def _cmd_pbar(args) -> int:
 def _cmd_certificate(verify, kind, y_or_shift, args) -> int:
     """Harnack-type certificate from `verify` for the equation of `kind`."""
     spec = _spec(args.drift, kind, args.K)
-    cert = verify(
-        spec, catalog()[args.payoff], args.x, y_or_shift, args.p, args.T, args.band,
-        method=args.method, mc=McConfig(seed=args.seed), workers=args.workers,
-    )
+    cert = verify(spec, catalog()[args.payoff], args.x, y_or_shift, args.p, args.T, args.band)
     report = {"config": _resolved_config(args), "certificate": cert.to_dict()}
     d = cert.to_dict()
     _emit(report, args, csv_rows=[[d[k] for k in sorted(d)]], csv_header=sorted(d))
@@ -407,7 +402,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"gexp: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -62,10 +62,6 @@ class VolatilityBand:
         """Upper squared-volatility bound."""
         return self.sigma_hi**2
 
-    @property
-    def degenerate(self) -> bool:
-        return self.sigma_lo == self.sigma_hi
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -220,12 +216,18 @@ class TestFunction:
     def power(self, p: float) -> "TestFunction":
         if not self.positivity:
             raise ValueError("powers only defined for nonnegative payoffs")
+        try:
+            bound = self.bound**p
+        except OverflowError:
+            raise ValueError(
+                f"the bound {self.bound:g}^{p:g} of {self.id}^{p:g} overflows a float"
+            ) from None
         f = self.eval
         return TestFunction(
             id=f"{self.id}^{p:g}",
             eval=lambda x, f=f, p=p: f(x) ** p,
             positivity=True,
-            bound=self.bound**p,
+            bound=bound,
         )
 
     def shifted(self, v: float) -> "TestFunction":

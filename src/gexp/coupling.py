@@ -82,25 +82,6 @@ def eta_schedule(
     return abs(x - y) * np.exp(-K * qv_mid) / denom
 
 
-def eta_merge_defect(
-    scenario: Scenario,
-    K: float,
-    dist: float,
-    horizon: float,
-    n_steps: int,
-) -> float:
-    """Residual of int_0^T e^{-K qv} eta d(qv) - dist for the discretized
-    schedule; midpoint quadrature makes this O(1/n_steps^2)."""
-    if dist == 0.0:
-        return 0.0
-    eta = eta_schedule(scenario, K, 0.0, dist, horizon, n_steps)
-    ts = np.linspace(0.0, horizon, n_steps + 1)
-    qv_nodes = scenario.qv(ts)
-    qv_mid = scenario.qv((ts[:-1] + ts[1:]) / 2.0)
-    integral = float(np.sum(np.exp(-K * qv_mid) * eta * np.diff(qv_nodes)))
-    return integral - dist
-
-
 def novikov_pathwise_bound(K: float, band, horizon: float, dist: float) -> float:
     """Closed-form ceiling for exp{int_0^T |u|^2 d qv} along every path:
     exp{2K shi^4 (1-e^{-2 slo^2 K T}) dist^2 / (slo^6 (1-e^{-2 shi^2 K T})^2)};

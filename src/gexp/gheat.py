@@ -266,6 +266,11 @@ def safe_window(grid: Grid1D, band: VolatilityBand, horizon: float) -> tuple[flo
 
 def require_safe(x: float, grid: Grid1D, band: VolatilityBand, horizon: float) -> None:
     lo, hi = safe_window(grid, band, horizon)
+    if lo > hi:
+        raise ValueError(
+            f"the safe window [{lo:.6g}, {hi:.6g}] of the grid [{grid.x_min:g}, "
+            f"{grid.x_max:g}] is empty at horizon {horizon:g}"
+        )
     if not lo <= x <= hi:
         raise ValueError(
             f"x={x} lies in the boundary-contaminated zone outside [{lo}, {hi}]"

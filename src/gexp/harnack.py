@@ -1,9 +1,8 @@
-"""Closed-form constants of the two Harnack-type inequalities and
-certificate-grade verification against the PDE and Monte Carlo backends.
+"""Closed-form constants of the two Harnack-type inequalities and their
+certificates on the PDE backend.
 
-PDE-backend certificates are the acceptance authority; Monte Carlo
-certificates are advisory because both sides are lower-bound estimates of a
-sup, so the comparison is one-sided-noisy.
+Each certificate reads both sides of its inequality off one stacked
+`gheat.solve_batch` march and passes when lhs <= rhs * (1 + PDE_BUDGET).
 """
 
 from __future__ import annotations
@@ -13,16 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    GsdeSpec,
-    Kind,
-    McConfig,
-    TestFunction,
-    VolatilityBand,
-    make_scenario_lattice,
-)
+from .core import GsdeSpec, Kind, TestFunction, VolatilityBand
 from .gheat import Grid1D, require_safe, solve_batch
-from .simulate import _estimate, _terminal_states
 
 __all__ = [
     "HarnackCertificate",
@@ -120,7 +111,6 @@ class HarnackCertificate:
     x: float
     y_or_shift: float
     payoff_id: str
-    method: str  # "pde" | "mc"
     lhs: float
     rhs: float
     exponent: float
@@ -135,7 +125,6 @@ class HarnackCertificate:
             "x": self.x,
             "y_or_shift": self.y_or_shift,
             "payoff": self.payoff_id,
-            "method": self.method,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "exponent": self.exponent,
@@ -159,7 +148,7 @@ def _exp(name: str, exponent: float) -> float:
         raise ValueError(f"exp of the {name} exponent {exponent:.6g} overflows") from None
 
 
-def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, method, lhs, base, expo, budget):
+def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, expo):
     rhs = base * _exp(kind, expo)
     return HarnackCertificate(
         kind=kind,
@@ -168,34 +157,11 @@ def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, method, lhs, base, 
         x=x,
         y_or_shift=y_or_shift,
         payoff_id=payoff_id,
-        method=method,
         lhs=lhs,
         rhs=rhs,
         exponent=expo,
-        tolerance_budget=budget,
-        passed=lhs <= rhs * (1.0 + budget),
-    )
-
-
-def _mc_values(spec, payoffs, x0, horizon, band, mc, workers):
-    """(value, argmax standard error) of each payoff, all evaluated on one
-    scenario-max sweep started at x0."""
-    scenarios = make_scenario_lattice(band, horizon, pieces=2, levels=3)
-    states = _terminal_states(spec, x0, horizon, scenarios, mc, workers)
-    return [
-        (est.value, est.argmax_std_error)
-        for est in (_estimate(f, states, scenarios, mc) for f in payoffs)
-    ]
-
-
-def _mc_certificate(kind, p, horizon, x, y_or_shift, payoff_id, at_f, at_base, expo):
-    """MC certificate from the (value, standard error) pairs of f and of the
-    base; its budget is 3 standard errors of lhs - base, relative to the base
-    (the delta method on value^p plus the base's own error)."""
-    (v, s), (base, sb) = at_f, at_base
-    budget = 3.0 * (p * max(v, 0.0) ** (p - 1) * s + sb) / max(abs(base), 1e-12)
-    return _certificate(
-        kind, p, horizon, x, y_or_shift, payoff_id, "mc", v**p, base, expo, budget
+        tolerance_budget=PDE_BUDGET,
+        passed=lhs <= rhs * (1.0 + PDE_BUDGET),
     )
 
 
@@ -207,28 +173,16 @@ def verify_harnack(
     p: float,
     horizon: float,
     band: VolatilityBand,
-    method: str = "pde",
-    mc: McConfig | None = None,
-    workers: int | None = None,
 ) -> HarnackCertificate:
     """Check (Pbar_T f)^p(y) <= Pbar_T f^p(x) * exp(exponent) for the
-    qv-driven equation.  The PDE method is the grid sweep at the one point y;
-    the MC method makes one scenario-max sweep from y and one from x, on
-    `workers` threads (default os.cpu_count())."""
+    qv-driven equation: the grid sweep at the one point y."""
     if not payoff.positivity:
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the two-point Harnack inequality targets the qv-driven equation")
     # the exponent first: it checks p, K and the horizon before any solve
-    expo = harnack_exponent(p, spec.lipschitz_k, band, horizon, abs(x - y))
-    if method == "pde":
-        return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y])[0]
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    args = (horizon, band, mc or McConfig(), workers)
-    [at_y] = _mc_values(spec, [payoff], y, *args)
-    [at_x] = _mc_values(spec, [payoff.power(p)], x, *args)
-    return _mc_certificate("harnack", p, horizon, x, y, payoff.id, at_y, at_x, expo)
+    harnack_exponent(p, spec.lipschitz_k, band, horizon, abs(x - y))
+    return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y])[0]
 
 
 def verify_shift_harnack(
@@ -239,29 +193,16 @@ def verify_shift_harnack(
     p: float,
     horizon: float,
     band: VolatilityBand,
-    method: str = "pde",
-    mc: McConfig | None = None,
-    workers: int | None = None,
 ) -> HarnackCertificate:
     """Check (Pbar_T f(x))^p <= Pbar_T [f^p(v + .)](x) * exp(exponent) for
-    the time-driven equation.  The PDE method is the grid sweep at the one
-    shift v; the MC method evaluates f and f^p(v + .) on one scenario-max
-    sweep from x, on `workers` threads (default os.cpu_count())."""
+    the time-driven equation: the grid sweep at the one shift v."""
     if not payoff.positivity:
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.TIME_DRIVEN:
         raise ValueError("the shift Harnack inequality targets the time-driven equation")
     # the exponent first: it checks p, K, sigma_lo and the horizon before any solve
-    expo = shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, horizon, v)
-    if method == "pde":
-        return _shift_certs(spec, [payoff], [p], band, horizon, x, [v])[0]
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    payoffs = [payoff, payoff.power(p).shifted(v)]
-    at_x, at_shifted = _mc_values(spec, payoffs, x, horizon, band, mc or McConfig(), workers)
-    return _mc_certificate(
-        "shift-harnack", p, horizon, x, v, payoff.id, at_x, at_shifted, expo
-    )
+    shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, horizon, v)
+    return _shift_certs(spec, [payoff], [p], band, horizon, x, [v])[0]
 
 
 def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
@@ -281,8 +222,7 @@ def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
                 expo = harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0))
                 certs.append(
                     _certificate(
-                        "harnack", p, T, x0, y, payoff.id, "pde",
-                        sol_f.value_at(y) ** p, base, expo, PDE_BUDGET,
+                        "harnack", p, T, x0, y, payoff.id, sol_f.value_at(y) ** p, base, expo
                     )
                 )
     return certs
@@ -306,10 +246,7 @@ def _shift_certs(spec, payoffs, ps, band, T, x0, shifts):
                 expo = shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, T, v)
                 base = next(sols).value_at(x0)
                 certs.append(
-                    _certificate(
-                        "shift-harnack", p, T, x0, v, payoff.id, "pde",
-                        lhs, base, expo, PDE_BUDGET,
-                    )
+                    _certificate("shift-harnack", p, T, x0, v, payoff.id, lhs, base, expo)
                 )
     return certs
 

@@ -27,3 +27,13 @@ class TestAxiomSuite:
         for c in result["checks"]:
             if c["check"].startswith("mc:"):
                 assert c["limit"] <= 1e-11
+
+
+def test_empty_safe_window_rejected_before_any_solve(monkeypatch):
+    # at T = 3 the default grid's window [-10 + 6 sqrt(3), 10 - 6 sqrt(3)] is empty
+    from gexp import axioms
+
+    monkeypatch.setattr(axioms, "solve_batch", None)  # never reached
+    message = r"\[0\.392305, -0\.392305\] of the grid \[-10, 10\] is empty at horizon 3"
+    with pytest.raises(ValueError, match=message):
+        run_axioms(make_drift("ou"), VolatilityBand(0.5, 1.0), 3.0)

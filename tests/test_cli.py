@@ -190,10 +190,10 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "args, name",
-        [("harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 1e200"
-          " --method mc --workers 1", "harnack"),
+        [("harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 1e200",
+          "harnack"),
          ("shift-harnack --band 0.5,1 --drift ou --payoff bump --p 2 --T 1 --x 0"
-          " --v 1e200 --method mc --workers 1", "shift-harnack"),
+          " --v 1e200", "shift-harnack"),
          ("coupling --band 0.5,1 --x 0 --y 1e200", "Novikov")],
         ids=["harnack", "shift-harnack", "coupling"],
     )
@@ -203,6 +203,65 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert f"gexp: the {name} exponent overflows a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, power",
+        [("harnack --band 0.5,1 --drift ou --payoff sqclip --p 300 --T 1 --x 0 --y 0.1",
+          "300"),
+         ("shift-harnack --band 0.5,1 --drift ou --payoff sqclip --p 250 --T 1 --x 0"
+          " --v 0.1", "250")],
+        ids=["harnack", "shift-harnack"],
+    )
+    def test_overflowing_payoff_bound_exit_2(self, monkeypatch, capsys, args, power):
+        # 25.0**p raised an OverflowError: a traceback and exit 1
+        from gexp import harnack
+
+        monkeypatch.setattr(harnack, "solve_batch", None)  # never reached
+        code, out = run_cli(args.split())
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert f"gexp: the bound 25^{power} of sqclip^{power} overflows a float" in err
+
+    def test_axioms_empty_safe_window_exit_2(self, capsys):
+        # pad 6 sqrt(3) > 10 left no grid node; numpy's reduction error came out
+        code, out = run_cli(["axioms", "--band", "0.5,1", "--T", "3"])
+        assert code == 2
+        assert out == ""
+        assert "is empty at horizon 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out_path", [lambda d: d / "missing" / "x.json", lambda d: d],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, out_path):
+        # the OSError of the write printed a traceback and exited 1
+        code, out = run_cli(
+            ["gheat", "--band", "0.5,1", "--payoff", "sigmoid", "--T", "0.25", "--nx", "51",
+             "--out", str(out_path(tmp_path))]
+        )
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("gexp: ")
+
+    @pytest.mark.parametrize("args", [_HARNACK, _SHIFT], ids=["harnack", "shift-harnack"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [(None, "unrecognized arguments: --method mc"),
+         ("method = mc", "unknown configuration key 'method'")],
+        ids=["flag", "config"],
+    )
+    def test_certificate_method_exit_2(self, tmp_path, capsys, args, line, message):
+        # the certificates have one route, the PDE
+        flags = ["--method", "mc"]
+        if line is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line + "\n")
+            flags = ["--config", str(cfg)]
+        code, out = run_cli(args + flags)
+        assert code == 2
+        assert out == ""
+        assert message in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, capsys):
         with pytest.warns(RuntimeWarning):

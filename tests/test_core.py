@@ -22,8 +22,6 @@ class TestVolatilityBand:
     def test_valid(self):
         b = VolatilityBand(0.5, 1.0)
         assert b.v_lo == 0.25 and b.v_hi == 1.0
-        assert not b.degenerate
-        assert VolatilityBand(1.0, 1.0).degenerate
 
     @pytest.mark.parametrize(
         "lo,hi",
@@ -175,6 +173,12 @@ class TestTestFunction:
         neg = TestFunction("neg", lambda x: -np.ones_like(x), positivity=False)
         with pytest.raises(ValueError):
             neg.power(2.0)
+
+    def test_power_bound(self):
+        assert catalog()["sqclip"].power(2.0).bound == 625.0
+        assert catalog()["sigmoid"].power(300.0).bound == 1.0
+        with pytest.raises(ValueError, match=r"the bound 25\^300 of sqclip\^300 overflows"):
+            catalog()["sqclip"].power(300.0)
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -18,11 +18,10 @@ from gexp import (
     run_coupling_suite,
 )
 from gexp import coupling, simulate
-from gexp.coupling import eta_merge_defect
 from gexp.core import GsdeSpec, Kind
 from gexp.simulate import _BLOCK_PATHS
 
-from oracles import run_coupling
+from oracles import eta_merge_defect, run_coupling
 
 
 def unit_scenario(horizon=1.0):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gexp import (
     Grid1D,
     Kind,
-    McConfig,
     VolatilityBand,
     catalog,
     harnack_exponent,
@@ -138,14 +137,6 @@ class TestVerifyHarnack:
         )
         assert cert.lhs == pytest.approx(lhs_oracle, rel=1e-3)
         assert cert.rhs == pytest.approx(rhs_base * math.exp(cert.exponent), rel=1e-3)
-
-    def test_mc_method_advisory(self, band_wide, ou_spec):
-        cert = verify_harnack(
-            ou_spec, catalog()["sigmoid"], 0.0, 0.5, 2.0, 1.0, band_wide,
-            method="mc", mc=McConfig(4000, 64, 3),
-        )
-        assert cert.method == "mc"
-        assert cert.passed
 
     def test_requires_nonnegative_payoff(self, band_wide, ou_spec):
         from gexp import TestFunction
