@@ -7,9 +7,7 @@ The coupling time is detected on the grid as the first step where X - Y
 changes sign or falls below the merge tolerance; Y is slaved to X afterwards
 (the continuous construction merges exactly, on a grid only approximate
 merging is observable).  Until then X - Y keeps the sign s0 of x - y, so the
-forcing u = eta s0 is one number per scenario and step: a scenario row none
-of whose paths has merged applies it as such, and a row takes the per-path
-forcing from the step after its first merge on (see _advance_block).
+forcing u = eta s0 is one number per scenario and step (see _advance_block).
 
 The drift schedule eta is deterministic given a scenario (the quadratic
 variation is then a known function of time), so the Novikov integral is a
@@ -133,60 +131,35 @@ class CouplingReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _force(spec, rows, bX, i, merge_tol):
-    """Step i of the per-path forcing on a run of scenario rows: u, log M,
-    the Novikov integral and gap = X - Y with its merge reset.  `rows` holds
-    the run's views of the state, the scratch and the (S, m) coefficients;
-    bX is b(X) on the run, X not yet advanced."""
-    X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta = rows
-    vhc = vh[:, i : i + 1]
-    np.sign(gap, out=sgn)
-    np.multiply(eta[:, i : i + 1], sgn, out=u)
-    # Y gets a scratch array of its own: b may hand back its argument
-    bY = spec.b(np.subtract(X, gap, out=Y))
-    np.multiply(u, vhc, out=uvh)
-    # log M -= u (db + uvh / 2)
-    np.multiply(uvh, 0.5, out=t)
-    np.add(db, t, out=t)
-    np.multiply(u, t, out=t)
-    np.subtract(log_m, t, out=log_m)
-    np.multiply(u, uvh, out=t)
-    np.add(nov_int, t, out=nov_int)
-    # gap += (bX - bY) vh - uvh, then zero where the sign flipped or the gap
-    # fell below the merge tolerance
-    np.subtract(bX, bY, out=t)
-    np.multiply(t, vhc, out=t)
-    np.subtract(t, uvh, out=t)
-    np.add(gap, t, out=gap)
-    np.multiply(gap, sgn, out=t)
-    np.less_equal(t, merge_tol, out=merged)
-    np.copyto(gap, 0.0, where=merged)
-
-
-def _force_rows(spec, rows, bX, i, k, reached, tol):
+def _force_rows(spec, rows, bX, i, k, reached, tol, masked):
     """Step i, the k-th of its batch, of the forcing on a run of scenario
-    rows none of whose paths has merged, with one forcing number per row.
-    `rows` holds the run's views of the state, the scratch, vh, the rows'
-    running Novikov sums and the batch's tables of u, u vh, u vh / 2 and
-    u^2 vh (see _advance_block).  Return whether a path merged at this step
-    (its gap is then zero)."""
-    X, gap, log_m, db, t, Y, merged, vh, nov, u, uvh, half, uuvh = rows
+    rows, with one forcing number per row.  `rows` holds the run's views of
+    the state, the scratch, vh, the rows' running Novikov sums and the
+    batch's tables of u, u vh, u vh / 2 and u^2 vh (see _advance_block).
+    With `masked` set, only the paths whose gap is nonzero take the update.
+    Return whether a path merged at this step (its gap is then zero and its
+    Novikov integral the row's sum)."""
+    X, gap, log_m, nov_int, db, t, Y, merged, live, vh, nov, u, uvh, half, uuvh = rows
+    where = np.not_equal(gap, 0.0, out=live) if masked else True
     # Y gets a scratch array of its own: b may hand back its argument
     bY = spec.b(np.subtract(X, gap, out=Y))
     # log M -= u (db + uvh / 2)
     np.add(db, half[:, k : k + 1], out=t)
     np.multiply(u[:, k : k + 1], t, out=t)
-    np.subtract(log_m, t, out=log_m)
+    np.subtract(log_m, t, out=log_m, where=where)
     np.add(nov, uuvh[:, k : k + 1], out=nov)
     # gap += (bX - bY) vh - uvh, then the merge test gap * s0 <= merge_tol
     np.subtract(bX, bY, out=t)
     np.multiply(t, vh[:, i : i + 1], out=t)
     np.subtract(t, uvh[:, k : k + 1], out=t)
-    np.add(gap, t, out=gap)
+    np.add(gap, t, out=gap, where=where)
     reached(gap, tol, out=merged)
+    if masked:
+        np.logical_and(merged, live, out=merged)
     if not merged.any():
         return False
     np.copyto(gap, 0.0, where=merged)
+    np.copyto(nov_int, nov, where=merged)
     return True
 
 
@@ -196,29 +169,30 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
     holds the worker's (S, size >= b) scratch arrays.
 
     A step makes 9 (S, b) passes over every row, counting a drift call as
-    one: the normals, X and Xref.  The forcing adds more, by the group that
-    np.count_nonzero(gap) puts a row in at the start of the batch:
-    - no path unmerged: gap == +0.0 on every path, so each forcing update
-      would add an exact zero, and the row skips it, bit-exactly;
-    - some paths merged: _force, per path, 18 passes;
-    - no path merged: _force_rows, one forcing number per row, 11 passes
-      with the merge test's `any`.  The merge test zeroes a gap at the
-      first step where its sign flips or it falls below merge_tol, so every
-      unmerged path has sign(gap) = s0 = sign(x - y).  Then u = eta_i s0,
-      u vh, u vh / 2 and u^2 vh are one number per row, made in the
-      per-path order of operations for the same bits; the merge test is
-      gap <= merge_tol, or gap >= -merge_tol when s0 = -1; and the Novikov
-      sum, equal on all paths of the row, is one running number, written
-      into nov_int when the row leaves the group and at the end of the
-      batch.  A row leaves at the step where its first path merges and
-      takes the per-path forcing from the next step on.
+    one: the normals, X and Xref.  The forcing, _force_rows, adds 11 on a
+    row with no merged path and 13 on a row with some, masked to the paths
+    with gap != 0; a row with no unmerged path skips it.  On a merged path
+    (gap == +0.0) the forcing would add exact zeros, so neither the skip
+    nor the mask changes a bit.  np.count_nonzero(gap) sorts the rows at
+    the start of the batch, and a row turns masked at its first merge.
+
+    The merge test zeroes a gap at the first step where its sign flips or it
+    falls below merge_tol, so every unmerged path has sign(gap) = s0 =
+    sign(x - y).  Then u = eta_i s0, u vh, u vh / 2 and u^2 vh are one
+    number per row, made in the per-path order of operations for the same
+    bits, and the merge test is gap <= merge_tol (gap >= -merge_tol when
+    s0 = -1).  The unmerged paths of a row share one running Novikov sum.
+    It starts from the row's largest nov_int, as a merged path's sum of
+    nonnegative terms stopped growing at its merge, and is written into a
+    path's nov_int at its merge and into the unmerged paths' at the end of
+    the batch.
     """
     X, gap, log_m, nov_int, Xref = state
     b = X.shape[1]
-    db, t, Y, sgn, u, uvh, merged = (a[:, :b] for a in tmp)
+    db, t, Y, merged, live = (a[:, :b] for a in tmp)
     unmerged = np.count_nonzero(gap, axis=1)
-    per_path = (unmerged > 0) & (unmerged < b)
-    per_row = unmerged == b
+    whole = unmerged == b
+    part = (unmerged > 0) & ~whole
     reached, tol = (
         (np.less_equal, merge_tol) if s0 > 0 else (np.greater_equal, -merge_tol)
     )
@@ -226,37 +200,37 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
     row_u = eta[:, steps] * s0
     row_uvh = row_u * vh[:, steps]
     nov = nov_int[:, :1].copy()
-    by_path = (X, gap, log_m, nov_int, db, t, Y, sgn, u, uvh, merged, vh, eta)
     by_row = (
-        X, gap, log_m, db, t, Y, merged, vh, nov,
+        X, gap, log_m, nov_int, db, t, Y, merged, live, vh, nov,
         row_u, row_uvh, row_uvh * 0.5, row_u * row_uvh,
     )
 
-    def runs(mask, arrays):
+    def runs(mask):
         return [
-            (slice(r0, r1), tuple(a[r0:r1] for a in arrays))
+            (slice(r0, r1), tuple(a[r0:r1] for a in by_row))
             for r0, r1 in _runs(mask)
         ]
 
-    path_runs, row_runs = runs(per_path, by_path), runs(per_row, by_row)
+    whole_runs, part_runs = runs(whole), runs(part)
+    for run, _ in part_runs:
+        nov[run] = nov_int[run].max(axis=1, keepdims=True)
     for k in range(Z.shape[0]):
         i = i0 + k
         vhc = vh[:, i : i + 1]
         np.multiply(sqv[:, i : i + 1], Z[k, lo : lo + b], out=db)
         bX = spec.b(X)
-        for run, rows in path_runs:
-            _force(spec, rows, bX[run], i, merge_tol)
+        for run, rows in part_runs:
+            _force_rows(spec, rows, bX[run], i, k, reached, tol, True)
         left = [
-            run for run, rows in row_runs
-            if _force_rows(spec, rows, bX[run], i, k, reached, tol)
+            run for run, rows in whole_runs
+            if _force_rows(spec, rows, bX[run], i, k, reached, tol, False)
         ]
         for run in left:
-            np.copyto(nov_int[run], nov[run])
             moved = merged[run].any(axis=1)
-            per_row[run][moved] = False
-            per_path[run][moved] = True
+            whole[run][moved] = False
+            part[run][moved] = True
         if left:
-            path_runs, row_runs = runs(per_path, by_path), runs(per_row, by_row)
+            whole_runs, part_runs = runs(whole), runs(part)
         # X += bX vh + db
         np.multiply(bX, vhc, out=t)
         np.add(t, db, out=t)
@@ -265,8 +239,10 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
         np.multiply(spec.b(Xref), vhc, out=t)
         np.add(t, db, out=t)
         np.add(Xref, t, out=Xref)
-    for run, _ in row_runs:
+    for run, _ in whole_runs:
         np.copyto(nov_int[run], nov[run])
+    for run, _ in part_runs:
+        np.copyto(nov_int[run], nov[run], where=gap[run] != 0.0)
 
 
 def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
@@ -278,13 +254,9 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     Common random numbers make the per-step draw identical across scenarios,
     so one shared normal vector per step drives all of them.  The forced
     process is carried as gap = X - Y (exactly +0.0 after slaving), which
-    also makes the forcing vanish once paths merge.  An unmerged path has
-    sign(gap) = s0 = sign(x - y), so a scenario row with no merged path
-    applies the forcing as one number per row, in the per-path order of
-    operations; it switches to the per-path forcing at the step where its
-    first path merges, and a row whose paths have all merged skips the
-    forcing update.  Both forms keep every bit of the per-path forcing (see
-    _advance_block).
+    also makes the forcing vanish once paths merge.  The forcing is one
+    number per scenario row and step, masked to the unmerged paths, with
+    every bit of a per-path forcing (see _advance_block).
 
     simulate._sweep_blocks splits the paths into blocks, so that each step
     works on (S, block) arrays instead of the whole (S, n) state, and runs
@@ -317,7 +289,7 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
         lambda views, tmp, Z, lo, i0: _advance_block(
             spec, views, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol
         ),
-        lambda shape: (*(np.empty(shape) for _ in range(6)), np.empty(shape, bool)),
+        lambda shape: tuple(np.empty(shape, d) for d in (float,) * 3 + (bool,) * 2),
     )
     return X, X - gap, log_m, Xref, nov_int
 
@@ -341,10 +313,8 @@ def run_coupling_suite(
     scenarios.  The sweep runs N = max(mc.n_paths, girsanov_paths) paths
     (mc.n_paths when girsanov_paths is None) and carries all five arrays.
     The Girsanov-identity fields read its first girsanov_paths paths, every
-    other diagnostic its first mc.n_paths paths.  A scenario row with no
-    merged path takes one forcing number per step, and a row whose paths
-    have all merged skips the forcing update, both bit-exactly.  The path blocks
-    run on `workers` threads (default os.cpu_count(); fewer than 1 is a
+    other diagnostic its first mc.n_paths paths.  The path blocks run on
+    `workers` threads (default os.cpu_count(); fewer than 1 is a
     ValueError), each with its own scratch arrays for the whole sweep; the
     reports are bit-identical for every worker count.  A closed-form ceiling
     too large for a float is a ValueError, raised before the sweep.

@@ -63,8 +63,8 @@ class Grid1D:
     def __post_init__(self):
         if self.nx < 3:
             raise ValueError("nx must be at least 3")
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError("x_min and x_max must be finite")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError("x_min, x_max and the width x_max - x_min must be finite")
         if not self.x_min < self.x_max:
             raise ValueError("need x_min < x_max")
 
@@ -117,7 +117,11 @@ def g_operator(a, band: VolatilityBand):
 def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind | None) -> float:
     # advective coefficient: v*b for the qv-driven equation, b otherwise
     adv = band.v_hi * bmax if kind is Kind.QV_DRIVEN else bmax
-    return grid.dx**2 / (band.v_hi + grid.dx * adv)
+    try:
+        dx2 = grid.dx**2
+    except OverflowError:  # a grid step above 1e154
+        dx2 = math.inf
+    return dx2 / (band.v_hi + grid.dx * adv)
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -163,11 +167,15 @@ def solve_batch(
         raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
     bmax = 0.0 if b is None else float(np.max(np.abs(b)))
     dt_max = _stable_dt(grid, band, bmax, kind)
-    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * dt_max)))
-    if n_steps > MAX_STEPS:
+    # dt_max is 0 if dx^2 underflows or dx*b overflows, inf or nan if dx^2 does
+    if not math.isfinite(dt_max):
+        raise ValueError(f"the grid step {dx:.3g} is too large: its square overflows")
+    steps = horizon / (CFL_SAFETY * dt_max) if dt_max > 0.0 else math.inf
+    if steps > MAX_STEPS:
         raise ValueError(
-            f"the march needs {n_steps} steps, above the budget of {MAX_STEPS}"
+            f"the march needs {steps:.3g} steps, above the budget of {MAX_STEPS}"
         )
+    n_steps = max(1, math.ceil(steps))
     dt = horizon / n_steps
     u = np.empty((len(payoffs), grid.nx))
     for row, payoff in zip(u, payoffs):
@@ -239,18 +247,20 @@ def solve_batch(
         np.add(t1, out, out=out)
 
     u_views, u1_views = stencil(u), stencil(u1)
-    for step in range(n_steps):
-        # Heun: u1 = u + dt*rhs(u);  u <- ((u + u1) + dt*rhs(u1)) / 2
-        rhs(u_views, k)
-        np.multiply(k, dt, out=k)
-        np.add(u, k, out=u1)
-        rhs(u1_views, k)
-        np.add(u, u1, out=u)
-        np.multiply(k, dt, out=k)
-        np.add(u, k, out=u)
-        np.multiply(u, 0.5, out=u)
-        if step % 128 == 0 and not np.all(np.isfinite(u)):
-            raise RuntimeError(f"non-finite values at step {step}")
+    # an overflow surfaces as a non-finite u, which the checks below report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            # Heun: u1 = u + dt*rhs(u);  u <- ((u + u1) + dt*rhs(u1)) / 2
+            rhs(u_views, k)
+            np.multiply(k, dt, out=k)
+            np.add(u, k, out=u1)
+            rhs(u1_views, k)
+            np.add(u, u1, out=u)
+            np.multiply(k, dt, out=k)
+            np.add(u, k, out=u)
+            np.multiply(u, 0.5, out=u)
+            if step % 128 == 0 and not np.all(np.isfinite(u)):
+                raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):
         raise RuntimeError(f"non-finite values at final step {n_steps}")
 

@@ -223,6 +223,45 @@ class TestUsage:
         err = capsys.readouterr().err
         assert f"gexp: the bound 25^{power} of sqclip^{power} overflows a float" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(_GHEAT + ["--xmin", "0", "--xmax", "1e-300"], "needs inf steps"),
+         (_GHEAT + ["--xmin=-1e200", "--xmax=1e200"], "the grid step 5e+197 is too large"),
+         (_GHEAT + ["--xmin=-1e308", "--xmax=1e308"], "the width x_max - x_min must be finite"),
+         (["pbar", "--kind", "qv", "--drift", "const:1e308", "--band", "0.5,1",
+           "--payoff", "sigmoid", "--T", "1", "--x", "0", "--method", "pde"],
+          "needs inf steps"),
+         (["pbar", "--kind", "qv", "--drift", "const:1e300", "--band", "0.5,1",
+           "--payoff", "sigmoid", "--T", "1", "--x", "0", "--method", "pde"],
+          "needs 2.22e+301 steps, above the budget of 1000000"),
+         (["axioms", "--band", "0.5,1", "--drift", "const:1e308"], "needs inf steps"),
+         (_SHIFT[:3] + ["--drift", "const:1e308", "--K", "1"] + _SHIFT[5:],
+          "needs inf steps")],
+        ids=["dx2-underflows", "dx2-overflows", "width-overflows", "pbar-drift-inf",
+             "pbar-drift-huge", "axioms", "shift-harnack"],
+    )
+    def test_degenerate_march_exit_2(self, capsys, args, message):
+        # a ZeroDivisionError, an OverflowError or math.ceil(inf) printed a
+        # traceback and exited 1; NaN and 302-digit step counts exited 2
+        code, out = run_cli(args)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("gexp: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("power", ["219", "220"])
+    def test_overflow_in_the_march_exit_3_one_line(self, capsys, power):
+        # the bound 25^p is finite, the stencil overflows at the first step;
+        # three numpy RuntimeWarnings came before the error line
+        code, out = run_cli(
+            ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sqclip",
+             "--p", power, "--T", "1", "--x", "0", "--y", "0.1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert capsys.readouterr().err == "gexp: non-finite values at step 0\n"
+
     def test_axioms_empty_safe_window_exit_2(self, capsys):
         # pad 6 sqrt(3) > 10 left no grid node; numpy's reduction error came out
         code, out = run_cli(["axioms", "--band", "0.5,1", "--T", "3"])

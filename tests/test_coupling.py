@@ -146,22 +146,27 @@ class TestSuite:
 
     @staticmethod
     def _check_against_oracle(band_wide, x, y):
+        # tanh:2 merges the paths of a row at different steps, so its rows
+        # take the masked forcing; ou merges a whole row at one step
         scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
         mc = McConfig(400, 256, 42)
-        spec = make_drift("ou")
-        suite = run_coupling_suite(spec, x, y, 1.0, scs, mc, 2.0, catalog()["sigmoid"])
-        assert [r.scenario for r in suite] == [sc.label for sc in scs]
-        for sc, got in zip(scs, suite):
-            ref = run_coupling(spec, x, y, 1.0, sc, mc, 2.0, catalog()["sigmoid"])
-            assert got.coupling_gap == pytest.approx(ref.coupling_gap, abs=1e-9)
-            assert got.m_mean == pytest.approx(ref.m_mean, abs=1e-10)
-            assert got.novikov_pathwise_max == pytest.approx(
-                ref.novikov_pathwise_max, rel=1e-9
+        for drift in ("ou", "tanh:2"):
+            spec = make_drift(drift)
+            suite = run_coupling_suite(
+                spec, x, y, 1.0, scs, mc, 2.0, catalog()["sigmoid"]
             )
-            assert got.girsanov_identity_gap == pytest.approx(
-                ref.girsanov_identity_gap, abs=1e-8
-            )
-            assert got.mt_moment == pytest.approx(ref.mt_moment, rel=1e-9)
+            assert [r.scenario for r in suite] == [sc.label for sc in scs]
+            for sc, got in zip(scs, suite):
+                ref = run_coupling(spec, x, y, 1.0, sc, mc, 2.0, catalog()["sigmoid"])
+                assert got.coupling_gap == pytest.approx(ref.coupling_gap, abs=1e-9)
+                assert got.m_mean == pytest.approx(ref.m_mean, abs=1e-10)
+                assert got.novikov_pathwise_max == pytest.approx(
+                    ref.novikov_pathwise_max, rel=1e-9
+                )
+                assert got.girsanov_identity_gap == pytest.approx(
+                    ref.girsanov_identity_gap, abs=1e-8
+                )
+                assert got.mt_moment == pytest.approx(ref.mt_moment, rel=1e-9)
 
     def test_reports_independent_of_workers(self, band_wide):
         # both sweeps span several path blocks, the last one partial, and
@@ -316,8 +321,8 @@ class TestSuite:
 
 class TestMergedRows:
     """The forcing update skips scenario rows whose paths have all merged,
-    and takes one forcing number per row on rows with no merged path; both
-    must change no bit of the state."""
+    takes one forcing number per row, and on rows with some merged paths
+    masks those paths out; none of this may change a bit of the state."""
 
     @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
     def test_states_independent_of_step_batch(self, band_wide, monkeypatch, drift):
@@ -350,13 +355,13 @@ class TestMergedRows:
             assert states[0] == states[1] == states[2] == states[3]
         if drift == "tanh:2":
             # some rows start a batch with part of their paths merged: their
-            # first merge came before the batch and the per-path forcing runs
+            # first merge came before the batch and the masked forcing runs
             assert max(mixed) > 0
 
     @pytest.mark.parametrize("drift", ["ou", "tanh:2", "identity"])
     @pytest.mark.parametrize("x, y", [(1.0, 0.0), (0.0, 1.0)], ids=["x>y", "x<y"])
     def test_row_forcing_equals_path_forcing(self, band_wide, monkeypatch, drift, x, y):
-        # with every live row sent to the per-path forcing, as if one path of
+        # with every live row sent to the masked forcing, as if one path of
         # each had merged, the states keep every bit
         spec = (
             GsdeSpec(lambda z: z, 1.0, Kind.QV_DRIVEN) if drift == "identity"
@@ -364,16 +369,16 @@ class TestMergedRows:
         )
         scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
         args = (spec, x, y, 1.0, scs, 1000, 64, 3)
-        calls = {"rows": 0}
+        calls = {"unmasked": 0}
         force_rows = coupling._force_rows
 
         def counting(*a):
-            calls["rows"] += 1
+            calls["unmasked"] += not a[-1]
             return force_rows(*a)
 
         monkeypatch.setattr(coupling, "_force_rows", counting)
         fast = [a.tobytes() for a in coupling._batched_states(*args, workers=2)]
-        assert calls["rows"] > 0
+        assert calls["unmasked"] > 0
 
         class PerPathOnly:
             """numpy, with no row counted as wholly unmerged."""
@@ -385,10 +390,10 @@ class TestMergedRows:
             def count_nonzero(a, axis=None):
                 return np.minimum(np.count_nonzero(a, axis=axis), a.shape[1] - 1)
 
-        calls["rows"] = 0
+        calls["unmasked"] = 0
         monkeypatch.setattr(coupling, "np", PerPathOnly())
         slow = [a.tobytes() for a in coupling._batched_states(*args, workers=2)]
-        assert calls["rows"] == 0
+        assert calls["unmasked"] == 0
         assert fast == slow
 
     def test_equal_points_never_force(self, band_wide, monkeypatch):
@@ -397,7 +402,6 @@ class TestMergedRows:
         def never(*args):
             raise AssertionError("a forcing update ran")
 
-        monkeypatch.setattr(coupling, "_force", never)
         monkeypatch.setattr(coupling, "_force_rows", never)
         scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
         for workers in (1, 2):

@@ -71,8 +71,9 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"x_min": -math.inf}, {"x_max": math.inf}, {"x_max": math.nan}],
-        ids=["xmin-inf", "xmax-inf", "xmax-nan"],
+        [{"x_min": -math.inf}, {"x_max": math.inf}, {"x_max": math.nan},
+         {"x_min": -1e308, "x_max": 1e308}],
+        ids=["xmin-inf", "xmax-inf", "xmax-nan", "width-inf"],
     )
     def test_unusable_values_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -99,8 +100,25 @@ class TestGrid:
         # the budget is checked before a payoff is evaluated or a step taken
         calls = []
         payoff = TestFunction("spy", lambda x: calls.append(1) or np.zeros_like(x))
-        with pytest.raises(ValueError, match=r"needs \d+ steps, above the budget"):
+        with pytest.raises(ValueError, match=r"needs 4\.44e\+11 steps, above the budget"):
             solve_batch([payoff], VolatilityBand(0.5, 1.0), 1e9, Grid1D())
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "grid, spec, message",
+        [(Grid1D(0.0, 1e-300), None, "needs inf steps"),
+         (Grid1D(-1e200, 1e200), None, r"the grid step 5e\+197 is too large"),
+         (Grid1D(), make_drift("const:1e308"), "needs inf steps"),
+         (Grid1D(), make_drift("const:1e300"), r"needs 2\.22e\+301 steps")],
+        ids=["dx2-underflows", "dx2-overflows", "drift-overflows", "drift-huge"],
+    )
+    def test_degenerate_cfl_step_rejected(self, grid, spec, message):
+        # a ZeroDivisionError, an OverflowError, math.ceil(inf) and a
+        # 302-digit step count before the step ratio was checked as a float
+        calls = []
+        payoff = TestFunction("spy", lambda x: calls.append(1) or np.zeros_like(x))
+        with pytest.raises(ValueError, match=message):
+            solve_batch([payoff], VolatilityBand(0.5, 1.0), 1.0, grid, spec)
         assert calls == []
 
 
