@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simulate
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
 from .harnack import _exp, harnack_exponent
@@ -105,7 +106,10 @@ def novikov_pathwise_bound(K: float, band, horizon: float, dist: float) -> float
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Per-scenario coupling and change-of-measure diagnostics."""
+    """Per-scenario coupling and change-of-measure diagnostics, and the
+    verdicts of its checks: the Novikov maximum within its ceiling up to
+    round-off, the Girsanov gap and the M_T moment within simulate.SE_LEVEL
+    standard errors."""
 
     scenario: str
     x: float
@@ -129,6 +133,22 @@ class CouplingReport:
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+    @property
+    def novikov_pass(self) -> bool:
+        return self.novikov_pathwise_max <= self.novikov_bound * (1 + 1e-9)
+
+    @property
+    def girsanov_pass(self) -> bool:
+        return self.girsanov_identity_gap <= simulate.SE_LEVEL * self.girsanov_std_error
+
+    @property
+    def mt_moment_pass(self) -> bool:
+        return mt_moment_check(self)[0]
+
+    @property
+    def passed(self) -> bool:
+        return self.novikov_pass and self.girsanov_pass and self.mt_moment_pass
 
 
 def _force_rows(spec, rows, bX, i, k, reached, tol, masked):
@@ -174,7 +194,7 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
     with gap != 0; a row with no unmerged path skips it.  On a merged path
     (gap == +0.0) the forcing would add exact zeros, so neither the skip
     nor the mask changes a bit.  np.count_nonzero(gap) sorts the rows at
-    the start of the batch, and a row turns masked at its first merge.
+    the start of the batch and after each step with a merge.
 
     The merge test zeroes a gap at the first step where its sign flips or it
     falls below merge_tol, so every unmerged path has sign(gap) = s0 =
@@ -190,9 +210,6 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
     X, gap, log_m, nov_int, Xref = state
     b = X.shape[1]
     db, t, Y, merged, live = (a[:, :b] for a in tmp)
-    unmerged = np.count_nonzero(gap, axis=1)
-    whole = unmerged == b
-    part = (unmerged > 0) & ~whole
     reached, tol = (
         (np.less_equal, merge_tol) if s0 > 0 else (np.greater_equal, -merge_tol)
     )
@@ -205,13 +222,15 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
         row_u, row_uvh, row_uvh * 0.5, row_u * row_uvh,
     )
 
-    def runs(mask):
+    def groups():
+        """The runs of rows with no merged path, and of those with some but not all."""
+        unmerged = np.count_nonzero(gap, axis=1)
         return [
-            (slice(r0, r1), tuple(a[r0:r1] for a in by_row))
-            for r0, r1 in _runs(mask)
+            [(slice(r0, r1), tuple(a[r0:r1] for a in by_row)) for r0, r1 in _runs(mask)]
+            for mask in (unmerged == b, (unmerged > 0) & (unmerged < b))
         ]
 
-    whole_runs, part_runs = runs(whole), runs(part)
+    whole_runs, part_runs = groups()
     for run, _ in part_runs:
         nov[run] = nov_int[run].max(axis=1, keepdims=True)
     for k in range(Z.shape[0]):
@@ -219,18 +238,13 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
         vhc = vh[:, i : i + 1]
         np.multiply(sqv[:, i : i + 1], Z[k, lo : lo + b], out=db)
         bX = spec.b(X)
-        for run, rows in part_runs:
-            _force_rows(spec, rows, bX[run], i, k, reached, tol, True)
-        left = [
-            run for run, rows in whole_runs
-            if _force_rows(spec, rows, bX[run], i, k, reached, tol, False)
+        merges = [
+            _force_rows(spec, rows, bX[run], i, k, reached, tol, masked)
+            for masked, group in ((True, part_runs), (False, whole_runs))
+            for run, rows in group
         ]
-        for run in left:
-            moved = merged[run].any(axis=1)
-            whole[run][moved] = False
-            part[run][moved] = True
-        if left:
-            whole_runs, part_runs = runs(whole), runs(part)
+        if any(merges):
+            whole_runs, part_runs = groups()
         # X += bX vh + db
         np.multiply(bX, vhc, out=t)
         np.add(t, db, out=t)
@@ -381,9 +395,9 @@ def run_coupling_suite(
 
 def mt_moment_check(report: CouplingReport) -> tuple[bool, dict]:
     """Sample mean of M_T^{p/(p-1)} against the closed-form ceiling, allowing
-    3 relative standard errors of slack."""
+    simulate.SE_LEVEL relative standard errors of slack."""
     rel_se = report.mt_moment_std_error / max(report.mt_moment, 1e-300)
-    limit = report.mt_moment_bound * (1.0 + 3.0 * rel_se)
+    limit = report.mt_moment_bound * (1.0 + simulate.SE_LEVEL * rel_se)
     return report.mt_moment <= limit, {
         "mt_moment": report.mt_moment,
         "mt_moment_bound": report.mt_moment_bound,

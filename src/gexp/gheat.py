@@ -52,6 +52,8 @@ __all__ = [
 CFL_SAFETY = 0.9
 # most Heun steps solve_batch marches; a longer march is a ValueError
 MAX_STEPS = 10**6
+# relative error allowed to this scheme's values by every check that reads them
+PDE_BUDGET = 2e-3
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,18 @@ def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind | Non
     return dx2 / (band.v_hi + grid.dx * adv)
 
 
+def _march_steps(grid: Grid1D, band: VolatilityBand, horizon: float, bmax, kind) -> float:
+    """Heun steps at the CFL step; a ValueError unless finite and within MAX_STEPS."""
+    dt_max = _stable_dt(grid, band, bmax, kind)
+    # dt_max is 0 if dx^2 underflows or dx*b overflows, inf or nan if dx^2 does
+    if not math.isfinite(dt_max):
+        raise ValueError(f"the grid step {grid.dx:.3g} is too large: its square overflows")
+    steps = horizon / (CFL_SAFETY * dt_max) if dt_max > 0.0 else math.inf
+    if steps > MAX_STEPS:
+        raise ValueError(f"the march needs {steps:.3g} steps, above the budget of {MAX_STEPS}")
+    return steps
+
+
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """(start, stop) of every run of True in a 1-D mask."""
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
@@ -159,22 +173,17 @@ def solve_batch(
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    xs, dx = grid.xs, grid.dx
     kind = None if spec is None else spec.kind
+    # the drift-free count first, before grid.xs exists: a drift only
+    # shortens the step, so this rejects no march the full count would pass
+    steps = _march_steps(grid, band, horizon, 0.0, kind)
+    xs, dx = grid.xs, grid.dx
     b = None if spec is None else spec.b(xs)
-    if b is not None and not np.all(np.isfinite(b)):
-        x_bad = xs[~np.isfinite(b)][0]
-        raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
-    bmax = 0.0 if b is None else float(np.max(np.abs(b)))
-    dt_max = _stable_dt(grid, band, bmax, kind)
-    # dt_max is 0 if dx^2 underflows or dx*b overflows, inf or nan if dx^2 does
-    if not math.isfinite(dt_max):
-        raise ValueError(f"the grid step {dx:.3g} is too large: its square overflows")
-    steps = horizon / (CFL_SAFETY * dt_max) if dt_max > 0.0 else math.inf
-    if steps > MAX_STEPS:
-        raise ValueError(
-            f"the march needs {steps:.3g} steps, above the budget of {MAX_STEPS}"
-        )
+    if b is not None:
+        if not np.all(np.isfinite(b)):
+            x_bad = xs[~np.isfinite(b)][0]
+            raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
+        steps = _march_steps(grid, band, horizon, float(np.max(np.abs(b))), kind)
     n_steps = max(1, math.ceil(steps))
     dt = horizon / n_steps
     u = np.empty((len(payoffs), grid.nx))

@@ -2,7 +2,7 @@
 certificates on the PDE backend.
 
 Each certificate reads both sides of its inequality off one stacked
-`gheat.solve_batch` march and passes when lhs <= rhs * (1 + PDE_BUDGET).
+`gheat.solve_batch` march and passes when lhs <= rhs * (1 + gheat.PDE_BUDGET).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import gheat
 from .core import GsdeSpec, Kind, TestFunction, VolatilityBand
 from .gheat import Grid1D, require_safe, solve_batch
 
@@ -24,8 +25,6 @@ __all__ = [
     "harnack_grid",
     "shift_harnack_grid",
 ]
-
-PDE_BUDGET = 2e-3  # relative tolerance of every PDE-backend certificate
 
 
 def harnack_exponent(
@@ -150,6 +149,7 @@ def _exp(name: str, exponent: float) -> float:
 
 def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, expo):
     rhs = base * _exp(kind, expo)
+    budget = gheat.PDE_BUDGET
     return HarnackCertificate(
         kind=kind,
         p=p,
@@ -160,8 +160,8 @@ def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, expo):
         lhs=lhs,
         rhs=rhs,
         exponent=expo,
-        tolerance_budget=PDE_BUDGET,
-        passed=lhs <= rhs * (1.0 + PDE_BUDGET),
+        tolerance_budget=budget,
+        passed=lhs <= rhs * (1.0 + budget),
     )
 
 
@@ -261,7 +261,7 @@ def harnack_grid(
     x0: float = 0.0,
 ) -> list[HarnackCertificate]:
     """PDE-backend certificate sweep on the default Grid1D, each certificate
-    with the PDE_BUDGET relative tolerance: one stacked solve per (band,
+    with the gheat.PDE_BUDGET relative tolerance: one stacked solve per (band,
     horizon) over f and every f^p of each payoff, reused across the distance
     grid."""
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
@@ -284,9 +284,9 @@ def shift_harnack_grid(
     x0: float = 0.0,
 ) -> list[HarnackCertificate]:
     """PDE-backend shift-Harnack sweep on the default Grid1D, each
-    certificate with the PDE_BUDGET relative tolerance: one stacked solve per
-    (band, horizon) over f and every f^p(v + .) of each payoff; the unshifted
-    solution is shared across the shift grid."""
+    certificate with the gheat.PDE_BUDGET relative tolerance: one stacked
+    solve per (band, horizon) over f and every f^p(v + .) of each payoff; the
+    unshifted solution is shared across the shift grid."""
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
     shifts = [float(v) for v in shifts]
     return [

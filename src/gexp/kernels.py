@@ -421,6 +421,18 @@ class KernelReport:
             "truncation_radius": TRUNCATION_RADIUS,
         }
 
+    @property
+    def passed(self) -> bool:
+        """Every check within its quadrature tolerance."""
+        return (
+            self.dominance["violations"] == 0
+            and all(g <= 1e-6 for g in self.quasi_invariance_gaps.values())
+            and all(abs(g) <= 1e-6 for g in self.member_invariance_gaps.values())
+            and all(m >= 0.0 for m in self.lower_bound_margins.values())
+            and all(m >= -1e-9 for m in self.sup_kernel_margins.values())
+            and self.ex38.sum_dominance_violations == 0
+        )
+
 
 def run_kernel_suite(alpha: float = 2.0) -> KernelReport:
     """Run every kernel-level check on the shipped payoff catalog."""

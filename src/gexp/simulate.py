@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gheat
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 
 __all__ = ["PbarEstimate", "pbar_mc"]
@@ -166,6 +167,14 @@ class PbarEstimate:
             "seed": self.seed,
         }
 
+    def cross_check(self, pde_value: float) -> dict:
+        """Gap to the PDE value of the same problem, its budget and its pass.
+        This value is a lower-bound estimate of the sup, so only an excess
+        beyond SE_LEVEL standard errors and the PDE budget fails."""
+        budget = max(SE_LEVEL * self.argmax_std_error, gheat.PDE_BUDGET * max(1.0, abs(pde_value)))
+        gap = self.value - pde_value
+        return {"gap": gap, "budget": budget, "pass": gap <= budget}
+
 
 def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
     """Advance one path block's (S, b) state in place over the steps i0,
@@ -205,6 +214,10 @@ def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
         lambda shape: (np.empty(shape),),
     )
     return X
+
+
+# standard errors of slack in every fixed-level Monte Carlo check
+SE_LEVEL = 3.0
 
 
 def _se(a: np.ndarray) -> float:

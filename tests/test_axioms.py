@@ -36,4 +36,4 @@ def test_empty_safe_window_rejected_before_any_solve(monkeypatch):
     monkeypatch.setattr(axioms, "solve_batch", None)  # never reached
     message = r"\[0\.392305, -0\.392305\] of the grid \[-10, 10\] is empty at horizon 3"
     with pytest.raises(ValueError, match=message):
-        run_axioms(make_drift("ou"), VolatilityBand(0.5, 1.0), 3.0)
+        run_axioms(make_drift("ou"), VolatilityBand(0.5, 1.0), 3.0, mc=McConfig(2000, 64, 19))

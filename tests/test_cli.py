@@ -9,6 +9,7 @@ import tomllib
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gexp
@@ -132,6 +133,31 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert "above the budget of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [_GHEAT + ["--nx", "10000000000"],
+         ["pbar", "--kind", "qv", "--drift", "ou", "--band", "0.5,1", "--payoff", "sigmoid",
+          "--T", "1", "--x", "0", "--method", "pde", "--nx", "10000000000"]],
+        ids=["gheat", "pbar"],
+    )
+    def test_huge_nx_exit_2_before_any_grid_array(self, monkeypatch, capsys, args):
+        # the grid's nodes and the drift on them came before the step budget:
+        # numpy was asked for 80 GB, and a MemoryError traceback exited 1
+        linspace = np.linspace
+
+        def spy(start, stop, num=50, **kwargs):
+            if num >= 10**9:
+                raise AssertionError(f"a linspace of {num} points")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", spy)
+        code, out = run_cli(args)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("gexp: ") and err.count("\n") == 1
+        assert "above the budget of 1000000" in err
 
     @pytest.mark.parametrize("alpha", ["1", "0.5", "-2"])
     def test_kernels_alpha_at_most_one_exit_2_before_quadrature(
@@ -414,6 +440,38 @@ class TestReports:
         code, out = run_cli(["axioms", "--band", "0.5,1", "--workers", "1"])
         assert code == 0
         assert json.loads(out)["all_pass"] is True
+
+
+class TestRulesInOnePlace:
+    """Every check reads the PDE error budget from gheat and the level of
+    its Monte Carlo test from simulate, so each changes in one place."""
+
+    def test_pde_budget(self, monkeypatch):
+        monkeypatch.setattr(gexp.gheat, "PDE_BUDGET", 0.25)
+        for args in (_HARNACK, _SHIFT):
+            code, out = run_cli(args)
+            assert code == 0
+            assert json.loads(out)["certificate"]["tolerance_budget"] == 0.25
+        code, out = run_cli(["axioms", "--band", "0.5,1", "--drift", "ou", "--workers", "1"])
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert {c["limit"] for c in checks if c["check"].startswith("pde:")} == {0.25}
+        code, out = run_cli(
+            ["pbar", "--kind", "qv", "--drift", "ou", "--band", "0.5,1", "--payoff", "sigmoid",
+             "--T", "1", "--x", "1", "--method", "both", "--npaths", "500", "--nsteps", "16",
+             "--nx", "101", "--workers", "1"]
+        )
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["cross_check"]["budget"] == 0.25 * max(1.0, abs(rep["pde_value"]))
+
+    def test_se_level(self, monkeypatch):
+        # at 0 standard errors of slack, a Girsanov gap above zero fails
+        monkeypatch.setattr(gexp.simulate, "SE_LEVEL", 0.0)
+        code, out = run_cli(_COUPLING + ["--workers", "1"])
+        assert code == 1
+        reports = json.loads(out)["reports"]
+        assert reports and not any(r["girsanov_pass"] for r in reports)
 
 
 _PBAR = ["pbar", "--kind", "qv", "--drift", "zero", "--band", "1,1", "--payoff", "one",

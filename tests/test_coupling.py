@@ -396,6 +396,27 @@ class TestMergedRows:
         assert calls["unmasked"] == 0
         assert fast == slow
 
+    @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
+    def test_merged_rows_never_forced(self, band_wide, monkeypatch, drift):
+        # with ou every path of a row merges at one step, and the row then
+        # took no-op masked forcing passes for the rest of its batch of steps
+        force_rows = coupling._force_rows
+        calls = {"all": 0, "merged": 0}
+
+        def counting(spec, rows, *rest):
+            calls["all"] += 1
+            calls["merged"] += int(np.any(np.count_nonzero(rows[1], axis=1) == 0))
+            return force_rows(spec, rows, *rest)
+
+        monkeypatch.setattr(coupling, "_force_rows", counting)
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 3)
+        for (x, y), workers in itertools.product([(1.0, 0.0), (0.0, 1.0)], [1, 2]):
+            coupling._batched_states(
+                make_drift(drift), x, y, 1.0, scs, 1000, 64, 3, workers=workers
+            )
+        assert calls["all"] > 0
+        assert calls["merged"] == 0
+
     def test_equal_points_never_force(self, band_wide, monkeypatch):
         # x == y: every gap starts at +0.0, so no row ever takes a forcing
         # update, and the forced process is the reference process

@@ -1,11 +1,12 @@
 """The README's quick starts stay valid: the Python one runs as written,
-and every command of the CLI one parses."""
+and every command of the CLI one parses and has a report digest."""
 
 import re
 import shlex
 from pathlib import Path
 
 from gexp.cli import build_parser
+from report_digests import digests
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +26,14 @@ def test_cli_quick_start_parses():
     for argv in commands:
         assert argv[0] == "gexp", argv
         parser.parse_args(argv[1:])  # a removed flag exits here
+
+
+def test_report_digests_smoke():
+    lines = digests(7, ["gheat", "harnack"])
+    # json and csv, each with one and two workers
+    assert [line.split()[2] for line in lines] == ["gheat"] * 4 + ["harnack"] * 4
+    for line in lines:
+        digest, code = line.split()[:2]
+        assert re.fullmatch("[0-9a-f]{64}", digest) and code == "0", line
+    # the worker count changes no report
+    assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
