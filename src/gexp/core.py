@@ -105,19 +105,16 @@ class Scenario:
             raise ValueError("time outside [0, T]")
         return np.interp(t, self.breakpoints, self._qv_nodes)
 
-    def value_at(self, t):
-        """Squared-volatility level in force at time t (right-continuous)."""
+    def step_levels(self, n_steps: int) -> np.ndarray:
+        """Levels in force (right-continuously) at the left endpoints of a
+        uniform n_steps grid."""
+        ts = np.arange(n_steps) * (self.horizon / n_steps)
         idx = np.clip(
-            np.searchsorted(self.breakpoints, t, side="right") - 1,
+            np.searchsorted(self.breakpoints, ts, side="right") - 1,
             0,
             len(self.values) - 1,
         )
-        return np.asarray(self.values)[idx]
-
-    def step_levels(self, n_steps: int) -> np.ndarray:
-        """Levels sampled at the left endpoints of a uniform n_steps grid."""
-        ts = np.arange(n_steps) * (self.horizon / n_steps)
-        return np.asarray(self.value_at(ts), dtype=float)
+        return np.asarray(self.values, dtype=float)[idx]
 
     @property
     def label(self) -> str:
@@ -137,11 +134,12 @@ def make_scenario_lattice(
     """All piecewise-constant controls on a uniform partition of [0, horizon]
     with levels drawn from a uniform grid of [v_lo, v_hi].
 
-    The two constant extreme scenarios are always in the result.  A degenerate
-    band collapses to the single classical scenario.
+    The two constant extreme scenarios are always in the result, which takes
+    at least two levels.  A degenerate band collapses to the single classical
+    scenario.
     """
-    if pieces < 1 or levels < 1 or horizon <= 0:
-        raise ValueError("need pieces >= 1, levels >= 1, horizon > 0")
+    if pieces < 1 or levels < 2 or horizon <= 0:
+        raise ValueError("need pieces >= 1, levels >= 2, horizon > 0")
     grid = np.unique(np.linspace(band.v_lo, band.v_hi, levels))
     if len(grid) ** pieces > MAX_SCENARIOS:
         raise ValueError(

@@ -28,7 +28,7 @@ from . import simulate
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
 from .harnack import _exp, harnack_exponent
-from .simulate import _se, _sweep_blocks
+from .simulate import _check_horizon, _se, _step_table, _sweep_blocks
 
 __all__ = [
     "CouplingReport",
@@ -71,8 +71,7 @@ def eta_schedule(
     """
     if K <= 0:
         raise ValueError("the coupling drift formula requires K > 0")
-    if abs(scenario.horizon - horizon) > 1e-12:
-        raise ValueError("scenario horizon differs from the requested horizon")
+    _check_horizon(scenario, horizon)
     h = horizon / n_steps
     t_mid = (np.arange(n_steps) + 0.5) * h
     qv_mid = scenario.qv(t_mid)
@@ -283,8 +282,7 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     """
     K = spec.lipschitz_k
     S = len(scenarios)
-    h = horizon / m
-    vh = np.stack([sc.step_levels(m) for sc in scenarios]) * h  # (S, m)
+    vh = _step_table(scenarios, horizon, m)
     sqv = np.sqrt(vh)
     eta = np.stack(
         [eta_schedule(sc, K, x, y, horizon, m) for sc in scenarios]
@@ -331,19 +329,17 @@ def run_coupling_suite(
     `workers` threads (default os.cpu_count(); fewer than 1 is a
     ValueError), each with its own scratch arrays for the whole sweep; the
     reports are bit-identical for every worker count.  A closed-form ceiling
-    too large for a float is a ValueError, raised before the sweep.
+    too large for a float, and p <= 1 (harnack_exponent's check), are
+    ValueErrors raised before the sweep.
     """
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the coupling construction targets the qv-driven equation")
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    if not scenarios:
-        raise ValueError("scenario list is empty")
     if girsanov_paths is not None and girsanov_paths < 1:
         raise ValueError("girsanov_paths must be positive")
     K = spec.lipschitz_k
     dist = abs(x - y)
-    # the closed-form ceilings first: one that overflows fails before the sweep
+    # the closed-form ceilings first: one that overflows, or p <= 1, fails
+    # before the sweep
     ceilings = [
         (novikov_pathwise_bound(K, sc.band, horizon, dist),
          _mt_moment_bound(p, K, sc.band, horizon, dist))

@@ -42,10 +42,11 @@ def harnack_exponent(
     The (p-1) power is the one the coupling argument yields: with
     q = p/(p-1), Holder gives (Pbar_T f(y))^p <= E[M^q]^{p-1} Pbar_T f^p(x),
     and the density moment satisfies log E[M^q] <= q(q-1)/2 * N where N is
-    the quadratic-variation envelope of the control (the dist^2 expression
-    above divided by pK/ ... i.e. N = 2K shi^4 (1-e^{-2 slo^2 KT}) dist^2 /
-    (slo^6 (1-e^{-2 shi^2 KT})^2)).  Multiplying by (p-1) leaves a single
-    (p-1) in the denominator.  A (p-1)^2 variant is too small: already in
+    the quadratic-variation envelope of the control, the exponent of
+    coupling.novikov_pathwise_bound: N = 2K shi^4 (1-e^{-2 slo^2 KT}) dist^2
+    / (slo^6 (1-e^{-2 shi^2 KT})^2).  The exponent above is p N / (2(p-1)):
+    multiplying q(q-1)/2 * N by (p-1) leaves a single (p-1) in the
+    denominator.  A (p-1)^2 variant is too small: already in
     the classical degenerate-band case it drops below the sharp
     Ornstein-Uhlenbeck exponent p e^{-2KT} d^2 / ((p-1)(1-e^{-2KT})) for
     large p and small T, and the inequality then fails numerically

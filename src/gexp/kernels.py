@@ -3,12 +3,13 @@ one-dimensional semigroup quadratures, the explicit sup-kernel, quasi-
 invariant expectation checks, the kernel lower bound, and the probe of the
 printed two-member transition-density bound.
 
-Means: the printed kernel mean e^{theta} x contradicts the time-1 OU
-solution and would break stationarity of N(0,1); the OU-consistent mean
-e^{-theta} x is the default, with the printed form kept behind a flag for
-fidelity experiments.  Quadratures against the unbounded sup-kernel are
-defined as truncated integrals on [-Z, Z] with the radius reported; the
-exact integral diverges and the truncation exposes rather than hides that.
+Means: the kernels and semigroups use the OU-consistent mean e^{-theta} x.
+The printed kernel mean e^{theta} x contradicts the time-1 OU solution and
+would break stationarity of N(0,1); only ex38_probe uses it, because it
+tests the printed bound as printed.  Quadratures against the unbounded
+sup-kernel are defined as truncated integrals on [-Z, Z] with the radius
+reported; the exact integral diverges and the truncation exposes rather
+than hides that.
 
 The module runs on numpy alone.  Gauss-Hermite nodes come from Tricomi's
 asymptotic formula polished by Newton on the orthonormal three-term
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,6 @@ import numpy as np
 from .core import TestFunction, catalog
 
 __all__ = [
-    "MeanMode",
     "KernelReport",
     "Ex38Report",
     "normal_expectation",
@@ -67,11 +66,6 @@ EX38_MAX_ROWS = 200
 # to the size of each freed mapped block, so one larger transient would
 # change how every later array up to that size is allocated in the process.
 MEMBER_PANELS = 20
-
-
-class MeanMode(Enum):
-    AS_PRINTED = "as_printed"      # kernel mean e^{theta} x
-    OU_CONSISTENT = "ou_consistent"  # kernel mean e^{-theta} x
 
 
 # Gauss-Kronrod 15-point rule on [-1, 1] (QUADPACK qk15): the nonnegative
@@ -176,18 +170,12 @@ def _gauss_kronrod(f, lo: float, hi: float, panels: int, tol: float = math.inf) 
     return total
 
 
-def _kernel_mean(theta: float, x, mean_mode: MeanMode):
-    """Kernel mean e^{theta} x as printed, e^{-theta} x OU-consistently;
-    x may be a float or an array."""
-    return math.exp(theta) * x if mean_mode is MeanMode.AS_PRINTED else math.exp(-theta) * x
+def _normal_pdf(z, mean, var: float):
+    """Density of N(mean, var) at z; z and mean may be floats or arrays."""
+    return np.exp(-((z - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
-def ou_semigroup(
-    theta: float,
-    payoff: TestFunction,
-    x,
-    mean_mode: MeanMode = MeanMode.OU_CONSISTENT,
-):
+def ou_semigroup(theta: float, payoff: TestFunction, x):
     """Time-1 OU semigroup value by Gauss-Hermite quadrature against the
     normal law with variance 1 - e^{-2 theta}; at each point the order is
     doubled until the value there moves by less than SEMIGROUP_TOL.  x may be
@@ -196,7 +184,7 @@ def ou_semigroup(
     if not THETA_LO <= theta <= THETA_HI:
         raise ValueError(f"theta={theta} outside [{THETA_LO}, {THETA_HI}]")
     var = 1.0 - math.exp(-2.0 * theta)
-    mean = _kernel_mean(theta, np.asarray(x, dtype=float), mean_mode).ravel()
+    mean = (math.exp(-theta) * np.asarray(x, dtype=float)).ravel()
     order = 64
     val = normal_expectation(payoff, mean, var, order)
     live = np.arange(mean.size)
@@ -209,12 +197,10 @@ def ou_semigroup(
     return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
 
 
-def ou_kernel(theta: float, x, z, mean_mode: MeanMode = MeanMode.OU_CONSISTENT):
+def ou_kernel(theta: float, x, z):
     """Transition density of the time-1 OU kernel."""
     var = 1.0 - math.exp(-2.0 * theta)
-    m = _kernel_mean(theta, np.asarray(x), mean_mode)
-    z = np.asarray(z, dtype=float)
-    return np.exp(-((z - m) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return _normal_pdf(np.asarray(z, dtype=float), math.exp(-theta) * np.asarray(x), var)
 
 
 def sup_kernel_ex34(x, z):
@@ -224,26 +210,24 @@ def sup_kernel_ex34(x, z):
     return float(out) if out.ndim == 0 else out
 
 
-def _standard_normal_pdf(z):
-    return np.exp(-np.asarray(z, dtype=float) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
-
-
-def dominance_check(mean_mode: MeanMode = MeanMode.OU_CONSISTENT) -> dict:
+def dominance_check() -> dict:
     """Kernel-to-reference ratio against the explicit dominating density on
     THETA_GRID x [-2, 2] x [-4, 4]; the inequality is exact, so the allowed
     slack is round-off only (1e-12 relative).
     """
     zs = np.linspace(-4.0, 4.0, 17)
+    phi = _normal_pdf(zs, 0.0, 1.0)
+    # the envelope does not depend on x
+    envelope = sup_kernel_ex34(0.0, zs)
+    cap = envelope * (1.0 + 1e-12)
     worst = -np.inf
     worst_at = None
     violations = 0
     for th in THETA_GRID:
         for x in np.linspace(-2.0, 2.0, 9):
-            ratio = ou_kernel(th, x, zs, mean_mode) / _standard_normal_pdf(zs)
-            cap = sup_kernel_ex34(x, zs) * (1.0 + 1e-12)
-            bad = ratio > cap
-            violations += int(np.sum(bad))
-            excess = ratio - sup_kernel_ex34(x, zs)
+            ratio = ou_kernel(th, x, zs) / phi
+            violations += int(np.sum(ratio > cap))
+            excess = ratio - envelope
             k = int(np.argmax(excess))
             if excess[k] > worst:
                 worst = float(excess[k])
@@ -261,15 +245,14 @@ def quasi_invariance_check(payoff: TestFunction) -> float:
     two-member family; required <= 0 up to quadrature tolerance."""
     if not payoff.positivity:
         raise ValueError("quasi-invariance check requires a nonnegative payoff")
-    t, w = _hermgauss(OUTER_ORDER)
-    lhs = float(w @ _pbar(payoff, math.sqrt(2.0) * t, THETAS)) / math.sqrt(math.pi)
+    lhs = normal_expectation(lambda z: _pbar(payoff, z, THETAS), 0.0, 1.0, OUTER_ORDER)
     rhs = 2.0 * normal_expectation(payoff, 0.0, 1.0, OUTER_ORDER)
     return lhs - rhs
 
 
 def member_invariance_gap(theta: float, payoff: TestFunction) -> float:
-    """E0[P_theta f] - E0[f] in the OU-consistent mode; N(0,1) is stationary
-    for each member, so the gap is quadrature error only.
+    """E0[P_theta f] - E0[f]; N(0,1) is stationary for each member, so the
+    gap is quadrature error only.
 
     Both sides are integrals on [-10, 10].  P_theta f is smooth, so its side
     takes a fixed rule: an adaptive one would chase the ~1e-10 noise of the
@@ -278,11 +261,11 @@ def member_invariance_gap(theta: float, payoff: TestFunction) -> float:
     """
     lim = TRUNCATION_RADIUS + 2.0
     lhs = _gauss_kronrod(
-        lambda x: ou_semigroup(theta, payoff, x) * _standard_normal_pdf(x),
+        lambda x: ou_semigroup(theta, payoff, x) * _normal_pdf(x, 0.0, 1.0),
         -lim, lim, MEMBER_PANELS,
     )
     rhs = _gauss_kronrod(
-        lambda x: payoff(x) * _standard_normal_pdf(x), -lim, lim, MEMBER_PANELS, tol=1e-13
+        lambda x: payoff(x) * _normal_pdf(x, 0.0, 1.0), -lim, lim, MEMBER_PANELS, tol=1e-13
     )
     return lhs - rhs
 
@@ -296,35 +279,30 @@ def classical_ou_harnack_exponent(alpha: float, theta: float, dist: float) -> fl
     return alpha * e2 * dist**2 / (2.0 * (alpha - 1.0) * (1.0 - e2))
 
 
+def _truncated_sup_integral(x: float, g) -> float:
+    """E0[p(x,.) g] with the explicit sup-kernel p, as a TRAPEZOID_NODES
+    trapezoid integral on [-TRUNCATION_RADIUS, TRUNCATION_RADIUS]."""
+    zs = np.linspace(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, TRAPEZOID_NODES)
+    integrand = sup_kernel_ex34(x, zs) * np.asarray(g(zs)) * _normal_pdf(zs, 0.0, 1.0)
+    return float(np.trapezoid(integrand, zs))
+
+
 def kernel_lower_bound_check(x: float, y: float, alpha: float) -> float:
     """Margin E0[p(x,.) p(y,.)] - e^{-Psi(x,y)} with the explicit sup-kernel.
 
     The exact expectation diverges (the integrand grows like e^{z^2/2}), so
-    the left side is a trapezoid integral on [-TRUNCATION_RADIUS,
-    TRUNCATION_RADIUS]; Psi is the classical OU Harnack exponent maximized
-    over the two-member family.
+    the left side is truncated (see _truncated_sup_integral); Psi is the
+    classical OU Harnack exponent maximized over the two-member family.
     """
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    zs = np.linspace(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, TRAPEZOID_NODES)
-    integrand = sup_kernel_ex34(x, zs) * sup_kernel_ex34(y, zs) * _standard_normal_pdf(zs)
-    lhs = float(np.trapezoid(integrand, zs))
     psi = max(classical_ou_harnack_exponent(alpha, th, abs(x - y)) for th in THETAS)
-    return lhs - math.exp(-psi)
+    return _truncated_sup_integral(x, lambda z: sup_kernel_ex34(y, z)) - math.exp(-psi)
 
 
 def sup_kernel_definition_margin(payoff: TestFunction, x: float) -> float:
     """Margin E0[p(x,.) f] - max_theta P_theta f(x), the max over THETA_GRID
     and the outer integral truncated like kernel_lower_bound_check's;
     nonnegative margins realize the sup-kernel property."""
-    zs = np.linspace(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, TRAPEZOID_NODES)
-    rhs = float(
-        np.trapezoid(
-            sup_kernel_ex34(x, zs) * np.asarray(payoff(zs)) * _standard_normal_pdf(zs),
-            zs,
-        )
-    )
-    return rhs - float(_pbar(payoff, x, THETA_GRID))
+    return _truncated_sup_integral(x, payoff) - float(_pbar(payoff, x, THETA_GRID))
 
 
 @dataclass(frozen=True)
@@ -374,8 +352,8 @@ def ex38_probe(
     v2 = 1.0 - math.exp(-2.0)
     m1 = math.exp(0.5) * X
     m2 = math.e * X
-    p_half = np.exp(-((Y - m1) ** 2) / (2.0 * v1)) / math.sqrt(2.0 * math.pi * v1)
-    p_one = np.exp(-((Y - m2) ** 2) / (2.0 * v2)) / math.sqrt(2.0 * math.pi * v2)
+    p_half = _normal_pdf(Y, m1, v1)
+    p_one = _normal_pdf(Y, m2, v2)
     lhs = p_half + p_one
     rhs = np.exp(
         -((Y - m1) ** 2) / (2.0 * v1) - ((Y - m2) ** 2) / (2.0 * v2)

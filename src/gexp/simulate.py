@@ -192,18 +192,29 @@ def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
         np.add(X, t, out=X)
 
 
-def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
-    """Terminal states X_T of every scenario, as an (S, n_paths) array whose
-    row s is bit-identical to an Euler run of scenarios[s] alone."""
+def _check_horizon(scenario: Scenario, horizon: float) -> None:
+    """Reject a scenario that does not end at the requested horizon."""
+    if abs(scenario.horizon - horizon) > 1e-12:
+        raise ValueError("scenario horizon differs from the requested horizon")
+
+
+def _step_table(scenarios, horizon, m):
+    """The (S, m) table v h: each scenario's level on each step of the
+    uniform grid h = horizon / m.  An empty list, or a scenario that does
+    not end at the horizon, is a ValueError."""
     if not scenarios:
         raise ValueError("scenario list is empty")
     for sc in scenarios:
-        if abs(sc.horizon - horizon) > 1e-12:
-            raise ValueError("scenario horizon differs from the requested horizon")
+        _check_horizon(sc, horizon)
+    return np.stack([sc.step_levels(m) for sc in scenarios]) * (horizon / m)
+
+
+def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
+    """Terminal states X_T of every scenario, as an (S, n_paths) array whose
+    row s is bit-identical to an Euler run of scenarios[s] alone."""
     m = mc.n_steps
-    h = np.array([[sc.horizon / m] for sc in scenarios])  # (S, 1)
-    vh = np.stack([sc.step_levels(m) for sc in scenarios]) * h  # (S, m)
-    c = vh if spec.kind is Kind.QV_DRIVEN else np.broadcast_to(h, vh.shape)
+    vh = _step_table(scenarios, horizon, m)
+    c = vh if spec.kind is Kind.QV_DRIVEN else np.broadcast_to(horizon / m, vh.shape)
     sq = np.sqrt(vh)
     X = np.full((len(scenarios), mc.n_paths), float(x0))
     _sweep_blocks(

@@ -1,6 +1,6 @@
 """Print a sha256 digest and the exit code of every report of the README's
-CLI quick-start commands, plus the benchmark's shift-harnack command, in
-JSON and CSV and with one and two workers, at one seed.
+CLI quick-start commands, the benchmark's shift-harnack command and the
+EXTRA commands, in JSON and CSV and with one and two workers, at one seed.
 
 Run it on two checkouts and diff the output to check that a change leaves
 the report bytes and the exit codes as they were:
@@ -27,15 +27,32 @@ from gexp.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# paths the quick start does not reach: the time-driven Euler step, a
+# three-piece lattice at a horizon other than 1, the masked coupling forcing
+# of tanh:2 (its paths merge at different steps), the axiom tables under a
+# nonlinear drift, and the kernel suite at another alpha
+EXTRA = [
+    "pbar --band 0.5,1 --payoff sigmoid --drift tanh:2 --kind time --x 1 --T 1",
+    "pbar --band 0.5,1 --payoff sigmoid --drift ou --kind qv --x 0.5 --T 0.7"
+    " --method mc --pieces 3 --levels 3",
+    "coupling --band 0.5,1 --drift tanh:2 --x 0 --y 1 --T 1 --p 2 --payoff sigmoid"
+    " --nsteps 512",
+    "axioms --band 0.5,1 --drift tanh:2",
+    "kernels --alpha 3",
+]
+
 
 def commands() -> list[list[str]]:
     """The quick-start block's argv lists, read the way test_readme reads
-    them, then the shift-harnack argv of perfbench/workloads.py."""
+    them, then the shift-harnack argv of perfbench/workloads.py, then
+    EXTRA."""
     section = (ROOT / "README.md").read_text().split("## Quick start (CLI)", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
     argvs = [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
     workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
-    return argvs + [workloads["CLI_COMMANDS"]["shift-harnack"]]
+    return argvs + [workloads["CLI_COMMANDS"]["shift-harnack"]] + [
+        shlex.split(line) for line in EXTRA
+    ]
 
 
 def digests(seed: int, names) -> list[str]:

@@ -159,6 +159,22 @@ class TestUsage:
         assert err.startswith("gexp: ") and err.count("\n") == 1
         assert "above the budget of 1000000" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["pbar", "--kind", "qv", "--drift", "ou", "--band", "0.5,1", "--payoff", "sigmoid",
+          "--T", "1", "--x", "0", "--method", "mc", "--npaths", "100", "--nsteps", "16"],
+         _COUPLING],
+        ids=["pbar", "coupling"],
+    )
+    def test_one_level_exit_2(self, capsys, args):
+        # one level kept only the v_lo scenario, and both commands exited 0
+        code, out = run_cli([*args, "--levels", "1"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("gexp: ") and err.count("\n") == 1
+        assert "levels >= 2" in err
+
     @pytest.mark.parametrize("alpha", ["1", "0.5", "-2"])
     def test_kernels_alpha_at_most_one_exit_2_before_quadrature(
         self, monkeypatch, capsys, alpha

@@ -109,6 +109,12 @@ class TestScenarioLattice:
         values = {sc.values for sc in scs}
         assert (0.25, 0.25) in values and (1.0, 1.0) in values
 
+    @pytest.mark.parametrize("levels", [0, 1])
+    def test_fewer_than_two_levels_rejected(self, levels):
+        # one level kept only the v_lo scenario of a non-degenerate band
+        with pytest.raises(ValueError, match="levels >= 2"):
+            make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 2, levels)
+
     def test_cap(self):
         with pytest.raises(ValueError):
             make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 10, 5)

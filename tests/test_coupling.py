@@ -168,6 +168,19 @@ class TestSuite:
                 )
                 assert got.mt_moment == pytest.approx(ref.mt_moment, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [1.0, 0.5])
+    def test_p_at_most_one_rejected_before_the_sweep(self, monkeypatch, band_wide, p):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the p check")
+
+        monkeypatch.setattr(coupling, "_batched_states", no_sweep)
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            run_coupling_suite(
+                make_drift("ou"), 0.0, 1.0, 1.0, scs, McConfig(100, 16, 1), p,
+                catalog()["sigmoid"],
+            )
+
     def test_reports_independent_of_workers(self, band_wide):
         # both sweeps span several path blocks, the last one partial, and
         # the two worker counts split the paths into different blocks

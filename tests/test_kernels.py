@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gexp import (
-    MeanMode,
     catalog,
     classical_ou_harnack_exponent,
     dominance_check,
@@ -33,12 +32,6 @@ class TestQuadrature:
         # clipped x^2 at the origin, theta = 1/2: variance 1 - e^{-1}
         val = ou_semigroup(0.5, catalog()["sqclip"], 0.0)
         assert val == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
-
-    def test_origin_mode_independent(self):
-        for th in (0.5, 1.0):
-            a = ou_semigroup(th, catalog()["sigmoid"], 0.0, MeanMode.OU_CONSISTENT)
-            b = ou_semigroup(th, catalog()["sigmoid"], 0.0, MeanMode.AS_PRINTED)
-            assert a == pytest.approx(b, abs=1e-12)
 
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
@@ -92,13 +85,12 @@ class TestHermiteRule:
         xs = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
         for pid in ("sigmoid", "sqclip"):
             f = catalog()[pid]
-            for mode in MeanMode:
-                vals = ou_semigroup(0.5, f, xs, mode)
-                assert vals.shape == xs.shape
-                for x, v in zip(xs.ravel(), vals.ravel()):
-                    point = ou_semigroup(0.5, f, float(x), mode)
-                    assert isinstance(point, float)
-                    assert v == pytest.approx(point, rel=0, abs=1e-14), (pid, mode, x)
+            vals = ou_semigroup(0.5, f, xs)
+            assert vals.shape == xs.shape
+            for x, v in zip(xs.ravel(), vals.ravel()):
+                point = ou_semigroup(0.5, f, float(x))
+                assert isinstance(point, float)
+                assert v == pytest.approx(point, rel=0, abs=1e-14), (pid, x)
 
 
 class TestSupKernel:
@@ -113,10 +105,9 @@ class TestSupKernel:
         )
 
     def test_dominance_zero_violations_both_modes(self):
-        for mode in MeanMode:
-            res = dominance_check(mean_mode=mode)
-            assert res["violations"] == 0, mode
-            assert res["worst_excess"] <= 0.0 or res["worst_excess"] < 1e-12
+        res = dominance_check()
+        assert res["violations"] == 0
+        assert res["worst_excess"] <= 0.0 or res["worst_excess"] < 1e-12
 
 
 class TestInvariance:
@@ -149,6 +140,14 @@ class TestLowerBound:
         assert classical_ou_harnack_exponent(2.0, 1.0, 0.0) == 0.0
         with pytest.raises(ValueError):
             classical_ou_harnack_exponent(1.0, 0.5, 1.0)
+
+    def test_alpha_rejected_before_any_quadrature(self, monkeypatch):
+        def no_trapezoid(*args, **kwargs):
+            raise AssertionError("a trapezoid ran before the alpha check")
+
+        monkeypatch.setattr(np, "trapezoid", no_trapezoid)
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            kernel_lower_bound_check(0.0, 1.0, 1.0)
 
     def test_margin_nonnegative_on_acceptance_points(self):
         for x in (-1.0, 0.0, 1.0):
