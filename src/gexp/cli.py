@@ -296,11 +296,7 @@ def _cmd_coupling(args):
         spec, args.x, args.y, args.T, scenarios, mc, args.p, payoff,
         workers=args.workers,
     )
-    reports = [
-        {**rep.to_dict(), "novikov_pass": rep.novikov_pass,
-         "girsanov_pass": rep.girsanov_pass, "mt_moment_pass": rep.mt_moment_pass}
-        for rep in raw
-    ]
+    reports = [rep.to_dict() for rep in raw]
     ok = all(rep.passed for rep in raw)
     report = {"reports": reports, "all_pass": ok}
     header = sorted(reports[0]) if reports else []

@@ -27,7 +27,7 @@ import numpy as np
 from . import simulate
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
-from .harnack import _exp, harnack_exponent
+from .harnack import _decays, _exp, harnack_exponent
 from .simulate import _check_horizon, _se, _step_table, _sweep_blocks
 
 __all__ = [
@@ -83,21 +83,14 @@ def eta_schedule(
 def novikov_pathwise_bound(K: float, band, horizon: float, dist: float) -> float:
     """Closed-form ceiling for exp{int_0^T |u|^2 d qv} along every path:
     exp{2K shi^4 (1-e^{-2 slo^2 K T}) dist^2 / (slo^6 (1-e^{-2 shi^2 K T})^2)};
-    a ceiling or exponent too large for a float is a ValueError.
+    a ceiling or exponent too large for a float, or a horizon too short for
+    it (harnack._decays), is a ValueError.
     """
     if K <= 0:
         raise ValueError("the coupling drift formula requires K > 0")
-    a = math.exp(-2.0 * band.v_lo * K * horizon)
-    b = math.exp(-2.0 * band.v_hi * K * horizon)
+    lo, hi = _decays(K, band, horizon)
     try:
-        expo = (
-            2.0
-            * K
-            * band.sigma_hi**4
-            * (1.0 - a)
-            * dist**2
-            / (band.sigma_lo**6 * (1.0 - b) ** 2)
-        )
+        expo = 2.0 * K * band.sigma_hi**4 * lo * dist**2 / (band.sigma_lo**6 * hi**2)
     except OverflowError:  # dist**2 is beyond the float range
         expo = math.inf
     return _exp("Novikov", expo)
@@ -131,7 +124,9 @@ class CouplingReport:
     m_std_error: float
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        """Every field and the three verdicts."""
+        verdicts = ("novikov_pass", "girsanov_pass", "mt_moment_pass")
+        return {k: getattr(self, k) for k in (*self.__dataclass_fields__, *verdicts)}
 
     @property
     def novikov_pass(self) -> bool:
@@ -153,12 +148,11 @@ class CouplingReport:
 def _force_rows(spec, rows, bX, i, k, reached, tol, masked):
     """Step i, the k-th of its batch, of the forcing on a run of scenario
     rows, with one forcing number per row.  `rows` holds the run's views of
-    the state, the scratch, vh, the rows' running Novikov sums and the
-    batch's tables of u, u vh, u vh / 2 and u^2 vh (see _advance_block).
-    With `masked` set, only the paths whose gap is nonzero take the update.
-    Return whether a path merged at this step (its gap is then zero and its
-    Novikov integral the row's sum)."""
-    X, gap, log_m, nov_int, db, t, Y, merged, live, vh, nov, u, uvh, half, uuvh = rows
+    the state, the scratch, vh and the batch's tables of u, u vh and
+    u vh / 2 (see _advance_block).  With `masked` set, only the paths whose
+    gap is nonzero take the update.  A path that merges at this step gets
+    gap zero and the merge step count i + 1; return whether one did."""
+    X, gap, log_m, steps, db, t, Y, merged, live, vh, u, uvh, half = rows
     where = np.not_equal(gap, 0.0, out=live) if masked else True
     # Y gets a scratch array of its own: b may hand back its argument
     bY = spec.b(np.subtract(X, gap, out=Y))
@@ -166,7 +160,6 @@ def _force_rows(spec, rows, bX, i, k, reached, tol, masked):
     np.add(db, half[:, k : k + 1], out=t)
     np.multiply(u[:, k : k + 1], t, out=t)
     np.subtract(log_m, t, out=log_m, where=where)
-    np.add(nov, uuvh[:, k : k + 1], out=nov)
     # gap += (bX - bY) vh - uvh, then the merge test gap * s0 <= merge_tol
     np.subtract(bX, bY, out=t)
     np.multiply(t, vh[:, i : i + 1], out=t)
@@ -178,7 +171,7 @@ def _force_rows(spec, rows, bX, i, k, reached, tol, masked):
     if not merged.any():
         return False
     np.copyto(gap, 0.0, where=merged)
-    np.copyto(nov_int, nov, where=merged)
+    np.copyto(steps, i + 1, where=merged)
     return True
 
 
@@ -197,29 +190,22 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
 
     The merge test zeroes a gap at the first step where its sign flips or it
     falls below merge_tol, so every unmerged path has sign(gap) = s0 =
-    sign(x - y).  Then u = eta_i s0, u vh, u vh / 2 and u^2 vh are one
-    number per row, made in the per-path order of operations for the same
-    bits, and the merge test is gap <= merge_tol (gap >= -merge_tol when
-    s0 = -1).  The unmerged paths of a row share one running Novikov sum.
-    It starts from the row's largest nov_int, as a merged path's sum of
-    nonnegative terms stopped growing at its merge, and is written into a
-    path's nov_int at its merge and into the unmerged paths' at the end of
-    the batch.
+    sign(x - y).  Then u = eta_i s0, u vh and u vh / 2 are one number per
+    row, made in the per-path order of operations for the same bits, and
+    the merge test is gap <= merge_tol (gap >= -merge_tol when s0 = -1).
+    The step count of the merge is the only trace the forcing leaves for
+    the Novikov integral, which _batched_states reads off it.
     """
-    X, gap, log_m, nov_int, Xref = state
+    X, gap, log_m, steps, Xref = state
     b = X.shape[1]
     db, t, Y, merged, live = (a[:, :b] for a in tmp)
     reached, tol = (
         (np.less_equal, merge_tol) if s0 > 0 else (np.greater_equal, -merge_tol)
     )
-    steps = slice(i0, i0 + Z.shape[0])
-    row_u = eta[:, steps] * s0
-    row_uvh = row_u * vh[:, steps]
-    nov = nov_int[:, :1].copy()
-    by_row = (
-        X, gap, log_m, nov_int, db, t, Y, merged, live, vh, nov,
-        row_u, row_uvh, row_uvh * 0.5, row_u * row_uvh,
-    )
+    batch = slice(i0, i0 + Z.shape[0])
+    row_u = eta[:, batch] * s0
+    row_uvh = row_u * vh[:, batch]
+    by_row = (X, gap, log_m, steps, db, t, Y, merged, live, vh, row_u, row_uvh, row_uvh * 0.5)
 
     def groups():
         """The runs of rows with no merged path, and of those with some but not all."""
@@ -230,8 +216,6 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
         ]
 
     whole_runs, part_runs = groups()
-    for run, _ in part_runs:
-        nov[run] = nov_int[run].max(axis=1, keepdims=True)
     for k in range(Z.shape[0]):
         i = i0 + k
         vhc = vh[:, i : i + 1]
@@ -252,17 +236,13 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
         np.multiply(spec.b(Xref), vhc, out=t)
         np.add(t, db, out=t)
         np.add(Xref, t, out=Xref)
-    for run, _ in whole_runs:
-        np.copyto(nov_int[run], nov[run])
-    for run, _ in part_runs:
-        np.copyto(nov_int[run], nov[run], where=gap[run] != 0.0)
 
 
 def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     """Evolve (X, gap, log M), the reference process Xref (the same equation
-    started at y, on the same noise) and the Novikov integral for every
-    scenario at once over n paths.  Return X, Y, log M, Xref and the Novikov
-    integral, each an (S, n) array.
+    started at y, on the same noise) and each path's merge step count for
+    every scenario at once over n paths.  Return X, Y, log M, Xref and the
+    Novikov integral, each an (S, n) array.
 
     Common random numbers make the per-step draw identical across scenarios,
     so one shared normal vector per step drives all of them.  The forced
@@ -270,6 +250,11 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     also makes the forcing vanish once paths merge.  The forcing is one
     number per scenario row and step, masked to the unmerged paths, with
     every bit of a per-path forcing (see _advance_block).
+
+    The Novikov integral is deterministic up to the merge: a path forced
+    for its first j steps has the sum of u_i^2 vh_i over i < j, read after
+    the sweep from one cumulative sum per row.  j is m for a path that never
+    merges, and 0 when x = y, where nothing is forced.
 
     simulate._sweep_blocks splits the paths into blocks, so that each step
     works on (S, block) arrays instead of the whole (S, n) state, and runs
@@ -284,9 +269,7 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     S = len(scenarios)
     vh = _step_table(scenarios, horizon, m)
     sqv = np.sqrt(vh)
-    eta = np.stack(
-        [eta_schedule(sc, K, x, y, horizon, m) for sc in scenarios]
-    )  # (S, m)
+    eta = np.stack([eta_schedule(sc, K, x, y, horizon, m) for sc in scenarios])  # (S, m)
     merge_tol = 1e-10 * (1.0 + abs(x - y))
     s0 = 1.0 if x > y else -1.0
 
@@ -294,16 +277,20 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     # + 0.0 turns the -0.0 of x = -0.0, y = 0.0 into the +0.0 of a merged path
     gap = np.full((S, n), float(x) - float(y) + 0.0)
     log_m = np.zeros((S, n))
-    nov_int = np.zeros((S, n))
+    steps = np.full((S, n), 0 if x == y else m, dtype=np.int64)
     Xref = np.full((S, n), float(y))
     _sweep_blocks(
-        (X, gap, log_m, nov_int, Xref), m, seed, workers,
+        (X, gap, log_m, steps, Xref), m, seed, workers,
         lambda views, tmp, Z, lo, i0: _advance_block(
             spec, views, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol
         ),
         lambda shape: tuple(np.empty(shape, d) for d in (float,) * 3 + (bool,) * 2),
     )
-    return X, X - gap, log_m, Xref, nov_int
+    u = eta * s0
+    sums = np.zeros((S, m + 1))
+    np.cumsum(u * (u * vh), axis=1, out=sums[:, 1:])
+    nov_int = np.take_along_axis(sums, steps, axis=1)
+    return X, np.subtract(X, gap, out=gap), log_m, Xref, nov_int
 
 
 def run_coupling_suite(

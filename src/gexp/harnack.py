@@ -59,20 +59,22 @@ def harnack_exponent(
         raise ValueError("K must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    a = math.exp(-2.0 * band.v_lo * K * horizon)
-    b = math.exp(-2.0 * band.v_hi * K * horizon)
+    lo, hi = _decays(K, band, horizon)
     try:
-        expo = (
-            p
-            * K
-            * band.sigma_hi**4
-            * (1.0 - a)
-            / ((p - 1.0) * band.sigma_lo**6 * (1.0 - b) ** 2)
-            * dist**2
-        )
+        expo = p * K * band.sigma_hi**4 * lo / ((p - 1.0) * band.sigma_lo**6 * hi**2) * dist**2
     except OverflowError:  # dist**2 is beyond the float range
         expo = math.inf
     return _finite("harnack", expo)
+
+
+def _decays(K: float, band: VolatilityBand, horizon: float) -> tuple[float, float]:
+    """1 - e^{-2 slo^2 K T} and 1 - e^{-2 shi^2 K T}, the factors of the
+    Harnack and Novikov exponents; a horizon so short that the first rounds
+    to 0 (the exponents then read 0 or divide by 0) is a ValueError."""
+    lo = 1.0 - math.exp(-2.0 * band.v_lo * K * horizon)
+    if lo == 0.0:
+        raise ValueError(f"the horizon {horizon:g} is too short: 1 - e^(-2 slo^2 K T) rounds to 0")
+    return lo, 1.0 - math.exp(-2.0 * band.v_hi * K * horizon)
 
 
 def shift_harnack_exponent(
@@ -148,8 +150,14 @@ def _exp(name: str, exponent: float) -> float:
         raise ValueError(f"exp of the {name} exponent {exponent:.6g} overflows") from None
 
 
-def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, expo):
-    rhs = base * _exp(kind, expo)
+def _factor(kind: str, exponent: float) -> tuple[float, float]:
+    """The exponent and e^exponent, computed before any solve."""
+    return exponent, _exp(kind, exponent)
+
+
+def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, factor):
+    expo, scale = factor
+    rhs = base * scale
     budget = gheat.PDE_BUDGET
     return HarnackCertificate(
         kind=kind,
@@ -181,8 +189,6 @@ def verify_harnack(
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the two-point Harnack inequality targets the qv-driven equation")
-    # the exponent first: it checks p, K and the horizon before any solve
-    harnack_exponent(p, spec.lipschitz_k, band, horizon, abs(x - y))
     return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y])[0]
 
 
@@ -201,14 +207,19 @@ def verify_shift_harnack(
         raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.TIME_DRIVEN:
         raise ValueError("the shift Harnack inequality targets the time-driven equation")
-    # the exponent first: it checks p, K, sigma_lo and the horizon before any solve
-    shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, horizon, v)
     return _shift_certs(spec, [payoff], [p], band, horizon, x, [v])[0]
 
 
 def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
     """Certificates of every payoff, p and point of `ys` at one (band, T):
-    one stacked solve over f and every f^p of each payoff."""
+    one stacked solve over f and every f^p of each payoff.  Every factor
+    e^exponent comes first: an invalid p, K or horizon, or a factor too
+    large for a float, fails before the solve."""
+    factors = [
+        [_factor("harnack", harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0)))
+         for y in ys]
+        for p in ps
+    ]
     grid = Grid1D()
     for point in (x0, *ys):  # every point a solution is read at
         require_safe(point, grid, band, T)
@@ -217,13 +228,12 @@ def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
     certs = []
     for payoff in payoffs:
         sol_f = next(sols)
-        for p in ps:
+        for p, row in zip(ps, factors):
             base = next(sols).value_at(x0)
-            for y in ys:
-                expo = harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0))
+            for y, factor in zip(ys, row):
                 certs.append(
                     _certificate(
-                        "harnack", p, T, x0, y, payoff.id, sol_f.value_at(y) ** p, base, expo
+                        "harnack", p, T, x0, y, payoff.id, sol_f.value_at(y) ** p, base, factor
                     )
                 )
     return certs
@@ -231,7 +241,14 @@ def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
 
 def _shift_certs(spec, payoffs, ps, band, T, x0, shifts):
     """Certificates of every payoff, p and shift at one (band, T): one
-    stacked solve over f and every f^p(v + .) of each payoff."""
+    stacked solve over f and every f^p(v + .) of each payoff, every factor
+    e^exponent first (see _harnack_certs)."""
+    K = spec.lipschitz_k
+    factors = [
+        [_factor("shift-harnack", shift_harnack_exponent(p, K, band.sigma_lo, T, v))
+         for v in shifts]
+        for p in ps
+    ]
     grid = Grid1D()
     require_safe(x0, grid, band, T)
     rows = [
@@ -241,13 +258,12 @@ def _shift_certs(spec, payoffs, ps, band, T, x0, shifts):
     certs = []
     for payoff in payoffs:
         sol_f = next(sols)
-        for p in ps:
+        for p, row in zip(ps, factors):
             lhs = sol_f.value_at(x0) ** p
-            for v in shifts:
-                expo = shift_harnack_exponent(p, spec.lipschitz_k, band.sigma_lo, T, v)
+            for v, factor in zip(shifts, row):
                 base = next(sols).value_at(x0)
                 certs.append(
-                    _certificate("shift-harnack", p, T, x0, v, payoff.id, lhs, base, expo)
+                    _certificate("shift-harnack", p, T, x0, v, payoff.id, lhs, base, factor)
                 )
     return certs
 

@@ -7,9 +7,12 @@ the report bytes and the exit codes as they were:
 
     PYTHONPATH=src python tests/report_digests.py --seed 7
     PYTHONPATH=src python tests/report_digests.py --seed 7 gheat harnack
+    PYTHONPATH=src python tests/report_digests.py --seed 7 --states
 
 The optional names keep only those subcommands.  Each command runs
-in-process through gexp.cli.main.  pytest does not collect this file.
+in-process through gexp.cli.main.  With --states it prints instead the
+sha256 of the five arrays of coupling._batched_states over STATE_CONFIGS.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -18,25 +21,31 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import re
 import runpy
 import shlex
 from pathlib import Path
 
+from gexp import coupling
 from gexp.cli import main
+from gexp.core import VolatilityBand, make_drift, make_scenario_lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # paths the quick start does not reach: the time-driven Euler step, a
 # three-piece lattice at a horizon other than 1, the masked coupling forcing
-# of tanh:2 (its paths merge at different steps), the axiom tables under a
-# nonlinear drift, and the kernel suite at another alpha
+# of tanh:2 (its paths merge at different steps), the coupling merge test
+# gap <= tol of x > y, a coupling that is never forced (x = y), the axiom
+# tables under a nonlinear drift, and the kernel suite at another alpha
 EXTRA = [
     "pbar --band 0.5,1 --payoff sigmoid --drift tanh:2 --kind time --x 1 --T 1",
     "pbar --band 0.5,1 --payoff sigmoid --drift ou --kind qv --x 0.5 --T 0.7"
     " --method mc --pieces 3 --levels 3",
     "coupling --band 0.5,1 --drift tanh:2 --x 0 --y 1 --T 1 --p 2 --payoff sigmoid"
     " --nsteps 512",
+    "coupling --band 0.5,1 --x 1 --y 0 --npaths 2000 --nsteps 256",
+    "coupling --band 0.5,1 --x 0.5 --y 0.5 --npaths 2000 --nsteps 256",
     "axioms --band 0.5,1 --drift tanh:2",
     "kernels --alpha 3",
 ]
@@ -73,9 +82,40 @@ def digests(seed: int, names) -> list[str]:
     return lines
 
 
+# drift x band x (x, y) x workers x steps of the --states digests, each on
+# the 2 x 3 lattice at T = 1 with 9000 paths
+STATE_CONFIGS = list(
+    itertools.product(
+        ["ou", "tanh:2"],
+        [(0.5, 1.0), (0.25, 1.0), (1.0, 1.0)],
+        [(1.0, 0.0), (0.0, 1.0), (0.3, 0.2), (0.5, 0.5), (-0.0, 0.0), (2.0, -1.5)],
+        [1, 2],
+        [64, 128],
+    )
+)
+
+
+def state_digests(seed: int) -> list[str]:
+    """One line per STATE_CONFIGS entry: the sha256 of the bytes of X, Y,
+    log M, Xref and the Novikov integral, and the configuration."""
+    lines = []
+    for drift, band, (x, y), workers, m in STATE_CONFIGS:
+        scs = make_scenario_lattice(VolatilityBand(*band), 1.0, 2, 3)
+        states = coupling._batched_states(
+            make_drift(drift), x, y, 1.0, scs, 9000, m, seed, workers=workers
+        )
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in states)).hexdigest()
+        lines.append(f"{digest} {drift} band={band} x={x} y={y} workers={workers} m={m}")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument(
+        "--states", action="store_true", help="digest the coupling states instead"
+    )
     parser.add_argument("names", nargs="*", help="subcommands to keep (default: all)")
     args = parser.parse_args()
-    print("\n".join(digests(args.seed, args.names)))
+    lines = state_digests(args.seed) if args.states else digests(args.seed, args.names)
+    print("\n".join(lines))

@@ -230,6 +230,19 @@ class TestUsage:
         assert out == ""
         assert f"gexp: exp of the {name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("T", ["1e-16", "1e-17"])
+    @pytest.mark.parametrize("args", [_HARNACK, _COUPLING], ids=["harnack", "coupling"])
+    def test_horizon_too_short_exit_2(self, capsys, args, T):
+        # 1 - e^{-2 slo^2 K T} rounds to 0: at 1e-17 both printed a
+        # ZeroDivisionError traceback (exit 1); at 1e-16 harnack read the
+        # exponent 0 and failed (exit 1), and coupling exited 3 on a
+        # non-finite state
+        code, out = run_cli(args + ["--T", T])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == f"gexp: the horizon {T} is too short: 1 - e^(-2 slo^2 K T) rounds to 0\n"
+
     @pytest.mark.parametrize(
         "args, name",
         [("harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 1e200",

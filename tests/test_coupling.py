@@ -74,6 +74,13 @@ class TestNovikovBound:
             bound = novikov_pathwise_bound(1.0, sc.band, 1.0, 1.0)
             assert math.exp(total) <= bound * (1.0 + 1e-9), sc.label
 
+    @pytest.mark.parametrize("horizon", [1e-16, 1e-17])
+    def test_horizon_too_short_rejected(self, horizon):
+        # 1 - e^{-2 slo^2 K T} rounds to 0: the exponent read 0 at 1e-16
+        # and divided by 0 at 1e-17
+        with pytest.raises(ValueError, match=f"the horizon {horizon:g} is too short"):
+            novikov_pathwise_bound(1.0, VolatilityBand(0.5, 1.0), horizon, 1.0)
+
 
 class TestRunCoupling:
     def test_same_start_trivial(self):
@@ -229,12 +236,12 @@ class TestSuite:
             )
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("j", [1, 2, 3], ids=["gap", "log_m", "nov_int"])
+    @pytest.mark.parametrize("j", [1, 2, 4], ids=["gap", "log_m", "Xref"])
     def test_every_state_array_checked_at_the_horizon(
         self, band_wide, monkeypatch, workers, j
     ):
-        # a NaN in the last step's gap, log M or Novikov sum, with X and Xref
-        # finite, fails the sweep instead of reaching the reports
+        # a NaN in the last step's gap, log M or Xref, with X finite, fails
+        # the sweep instead of reaching the reports
         advance = coupling._advance_block
 
         def spoil(spec, state, tmp, Z, lo, i0, *rest):

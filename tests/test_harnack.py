@@ -69,6 +69,11 @@ class TestHarnackExponent:
             kwargs = {"p": 2.0, "K": 1.0, "horizon": 1.0, **bad}
             with pytest.raises(ValueError):
                 harnack_exponent(kwargs["p"], kwargs["K"], band, kwargs["horizon"], 1.0)
+        # 1 - e^{-2 slo^2 K T} rounds to 0 on the band (0.5, 1): the exponent
+        # read 0 at 1e-16 and divided by 0 at 1e-17
+        for horizon in (1e-16, 1e-17):
+            with pytest.raises(ValueError, match=f"the horizon {horizon:g} is too short"):
+                harnack_exponent(2.0, 1.0, VolatilityBand(0.5, 1.0), horizon, 1.0)
 
     @given(
         p=st.floats(1.1, 8.0),
@@ -192,6 +197,27 @@ class TestVerifyShiftHarnack:
 
 
 class TestCertificateGrids:
+    def test_every_factor_before_the_solve(self, band_wide, monkeypatch):
+        # e^exponent overflows at these points: the error comes before the
+        # stacked solve, not after it
+        from gexp import harnack
+
+        def no_solve(*args):
+            raise AssertionError("the solve ran before the factors")
+
+        monkeypatch.setattr(harnack, "solve_batch", no_solve)
+        ou, f = make_drift("ou"), catalog()["sigmoid"]
+        calls = [
+            (lambda: verify_harnack(ou, f, 0.0, 4.0, 2.0, 1.0, band_wide), "harnack", "1077.8"),
+            (lambda: harnack_grid(ou, [f], [2.0], [1.0], [band_wide], [0.0, 4.0]),
+             "harnack", "1077.8"),
+            (lambda: shift_harnack_grid(ou, [f], [2.0], [1.0], [band_wide], [0.0, 9.0]),
+             "shift-harnack", "756 "),
+        ]
+        for call, name, expo in calls:
+            with pytest.raises(ValueError, match=f"exp of the {name} exponent {expo}"):
+                call()
+
     def test_small_harnack_sweep_no_failures(self, band_wide):
         certs = harnack_grid(
             make_drift("ou"),
