@@ -13,6 +13,15 @@ The optional names keep only those subcommands.  Each command runs
 in-process through gexp.cli.main.  With --states it prints instead the
 sha256 of the five arrays of coupling._batched_states over STATE_CONFIGS.
 pytest does not collect this file.
+
+tests/report_digests.golden holds the digests of the smaller GOLDEN_COMMANDS
+set, which test_readme compares in tier-1, under the key of the numpy build
+and CPU they were taken on (dispatch_key).  A change that means to move
+report bytes rewrites the file with
+
+    PYTHONPATH=src python tests/report_digests.py --write-golden
+
+and says in CHANGES.md which reports moved.
 """
 
 from __future__ import annotations
@@ -27,11 +36,14 @@ import runpy
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from gexp import coupling
 from gexp.cli import main
 from gexp.core import VolatilityBand, make_drift, make_scenario_lattice
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "report_digests.golden"
 
 # paths the quick start does not reach: the time-driven Euler step, a
 # three-piece lattice at a horizon other than 1, the masked coupling forcing
@@ -64,21 +76,68 @@ def commands() -> list[list[str]]:
     ]
 
 
+def _digest(argv: list[str]) -> str:
+    """The report's sha256, the exit code and the argv of one run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"{hashlib.sha256(out.getvalue().encode()).hexdigest()} {code} {shlex.join(argv)}"
+
+
 def digests(seed: int, names) -> list[str]:
     """One line per run of the subcommands `names` (all if empty): the
     report's sha256, the exit code and the argv."""
+    return [
+        _digest(argv + ["--format", fmt, "--workers", workers, "--seed", str(seed)])
+        for argv in commands()
+        if not names or argv[0] in names
+        for fmt in ("json", "csv")
+        for workers in ("1", "2")
+    ]
+
+
+# the tier-1 subset: the README's gheat, harnack and axioms, the benchmark's
+# shift-harnack, the kernel suite, and pbar and coupling under ou and tanh:2
+# at 2000 paths.  Every command runs in JSON and CSV at one worker; those
+# with a Monte Carlo part run their JSON again at two
+GOLDEN_COMMANDS = [
+    "gheat --band 0.5,1 --payoff sigmoid --T 1",
+    "harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 0.7",
+    "shift-harnack --band 0.5,1 --drift ou --payoff bump --p 2 --T 1 --x 0 --v 0.5",
+    "pbar --band 0.5,1 --payoff sigmoid --drift ou --kind qv --x 1 --T 1 --npaths 2000",
+    "pbar --band 0.5,1 --payoff sigmoid --drift tanh:2 --kind time --x 1 --T 1 --npaths 2000",
+    "coupling --band 0.5,1 --drift ou --x 0 --y 1 --T 1 --p 2 --payoff sigmoid"
+    " --npaths 2000 --nsteps 256",
+    "coupling --band 0.5,1 --drift tanh:2 --x 0 --y 1 --T 1 --p 2 --payoff sigmoid"
+    " --npaths 2000 --nsteps 256",
+    "kernels",
+    "axioms --band 0.5,1 --drift ou",
+]
+GOLDEN_SEED = 7
+_MONTE_CARLO = ("pbar", "coupling", "axioms")
+
+
+def dispatch_key() -> str:
+    """The numpy version and the SIMD dispatch targets that numpy enabled on
+    this CPU: the report bytes depend on both."""
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy {np.__version__} dispatch {' '.join(enabled)}"
+
+
+def golden_digests() -> list[str]:
+    """One line per run of GOLDEN_COMMANDS at GOLDEN_SEED, as in digests."""
     lines = []
-    for argv in commands():
-        if names and argv[0] not in names:
-            continue
-        for fmt in ("json", "csv"):
-            for workers in ("1", "2"):
-                run = argv + ["--format", fmt, "--workers", workers, "--seed", str(seed)]
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main(run)
-                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-                lines.append(f"{digest} {code} {shlex.join(run)}")
+    for line in GOLDEN_COMMANDS:
+        argv = shlex.split(line)
+        runs = [("json", "1"), ("csv", "1")]
+        if argv[0] in _MONTE_CARLO:
+            runs.append(("json", "2"))
+        for fmt, workers in runs:
+            lines.append(
+                _digest(argv + ["--format", fmt, "--workers", workers, "--seed", str(GOLDEN_SEED)])
+            )
     return lines
 
 
@@ -111,11 +170,20 @@ def state_digests(seed: int) -> list[str]:
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=int)
     parser.add_argument(
         "--states", action="store_true", help="digest the coupling states instead"
     )
+    parser.add_argument(
+        "--write-golden", action="store_true",
+        help=f"write the key and the GOLDEN_COMMANDS digests to {GOLDEN.name}",
+    )
     parser.add_argument("names", nargs="*", help="subcommands to keep (default: all)")
     args = parser.parse_args()
+    if args.write_golden:
+        GOLDEN.write_text("\n".join([dispatch_key(), *golden_digests()]) + "\n")
+        raise SystemExit(0)
+    if args.seed is None:
+        parser.error("--seed is required")
     lines = state_digests(args.seed) if args.states else digests(args.seed, args.names)
     print("\n".join(lines))

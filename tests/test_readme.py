@@ -5,8 +5,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from gexp.cli import build_parser
-from report_digests import digests
+from report_digests import GOLDEN, digests, dispatch_key, golden_digests
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +39,13 @@ def test_report_digests_smoke():
         assert re.fullmatch("[0-9a-f]{64}", digest) and code == "0", line
     # the worker count changes no report
     assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
+
+
+def test_report_digests_golden():
+    # the report bytes and exit codes of report_digests.GOLDEN_COMMANDS are
+    # those in the golden file, whose first line keys the numpy build and
+    # SIMD dispatch targets it was written under
+    key, *expected = GOLDEN.read_text().splitlines()
+    if key != dispatch_key():
+        pytest.skip(f"the golden digests are for {key!r}, not this {dispatch_key()!r}")
+    assert golden_digests() == expected
