@@ -125,6 +125,12 @@ class Scenario:
 MAX_SCENARIOS = 4096
 
 
+def _require_horizon(horizon: float) -> None:
+    """The horizon rule of every scenario lattice, solve and closed form."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+
+
 def make_scenario_lattice(
     band: VolatilityBand,
     horizon: float,
@@ -138,8 +144,9 @@ def make_scenario_lattice(
     at least two levels.  A degenerate band collapses to the single classical
     scenario.
     """
-    if pieces < 1 or levels < 2 or horizon <= 0:
-        raise ValueError("need pieces >= 1, levels >= 2, horizon > 0")
+    if pieces < 1 or levels < 2:
+        raise ValueError("need pieces >= 1, levels >= 2")
+    _require_horizon(horizon)
     grid = np.unique(np.linspace(band.v_lo, band.v_hi, levels))
     if len(grid) ** pieces > MAX_SCENARIOS:
         raise ValueError(
@@ -287,16 +294,17 @@ def catalog() -> dict[str, TestFunction]:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings.  n_steps must be a power of two so halving
-    checks stay on nested grids."""
+    """Monte Carlo settings.  n_paths must be at least 2, for a standard
+    error, and n_steps a power of two, so halving checks stay on nested
+    grids."""
 
     n_paths: int = 10_000
     n_steps: int = 256
     seed: int = 12345
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
+        if self.n_paths < 2:
+            raise ValueError(f"n_paths must be at least 2, got {self.n_paths}")
         if self.n_steps < 1 or (self.n_steps & (self.n_steps - 1)) != 0:
             raise ValueError("n_steps must be a positive power of two")
         if self.seed < 0:

@@ -27,7 +27,7 @@ import numpy as np
 from . import simulate
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
-from .harnack import _decays, _exp, harnack_exponent
+from .harnack import _decay, _exp, _novikov_envelope, harnack_exponent
 from .simulate import _check_horizon, _se, _step_table, _sweep_blocks
 
 __all__ = [
@@ -42,14 +42,8 @@ __all__ = [
 def _mt_moment_bound(
     p: float, K: float, band, horizon: float, dist: float
 ) -> float:
-    """Closed-form ceiling for E[M_T^{p/(p-1)}],
-
-        exp{ p K shi^4 (1-e^{-2 slo^2 KT}) dist^2
-             / ((p-1)^2 slo^6 (1-e^{-2 shi^2 KT})^2) }.
-
-    With q = p/(p-1) this is exp{q(q-1)/2 * N} for the Novikov envelope N;
-    the Harnack exponent is (p-1) times its logarithm.
-    """
+    """Closed-form ceiling e^{H/(p-1)} for E[M_T^{p/(p-1)}], H the Harnack
+    exponent (see harnack._novikov_envelope)."""
     expo = harnack_exponent(p, K, band, horizon, dist) / (p - 1.0)
     return _exp("moment-bound", expo)
 
@@ -67,7 +61,8 @@ def eta_schedule(
         eta(t) = |x - y| e^{-K qv(t)} / int_0^T e^{-2K qv(s)} d qv(s),
 
     evaluated at step midpoints.  The denominator has the exact closed form
-    (1 - e^{-2K qv(T)}) / (2K) because qv is continuous and increasing.
+    (1 - e^{-2K qv(T)}) / (2K) because qv is continuous and increasing; a
+    horizon too short for it (harnack._decay) is a ValueError.
     """
     if K <= 0:
         raise ValueError("the coupling drift formula requires K > 0")
@@ -76,24 +71,16 @@ def eta_schedule(
     t_mid = (np.arange(n_steps) + 0.5) * h
     qv_mid = scenario.qv(t_mid)
     qv_T = float(scenario.qv(horizon))
-    denom = (1.0 - math.exp(-2.0 * K * qv_T)) / (2.0 * K)
+    denom = _decay(2.0 * K * qv_T, horizon) / (2.0 * K)
     return abs(x - y) * np.exp(-K * qv_mid) / denom
 
 
 def novikov_pathwise_bound(K: float, band, horizon: float, dist: float) -> float:
-    """Closed-form ceiling for exp{int_0^T |u|^2 d qv} along every path:
-    exp{2K shi^4 (1-e^{-2 slo^2 K T}) dist^2 / (slo^6 (1-e^{-2 shi^2 K T})^2)};
-    a ceiling or exponent too large for a float, or a horizon too short for
-    it (harnack._decays), is a ValueError.
+    """Closed-form ceiling e^N for exp{int_0^T |u|^2 d qv} along every path,
+    N the envelope of harnack._novikov_envelope (with its input rules); a
+    ceiling or exponent too large for a float is a ValueError.
     """
-    if K <= 0:
-        raise ValueError("the coupling drift formula requires K > 0")
-    lo, hi = _decays(K, band, horizon)
-    try:
-        expo = 2.0 * K * band.sigma_hi**4 * lo * dist**2 / (band.sigma_lo**6 * hi**2)
-    except OverflowError:  # dist**2 is beyond the float range
-        expo = math.inf
-    return _exp("Novikov", expo)
+    return _exp("Novikov", _novikov_envelope(K, band, horizon, dist))
 
 
 @dataclass(frozen=True)
@@ -321,8 +308,8 @@ def run_coupling_suite(
     """
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the coupling construction targets the qv-driven equation")
-    if girsanov_paths is not None and girsanov_paths < 1:
-        raise ValueError("girsanov_paths must be positive")
+    if girsanov_paths is not None and girsanov_paths < 2:
+        raise ValueError(f"girsanov_paths must be at least 2, got {girsanov_paths}")
     K = spec.lipschitz_k
     dist = abs(x - y)
     # the closed-form ceilings first: one that overflows, or p <= 1, fails

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GsdeSpec, Kind, TestFunction, VolatilityBand
+from .core import GsdeSpec, Kind, TestFunction, VolatilityBand, _require_horizon
 
 __all__ = [
     "Grid1D", "PdeSolution", "g_operator", "solve", "solve_batch", "pbar_pde",
@@ -171,8 +171,7 @@ def solve_batch(
     ties (q = 0), which changes no flux but keeps runs reproducible.  Each
     row depends only on its own payoff, bit for bit.
     """
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    _require_horizon(horizon)
     kind = None if spec is None else spec.kind
     # the drift-free count first, before grid.xs exists: a drift only
     # shortens the step, so this rejects no march the full count would pass
@@ -279,6 +278,7 @@ def solve_batch(
 
 def safe_window(grid: Grid1D, band: VolatilityBand, horizon: float) -> tuple[float, float]:
     """Interval where boundary truncation is negligible for bounded payoffs."""
+    _require_horizon(horizon)
     pad = 6.0 * band.sigma_hi * math.sqrt(horizon)
     return grid.x_min + pad, grid.x_max - pad
 

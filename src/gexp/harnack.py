@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gheat
-from .core import GsdeSpec, Kind, TestFunction, VolatilityBand
+from .core import GsdeSpec, Kind, TestFunction, VolatilityBand, _require_horizon
 from .gheat import Grid1D, require_safe, solve_batch
 
 __all__ = [
@@ -27,54 +27,58 @@ __all__ = [
 ]
 
 
+def _novikov_envelope(K: float, band: VolatilityBand, horizon: float, dist: float) -> float:
+    """Quadratic-variation envelope of the coupling control,
+
+        N = 2K shi^4 (1 - e^{-2 slo^2 K T}) dist^2 / (slo^6 (1 - e^{-2 shi^2 K T})^2)
+
+    with slo, shi the band edges; +inf when it overflows a float.  K <= 0, a
+    horizon that is not finite and positive, and one too short for the
+    decays (_decay) are ValueErrors.
+
+    N bounds int_0^T |u|^2 d qv along every path, so e^N is the Novikov
+    ceiling (coupling.novikov_pathwise_bound).  The Harnack exponent is
+    H = p N / (2(p-1)) and the Girsanov moment ceiling is e^{H/(p-1)}: with
+    q = p/(p-1), Holder gives (Pbar_T f(y))^p <= E[M^q]^{p-1} Pbar_T f^p(x),
+    and the density moment satisfies log E[M^q] <= q(q-1)/2 * N;
+    multiplying q(q-1)/2 * N by (p-1) leaves the single (p-1) of H.  A
+    (p-1)^2 variant of H is too small: already in the classical
+    degenerate-band case it drops below the sharp Ornstein-Uhlenbeck
+    exponent p e^{-2KT} d^2 / ((p-1)(1-e^{-2KT})) for large p and small T,
+    and the inequality then fails numerically (e.g. p=4, T=0.5).  H
+    dominates that sharp exponent for every p > 1, K > 0, T > 0.
+    """
+    if K <= 0:
+        raise ValueError("the coupling drift formula requires K > 0")
+    _require_horizon(horizon)
+    lo = _decay(2.0 * band.v_lo * K * horizon, horizon)
+    hi = _decay(2.0 * band.v_hi * K * horizon, horizon)
+    try:
+        return 2.0 * K * band.sigma_hi**4 * lo * dist**2 / (band.sigma_lo**6 * hi**2)
+    except OverflowError:  # dist**2 is beyond the float range
+        return math.inf
+
+
+def _decay(rate: float, horizon: float) -> float:
+    """1 - e^{-rate} for a rate proportional to the horizon; a horizon so
+    short that it rounds to 0 (a closed form would then read 0 or divide by
+    0) is a ValueError."""
+    decay = 1.0 - math.exp(-rate)
+    if decay == 0.0:
+        raise ValueError(f"the horizon {horizon:g} is too short: 1 - e^(-{rate:.3g}) rounds to 0")
+    return decay
+
+
 def harnack_exponent(
     p: float, K: float, band: VolatilityBand, horizon: float, dist: float
 ) -> float:
-    """Exponent of the two-point Harnack inequality,
-
-        p K shi^4 (1 - e^{-2 slo^2 K T})
-        ------------------------------------  * dist^2
-        (p-1) slo^6 (1 - e^{-2 shi^2 K T})^2
-
-    with slo, shi the band edges.  Continuous in all arguments and -> 0 as
-    dist -> 0; an exponent too large for a float is a ValueError.
-
-    The (p-1) power is the one the coupling argument yields: with
-    q = p/(p-1), Holder gives (Pbar_T f(y))^p <= E[M^q]^{p-1} Pbar_T f^p(x),
-    and the density moment satisfies log E[M^q] <= q(q-1)/2 * N where N is
-    the quadratic-variation envelope of the control, the exponent of
-    coupling.novikov_pathwise_bound: N = 2K shi^4 (1-e^{-2 slo^2 KT}) dist^2
-    / (slo^6 (1-e^{-2 shi^2 KT})^2).  The exponent above is p N / (2(p-1)):
-    multiplying q(q-1)/2 * N by (p-1) leaves a single (p-1) in the
-    denominator.  A (p-1)^2 variant is too small: already in
-    the classical degenerate-band case it drops below the sharp
-    Ornstein-Uhlenbeck exponent p e^{-2KT} d^2 / ((p-1)(1-e^{-2KT})) for
-    large p and small T, and the inequality then fails numerically
-    (e.g. p=4, T=0.5).  The form used here dominates that sharp exponent
-    for every p > 1, K > 0, T > 0.
-    """
+    """Exponent p N / (2(p-1)) of the two-point Harnack inequality, N the
+    Novikov envelope of _novikov_envelope (which also holds its input rules
+    and derivation).  Continuous in all arguments and -> 0 as dist -> 0; an
+    exponent too large for a float is a ValueError."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if K <= 0:
-        raise ValueError("K must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    lo, hi = _decays(K, band, horizon)
-    try:
-        expo = p * K * band.sigma_hi**4 * lo / ((p - 1.0) * band.sigma_lo**6 * hi**2) * dist**2
-    except OverflowError:  # dist**2 is beyond the float range
-        expo = math.inf
-    return _finite("harnack", expo)
-
-
-def _decays(K: float, band: VolatilityBand, horizon: float) -> tuple[float, float]:
-    """1 - e^{-2 slo^2 K T} and 1 - e^{-2 shi^2 K T}, the factors of the
-    Harnack and Novikov exponents; a horizon so short that the first rounds
-    to 0 (the exponents then read 0 or divide by 0) is a ValueError."""
-    lo = 1.0 - math.exp(-2.0 * band.v_lo * K * horizon)
-    if lo == 0.0:
-        raise ValueError(f"the horizon {horizon:g} is too short: 1 - e^(-2 slo^2 K T) rounds to 0")
-    return lo, 1.0 - math.exp(-2.0 * band.v_hi * K * horizon)
+    return _finite("harnack", p * _novikov_envelope(K, band, horizon, dist) / (2.0 * (p - 1.0)))
 
 
 def shift_harnack_exponent(
@@ -85,8 +89,7 @@ def shift_harnack_exponent(
     for a float is a ValueError."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _require_horizon(horizon)
     if sigma_lo <= 0:
         raise ValueError("sigma_lo must be positive")
     if K < 0:
@@ -150,11 +153,6 @@ def _exp(name: str, exponent: float) -> float:
         raise ValueError(f"exp of the {name} exponent {exponent:.6g} overflows") from None
 
 
-def _factor(kind: str, exponent: float) -> tuple[float, float]:
-    """The exponent and e^exponent, computed before any solve."""
-    return exponent, _exp(kind, exponent)
-
-
 def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, factor):
     expo, scale = factor
     rhs = base * scale
@@ -185,8 +183,6 @@ def verify_harnack(
 ) -> HarnackCertificate:
     """Check (Pbar_T f)^p(y) <= Pbar_T f^p(x) * exp(exponent) for the
     qv-driven equation: the grid sweep at the one point y."""
-    if not payoff.positivity:
-        raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the two-point Harnack inequality targets the qv-driven equation")
     return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y])[0]
@@ -203,8 +199,6 @@ def verify_shift_harnack(
 ) -> HarnackCertificate:
     """Check (Pbar_T f(x))^p <= Pbar_T [f^p(v + .)](x) * exp(exponent) for
     the time-driven equation: the grid sweep at the one shift v."""
-    if not payoff.positivity:
-        raise ValueError("Harnack certificates require a nonnegative payoff")
     if spec.kind is not Kind.TIME_DRIVEN:
         raise ValueError("the shift Harnack inequality targets the time-driven equation")
     return _shift_certs(spec, [payoff], [p], band, horizon, x, [v])[0]
@@ -214,10 +208,11 @@ def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
     """Certificates of every payoff, p and point of `ys` at one (band, T):
     one stacked solve over f and every f^p of each payoff.  Every factor
     e^exponent comes first: an invalid p, K or horizon, or a factor too
-    large for a float, fails before the solve."""
+    large for a float, fails before the solve, and so does a payoff that is
+    not nonnegative (TestFunction.power)."""
+    K = spec.lipschitz_k
     factors = [
-        [_factor("harnack", harnack_exponent(p, spec.lipschitz_k, band, T, abs(y - x0)))
-         for y in ys]
+        [(e := harnack_exponent(p, K, band, T, abs(y - x0)), _exp("harnack", e)) for y in ys]
         for p in ps
     ]
     grid = Grid1D()
@@ -245,7 +240,7 @@ def _shift_certs(spec, payoffs, ps, band, T, x0, shifts):
     e^exponent first (see _harnack_certs)."""
     K = spec.lipschitz_k
     factors = [
-        [_factor("shift-harnack", shift_harnack_exponent(p, K, band.sigma_lo, T, v))
+        [(e := shift_harnack_exponent(p, K, band.sigma_lo, T, v), _exp("shift-harnack", e))
          for v in shifts]
         for p in ps
     ]

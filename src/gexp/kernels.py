@@ -413,20 +413,20 @@ class KernelReport:
 
 
 def run_kernel_suite(alpha: float = 2.0) -> KernelReport:
-    """Run every kernel-level check on the shipped payoff catalog."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    """Run every kernel-level check on the shipped payoff catalog.  The
+    lower-bound margins come first, so alpha <= 1 fails before any
+    quadrature (classical_ou_harnack_exponent)."""
+    lower = {
+        f"x={x:g},y={y:g}": kernel_lower_bound_check(x, y, alpha)
+        for x in (-1.0, 0.0, 1.0)
+        for y in (-1.0, 0.0, 1.0)
+    }
     payoffs = catalog()
     quasi = {pid: quasi_invariance_check(f) for pid, f in payoffs.items()}
     member = {
         f"{pid}@theta={th:g}": member_invariance_gap(th, f)
         for pid, f in payoffs.items()
         for th in THETAS
-    }
-    lower = {
-        f"x={x:g},y={y:g}": kernel_lower_bound_check(x, y, alpha)
-        for x in (-1.0, 0.0, 1.0)
-        for y in (-1.0, 0.0, 1.0)
     }
     supmargins = {
         f"{pid}@x={x:g}": sup_kernel_definition_margin(f, x)

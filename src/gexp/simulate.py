@@ -232,9 +232,8 @@ SE_LEVEL = 3.0
 
 
 def _se(a: np.ndarray) -> float:
-    """Standard error of the mean of the sample `a`."""
-    n = a.size
-    return float(np.std(a, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    """Standard error of the mean of the sample `a`, of two values or more."""
+    return float(np.std(a, ddof=1) / math.sqrt(a.size))
 
 
 def _estimate(payoff, states, scenarios, mc) -> PbarEstimate:

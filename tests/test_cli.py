@@ -97,6 +97,39 @@ class TestUsage:
         assert out == ""
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou", "--kind", "qv",
+          "--x", "1", "--method", "pde"],
+         ["axioms", "--band", "0.5,1"],
+         ["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou", "--kind", "qv",
+          "--x", "1", "--method", "mc"],
+         _COUPLING],
+        ids=["pbar-pde", "axioms", "pbar-mc", "coupling"],
+    )
+    def test_negative_horizon_exit_2(self, capsys, args):
+        # pbar-pde and axioms printed "gexp: math domain error" from the
+        # safe window; the Monte Carlo commands had a message of their own
+        code, out = run_cli(args + ["--T", "-1"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "gexp: horizon must be finite and positive, got -1.0\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou", "--kind", "qv",
+          "--x", "1", "--T", "1", "--method", "mc", "--nsteps", "8"],
+         ["coupling", "--band", "0.5,1", "--x", "0", "--y", "1", "--nsteps", "8"]],
+        ids=["pbar", "coupling"],
+    )
+    def test_one_path_exit_2(self, capsys, args):
+        # one path has no standard error: pbar reported 0, and coupling
+        # exited 1 on Girsanov checks gap <= 3 * 0
+        code, out = run_cli(args + ["--npaths", "1"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "gexp: n_paths must be at least 2, got 1\n"
+
     def test_abbreviated_flag_rejected(self, tmp_path):
         # a prefix of --nx is rejected; the spelled-out flag beats the file
         cfg = tmp_path / "run.cfg"
@@ -241,7 +274,8 @@ class TestUsage:
         assert code == 2
         assert out == ""
         err = capsys.readouterr().err
-        assert err == f"gexp: the horizon {T} is too short: 1 - e^(-2 slo^2 K T) rounds to 0\n"
+        rate = f"{2 * 0.25 * float(T):.3g}"  # 2 slo^2 K T
+        assert err == f"gexp: the horizon {T} is too short: 1 - e^(-{rate}) rounds to 0\n"
 
     @pytest.mark.parametrize(
         "args, name",

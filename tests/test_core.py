@@ -119,6 +119,13 @@ class TestScenarioLattice:
         with pytest.raises(ValueError):
             make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 10, 5)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf])
+    def test_horizon_rule(self, horizon):
+        # the solver's rule; an infinite horizon met a numpy RuntimeWarning
+        # and a message about breakpoints
+        with pytest.raises(ValueError, match=f"finite and positive, got {horizon}"):
+            make_scenario_lattice(VolatilityBand(0.5, 1.0), horizon, 2, 3)
+
 
 class TestGsdeSpec:
     def test_lipschitz_spot_check_rejects_understated_constant(self):
@@ -199,8 +206,11 @@ class TestMcConfig:
                 McConfig(100, bad, 1)
 
     def test_positive_paths(self):
-        with pytest.raises(ValueError):
-            McConfig(0, 256, 1)
+        # one path has no standard error: _se read 0 for it
+        McConfig(2, 256, 1)
+        for bad in (0, 1):
+            with pytest.raises(ValueError, match=f"n_paths must be at least 2, got {bad}"):
+                McConfig(bad, 256, 1)
 
     def test_nonnegative_seed(self):
         McConfig(100, 256, 0)

@@ -80,6 +80,11 @@ class TestNovikovBound:
         # and divided by 0 at 1e-17
         with pytest.raises(ValueError, match=f"the horizon {horizon:g} is too short"):
             novikov_pathwise_bound(1.0, VolatilityBand(0.5, 1.0), horizon, 1.0)
+        # eta's denominator 1 - e^{-2K qv(T)} rounds to 0 too: eta_schedule
+        # returned inf with a RuntimeWarning
+        scenario = make_scenario_lattice(VolatilityBand(0.5, 1.0), horizon, 1, 2)[0]
+        with pytest.raises(ValueError, match=f"the horizon {horizon:g} is too short"):
+            eta_schedule(scenario, 1.0, 1.0, 0.0, horizon, 4)
 
 
 class TestRunCoupling:
@@ -322,11 +327,13 @@ class TestSuite:
 
     def test_girsanov_path_count_validated(self, band_wide):
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
-        with pytest.raises(ValueError, match="girsanov_paths"):
-            run_coupling_suite(
-                make_drift("ou"), 1.0, 0.0, 1.0, scs, McConfig(200, 16, 1), 2.0,
-                catalog()["sigmoid"], girsanov_paths=0,
-            )
+        # one path has no standard error: every Girsanov check was gap <= 0
+        for paths in (0, 1):
+            with pytest.raises(ValueError, match=f"girsanov_paths must be at least 2, got {paths}"):
+                run_coupling_suite(
+                    make_drift("ou"), 1.0, 0.0, 1.0, scs, McConfig(200, 16, 1), 2.0,
+                    catalog()["sigmoid"], girsanov_paths=paths,
+                )
 
     def test_separate_girsanov_path_count(self, band_wide):
         scs = make_scenario_lattice(band_wide, 1.0, 1, 2)

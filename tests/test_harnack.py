@@ -74,6 +74,15 @@ class TestHarnackExponent:
         for horizon in (1e-16, 1e-17):
             with pytest.raises(ValueError, match=f"the horizon {horizon:g} is too short"):
                 harnack_exponent(2.0, 1.0, VolatilityBand(0.5, 1.0), horizon, 1.0)
+        # one horizon rule for the closed forms; an infinite horizon read a
+        # finite harnack exponent and Novikov ceiling
+        for horizon in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match=f"finite and positive, got {horizon}"):
+                harnack_exponent(2.0, 1.0, band, horizon, 1.0)
+            with pytest.raises(ValueError, match=f"finite and positive, got {horizon}"):
+                novikov_pathwise_bound(1.0, band, horizon, 1.0)
+            with pytest.raises(ValueError, match=f"finite and positive, got {horizon}"):
+                shift_harnack_exponent(2.0, 1.0, 1.0, horizon, 1.0)
 
     @given(
         p=st.floats(1.1, 8.0),
@@ -143,12 +152,20 @@ class TestVerifyHarnack:
         assert cert.lhs == pytest.approx(lhs_oracle, rel=1e-3)
         assert cert.rhs == pytest.approx(rhs_base * math.exp(cert.exponent), rel=1e-3)
 
-    def test_requires_nonnegative_payoff(self, band_wide, ou_spec):
-        from gexp import TestFunction
+    def test_requires_nonnegative_payoff(self, band_wide, ou_spec, monkeypatch):
+        # TestFunction.power holds the rule, and it raises before the solve
+        from gexp import TestFunction, harnack
 
+        def no_solve(*args):
+            raise AssertionError("the solve ran before the positivity check")
+
+        monkeypatch.setattr(harnack, "solve_batch", no_solve)
         neg = TestFunction("neg", lambda x: -np.ones_like(x), positivity=False)
-        with pytest.raises(ValueError):
+        time_spec = dataclasses.replace(ou_spec, kind=Kind.TIME_DRIVEN)
+        with pytest.raises(ValueError, match="nonnegative payoffs"):
             verify_harnack(ou_spec, neg, 0.0, 1.0, 2.0, 1.0, band_wide)
+        with pytest.raises(ValueError, match="nonnegative payoffs"):
+            verify_shift_harnack(time_spec, neg, 0.0, 0.5, 2.0, 1.0, band_wide)
 
     def test_requires_qv_kind(self, band_wide, ou_spec):
         time_spec = dataclasses.replace(ou_spec, kind=Kind.TIME_DRIVEN)

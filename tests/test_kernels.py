@@ -148,6 +148,14 @@ class TestLowerBound:
         monkeypatch.setattr(np, "trapezoid", no_trapezoid)
         with pytest.raises(ValueError, match="alpha must exceed 1"):
             kernel_lower_bound_check(0.0, 1.0, 1.0)
+        # the suite holds no alpha rule of its own: its lower-bound margins
+        # come before any Gauss-Hermite or Gauss-Kronrod quadrature
+        from gexp import kernels
+
+        monkeypatch.setattr(kernels, "normal_expectation", no_trapezoid)
+        monkeypatch.setattr(kernels, "_gauss_kronrod", no_trapezoid)
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            run_kernel_suite(alpha=1.0)
 
     def test_margin_nonnegative_on_acceptance_points(self):
         for x in (-1.0, 0.0, 1.0):
