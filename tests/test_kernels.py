@@ -142,18 +142,18 @@ class TestLowerBound:
             classical_ou_harnack_exponent(1.0, 0.5, 1.0)
 
     def test_alpha_rejected_before_any_quadrature(self, monkeypatch):
-        def no_trapezoid(*args, **kwargs):
-            raise AssertionError("a trapezoid ran before the alpha check")
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("a quadrature ran before the alpha check")
 
-        monkeypatch.setattr(np, "trapezoid", no_trapezoid)
+        monkeypatch.setattr(np, "trapezoid", no_quadrature)
         with pytest.raises(ValueError, match="alpha must exceed 1"):
             kernel_lower_bound_check(0.0, 1.0, 1.0)
         # the suite holds no alpha rule of its own: its lower-bound margins
         # come before any Gauss-Hermite or Gauss-Kronrod quadrature
         from gexp import kernels
 
-        monkeypatch.setattr(kernels, "normal_expectation", no_trapezoid)
-        monkeypatch.setattr(kernels, "_gauss_kronrod", no_trapezoid)
+        monkeypatch.setattr(kernels, "normal_expectation", no_quadrature)
+        monkeypatch.setattr(kernels, "_gauss_kronrod", no_quadrature)
         with pytest.raises(ValueError, match="alpha must exceed 1"):
             run_kernel_suite(alpha=1.0)
 
