@@ -27,7 +27,7 @@ import numpy as np
 from . import simulate
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
 from .gheat import _runs
-from .harnack import _decay, _exp, _novikov_envelope, harnack_exponent
+from .harnack import _decay, _exp, _novikov_envelope, _require_coupling_k, harnack_exponent
 from .simulate import _check_horizon, _se, _step_table, _sweep_blocks
 
 __all__ = [
@@ -64,8 +64,7 @@ def eta_schedule(
     (1 - e^{-2K qv(T)}) / (2K) because qv is continuous and increasing; a
     horizon too short for it (harnack._decay) is a ValueError.
     """
-    if K <= 0:
-        raise ValueError("the coupling drift formula requires K > 0")
+    _require_coupling_k(K)  # before the decay, which would call K = 0 a short horizon
     _check_horizon(scenario, horizon)
     h = horizon / n_steps
     t_mid = (np.arange(n_steps) + 0.5) * h

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, product
 
 import numpy as np
 
@@ -48,8 +49,7 @@ def _novikov_envelope(K: float, band: VolatilityBand, horizon: float, dist: floa
     and the inequality then fails numerically (e.g. p=4, T=0.5).  H
     dominates that sharp exponent for every p > 1, K > 0, T > 0.
     """
-    if K <= 0:
-        raise ValueError("the coupling drift formula requires K > 0")
+    _require_coupling_k(K)
     _require_horizon(horizon)
     lo = _decay(2.0 * band.v_lo * K * horizon, horizon)
     hi = _decay(2.0 * band.v_hi * K * horizon, horizon)
@@ -57,6 +57,12 @@ def _novikov_envelope(K: float, band: VolatilityBand, horizon: float, dist: floa
         return 2.0 * K * band.sigma_hi**4 * lo * dist**2 / (band.sigma_lo**6 * hi**2)
     except OverflowError:  # dist**2 is beyond the float range
         return math.inf
+
+
+def _require_coupling_k(K: float) -> None:
+    """The coupling drift's rule K > 0, a ValueError otherwise."""
+    if K <= 0:
+        raise ValueError("the coupling drift formula requires K > 0")
 
 
 def _decay(rate: float, horizon: float) -> float:
@@ -153,25 +159,6 @@ def _exp(name: str, exponent: float) -> float:
         raise ValueError(f"exp of the {name} exponent {exponent:.6g} overflows") from None
 
 
-def _certificate(kind, p, horizon, x, y_or_shift, payoff_id, lhs, base, factor):
-    expo, scale = factor
-    rhs = base * scale
-    budget = gheat.PDE_BUDGET
-    return HarnackCertificate(
-        kind=kind,
-        p=p,
-        horizon=horizon,
-        x=x,
-        y_or_shift=y_or_shift,
-        payoff_id=payoff_id,
-        lhs=lhs,
-        rhs=rhs,
-        exponent=expo,
-        tolerance_budget=budget,
-        passed=lhs <= rhs * (1.0 + budget),
-    )
-
-
 def verify_harnack(
     spec: GsdeSpec,
     payoff: TestFunction,
@@ -185,7 +172,7 @@ def verify_harnack(
     qv-driven equation: the grid sweep at the one point y."""
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the two-point Harnack inequality targets the qv-driven equation")
-    return _harnack_certs(spec, [payoff], [p], band, horizon, x, [y])[0]
+    return _certs(_HARNACK, spec, [payoff], [p], [horizon], [band], x, [y])[0]
 
 
 def verify_shift_harnack(
@@ -201,65 +188,59 @@ def verify_shift_harnack(
     the time-driven equation: the grid sweep at the one shift v."""
     if spec.kind is not Kind.TIME_DRIVEN:
         raise ValueError("the shift Harnack inequality targets the time-driven equation")
-    return _shift_certs(spec, [payoff], [p], band, horizon, x, [v])[0]
+    return _certs(_SHIFT, spec, [payoff], [p], [horizon], [band], x, [v])[0]
 
 
-def _harnack_certs(spec, payoffs, ps, band, T, x0, ys):
-    """Certificates of every payoff, p and point of `ys` at one (band, T):
-    one stacked solve over f and every f^p of each payoff.  Every factor
-    e^exponent comes first: an invalid p, K or horizon, or a factor too
-    large for a float, fails before the solve, and so does a payoff that is
-    not nonnegative (TestFunction.power)."""
-    K = spec.lipschitz_k
-    factors = [
-        [(e := harnack_exponent(p, K, band, T, abs(y - x0)), _exp("harnack", e)) for y in ys]
-        for p in ps
-    ]
-    grid = Grid1D()
-    for point in (x0, *ys):  # every point a solution is read at
-        require_safe(point, grid, band, T)
-    rows = [g for f in payoffs for g in (f, *(f.power(p) for p in ps))]
-    sols = iter(solve_batch(rows, band, T, grid, spec))
+# The parts in which the two inequalities differ, for _certs: the kind, the
+# exponent of (p, t) at (K, band, T, x0), the point where lhs reads Pbar_T f,
+# and the base rows of (f, p), one per t.  t is a point y for the two-point
+# inequality, whose rows repeat the one f^p, and a shift v for the shift one.
+_HARNACK = (
+    "harnack",
+    lambda p, K, band, T, x0, y: harnack_exponent(p, K, band, T, abs(y - x0)),
+    lambda x0, y: y,
+    lambda f, p, ys: [f.power(p)] * len(ys),
+)
+_SHIFT = (
+    "shift-harnack",
+    lambda p, K, band, T, x0, v: shift_harnack_exponent(p, K, band.sigma_lo, T, v),
+    lambda x0, v: x0,
+    lambda f, p, shifts: [f.power(p).shifted(v) for v in shifts],
+)
+
+
+def _certs(inequality, spec, payoffs, ps, horizons, bands, x0, ts):
+    """Certificates of every band, horizon, payoff, p and t of `ts`:
+    (Pbar_T f)^p at the read point <= Pbar_T g(x0) e^exponent, g the base
+    row of (f, p) at t.  Per (band, horizon), every factor e^exponent comes
+    first: an invalid p, K or horizon, or a factor too large for a float,
+    fails before the solve.  Then x0 and every read point must lie in the
+    safe window, and a payoff that is not nonnegative fails as its rows are
+    made (TestFunction.power).  One solve stacks each payoff f and its
+    distinct row objects, by identity: TestFunction ids format shifts with
+    :g, so two close shifts share an id."""
+    kind, exponent, read_at, base_rows = inequality
+    K, budget, grid = spec.lipschitz_k, gheat.PDE_BUDGET, Grid1D()
     certs = []
-    for payoff in payoffs:
-        sol_f = next(sols)
-        for p, row in zip(ps, factors):
-            base = next(sols).value_at(x0)
-            for y, factor in zip(ys, row):
-                certs.append(
-                    _certificate(
-                        "harnack", p, T, x0, y, payoff.id, sol_f.value_at(y) ** p, base, factor
-                    )
-                )
-    return certs
-
-
-def _shift_certs(spec, payoffs, ps, band, T, x0, shifts):
-    """Certificates of every payoff, p and shift at one (band, T): one
-    stacked solve over f and every f^p(v + .) of each payoff, every factor
-    e^exponent first (see _harnack_certs)."""
-    K = spec.lipschitz_k
-    factors = [
-        [(e := shift_harnack_exponent(p, K, band.sigma_lo, T, v), _exp("shift-harnack", e))
-         for v in shifts]
-        for p in ps
-    ]
-    grid = Grid1D()
-    require_safe(x0, grid, band, T)
-    rows = [
-        g for f in payoffs for g in (f, *(f.power(p).shifted(v) for p in ps for v in shifts))
-    ]
-    sols = iter(solve_batch(rows, band, T, grid, spec))
-    certs = []
-    for payoff in payoffs:
-        sol_f = next(sols)
-        for p, row in zip(ps, factors):
-            lhs = sol_f.value_at(x0) ** p
-            for v, factor in zip(shifts, row):
-                base = next(sols).value_at(x0)
-                certs.append(
-                    _certificate("shift-harnack", p, T, x0, v, payoff.id, lhs, base, factor)
-                )
+    for band, T in product(bands, horizons):
+        factors = [
+            [(e := exponent(p, K, band, T, x0, t), _exp(kind, e)) for t in ts] for p in ps
+        ]
+        for point in (x0, *(read_at(x0, t) for t in ts)):
+            require_safe(point, grid, band, T)
+        bases = [[base_rows(f, p, ts) for p in ps] for f in payoffs]
+        rows = {id(g): g for f, gs in zip(payoffs, bases) for g in (f, *chain(*gs))}
+        sols = dict(zip(rows, solve_batch(list(rows.values()), band, T, grid, spec)))
+        for f, gs in zip(payoffs, bases):
+            for p, row, factor_row in zip(ps, gs, factors):
+                for t, g, (expo, scale) in zip(ts, row, factor_row):
+                    lhs = sols[id(f)].value_at(read_at(x0, t)) ** p
+                    rhs = sols[id(g)].value_at(x0) * scale
+                    certs.append(HarnackCertificate(
+                        kind=kind, p=p, horizon=T, x=x0, y_or_shift=t, payoff_id=f.id,
+                        lhs=lhs, rhs=rhs, exponent=expo, tolerance_budget=budget,
+                        passed=lhs <= rhs * (1.0 + budget),
+                    ))
     return certs
 
 
@@ -277,13 +258,7 @@ def harnack_grid(
     horizon) over f and every f^p of each payoff, reused across the distance
     grid."""
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
-    ys = [x0 + float(d) for d in dists]
-    return [
-        cert
-        for band in bands
-        for T in horizons
-        for cert in _harnack_certs(spec, payoffs, ps, band, T, x0, ys)
-    ]
+    return _certs(_HARNACK, spec, payoffs, ps, horizons, bands, x0, [x0 + float(d) for d in dists])
 
 
 def shift_harnack_grid(
@@ -300,10 +275,4 @@ def shift_harnack_grid(
     solve per (band, horizon) over f and every f^p(v + .) of each payoff; the
     unshifted solution is shared across the shift grid."""
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
-    shifts = [float(v) for v in shifts]
-    return [
-        cert
-        for band in bands
-        for T in horizons
-        for cert in _shift_certs(spec, payoffs, ps, band, T, x0, shifts)
-    ]
+    return _certs(_SHIFT, spec, payoffs, ps, horizons, bands, x0, [float(v) for v in shifts])

@@ -175,6 +175,11 @@ def _normal_pdf(z, mean, var: float):
     return np.exp(-((z - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
+def _ou_variance(theta: float) -> float:
+    """Variance 1 - e^{-2 theta} of the time-1 OU kernel."""
+    return 1.0 - math.exp(-2.0 * theta)
+
+
 def ou_semigroup(theta: float, payoff: TestFunction, x):
     """Time-1 OU semigroup value by Gauss-Hermite quadrature against the
     normal law with variance 1 - e^{-2 theta}; at each point the order is
@@ -183,7 +188,7 @@ def ou_semigroup(theta: float, payoff: TestFunction, x):
     returned)."""
     if not THETA_LO <= theta <= THETA_HI:
         raise ValueError(f"theta={theta} outside [{THETA_LO}, {THETA_HI}]")
-    var = 1.0 - math.exp(-2.0 * theta)
+    var = _ou_variance(theta)
     mean = (math.exp(-theta) * np.asarray(x, dtype=float)).ravel()
     order = 64
     val = normal_expectation(payoff, mean, var, order)
@@ -199,8 +204,9 @@ def ou_semigroup(theta: float, payoff: TestFunction, x):
 
 def ou_kernel(theta: float, x, z):
     """Transition density of the time-1 OU kernel."""
-    var = 1.0 - math.exp(-2.0 * theta)
-    return _normal_pdf(np.asarray(z, dtype=float), math.exp(-theta) * np.asarray(x), var)
+    return _normal_pdf(
+        np.asarray(z, dtype=float), math.exp(-theta) * np.asarray(x), _ou_variance(theta)
+    )
 
 
 def sup_kernel_ex34(x, z):
@@ -275,8 +281,7 @@ def classical_ou_harnack_exponent(alpha: float, theta: float, dist: float) -> fl
     alpha e^{-2 theta} dist^2 / (2 (alpha-1) (1 - e^{-2 theta}))."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    e2 = math.exp(-2.0 * theta)
-    return alpha * e2 * dist**2 / (2.0 * (alpha - 1.0) * (1.0 - e2))
+    return alpha * math.exp(-2.0 * theta) * dist**2 / (2.0 * (alpha - 1.0) * _ou_variance(theta))
 
 
 def _truncated_sup_integral(x: float, g) -> float:
@@ -348,8 +353,7 @@ def ex38_probe(
     xs = np.linspace(-2.0, 2.0, 41) if xs is None else np.asarray(xs, dtype=float)
     ys = np.linspace(-6.0, 6.0, 121) if ys is None else np.asarray(ys, dtype=float)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    v1 = 1.0 - math.exp(-1.0)
-    v2 = 1.0 - math.exp(-2.0)
+    v1, v2 = _ou_variance(0.5), _ou_variance(1.0)
     m1 = math.exp(0.5) * X
     m2 = math.e * X
     p_half = _normal_pdf(Y, m1, v1)

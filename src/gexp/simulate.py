@@ -13,12 +13,13 @@ constant-preserving, homogeneous and subadditive across payoffs.
 
 It also lets one normal vector per step drive every scenario at once.
 pbar_mc advances the (S, n) float64 state of all S scenarios together (8 S n
-bytes; a coupling sweep carries five such arrays), split into blocks of at
-most _BLOCK_PATHS paths that a pool of one or more worker threads steps in
-place while the calling thread draws the normals in stream order.  Each
-worker allocates its scratch arrays once per sweep.  Each scenario's
-terminal states are bit-identical to stepping that scenario alone, for
-every worker count.
+bytes; a coupling sweep carries five (S, n) arrays, four float64 and the
+int64 merge step), split into blocks of at most _BLOCK_PATHS paths that a
+pool of worker threads steps in place while the calling thread draws the
+normals in stream order; a sweep of at most _BLOCK_PATHS paths is one block
+on one thread.  Each worker allocates its scratch arrays once per sweep.
+Each scenario's terminal states are bit-identical to stepping that scenario
+alone, for every worker count.
 _sweep_blocks is that block driver, shared with the coupling suite: the
 only Euler stepping loop in the package, and the one place that rejects a
 non-finite state.
@@ -59,23 +60,24 @@ def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
     of the state over the steps i0, i0+1, ... whose normals are the rows of
     Z, columns lo:lo+b; `tmp` is the worker's scratch, `scratch((S, size))`
     for the widest block, allocated once per worker for the whole sweep.
-    The paths are split into blocks of at most _BLOCK_PATHS, a multiple of
-    the worker count of them, so that the workers get even shares.  The
-    calling thread draws the normals _STEP_BATCH steps at a time, in the
-    order of one draw per step, while `workers` threads (None:
-    os.cpu_count(); below 1 is a ValueError; never more than there are
-    blocks) step them.  Each thread owns its share of the blocks and
-    advances them batch after batch from its own queue, so the threads never
-    wait for one another and the drawing overlaps the stepping.  Every 256
-    steps and after the last step every array of `state` must be finite,
-    else RuntimeError names the step.
+    At most _BLOCK_PATHS paths are one block, stepped on one thread: at that
+    size, handing blocks to threads costs more than it saves.  More paths
+    are split into blocks of at most _BLOCK_PATHS, a multiple of the worker
+    count of them, so that the workers get even shares.  The calling thread
+    draws the normals _STEP_BATCH steps at a time, in the order of one draw
+    per step, while `workers` threads (None: os.cpu_count(); below 1 is a
+    ValueError; never more than there are blocks) step them.  Each thread
+    owns its share of the blocks and advances them batch after batch from
+    its own queue, so the threads never wait for one another and the drawing
+    overlaps the stepping.  Every 256 steps and after the last step every
+    array of `state` must be finite, else RuntimeError names the step.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     S, n = state[0].shape
-    n_blocks = workers * -(-n // (workers * _BLOCK_PATHS))
+    n_blocks = 1 if n <= _BLOCK_PATHS else workers * -(-n // (workers * _BLOCK_PATHS))
     size = -(-n // n_blocks)
     blocks = [
         (lo, tuple(a[:, lo : lo + size] for a in state))

@@ -235,6 +235,34 @@ class TestCertificateGrids:
             with pytest.raises(ValueError, match=f"exp of the {name} exponent {expo}"):
                 call()
 
+    def test_one_stack_per_band_and_horizon(self, band_wide, monkeypatch):
+        # each payoff f, then its distinct rows: the one f^p that Harnack reads
+        # at every point, and f^p(v + .) for every shift, even shifts whose
+        # ids coincide
+        from gexp import harnack
+
+        stacks = []
+        solve = harnack.solve_batch
+
+        def spy(rows, *args):
+            stacks.append([g.id for g in rows])
+            return solve(rows, *args)
+
+        monkeypatch.setattr(harnack, "solve_batch", spy)
+        ou, fs, ps = make_drift("ou"), [catalog()["sigmoid"], catalog()["bump"]], [2.0, 4.0]
+        points = np.linspace(0.0, 1.0, 6)
+        harnack_grid(ou, fs, ps, [0.5, 1.0], [band_wide], points)
+        assert stacks == 2 * [["sigmoid", "sigmoid^2", "sigmoid^4", "bump", "bump^2", "bump^4"]]
+        stacks.clear()
+        shift_harnack_grid(ou, fs, ps, [0.5, 1.0], [band_wide], points)
+        assert [len(s) for s in stacks] == [2 * (1 + 2 * 6)] * 2
+        assert [s[0] for s in stacks] == ["sigmoid"] * 2
+        assert [s[13] for s in stacks] == ["bump"] * 2
+        stacks.clear()
+        certs = shift_harnack_grid(ou, fs[:1], [2.0], [1.0], [band_wide], [0.1, 0.1000001])
+        assert stacks == [["sigmoid", "sigmoid^2(+0.1)", "sigmoid^2(+0.1)"]]
+        assert certs[0].rhs != certs[1].rhs
+
     def test_small_harnack_sweep_no_failures(self, band_wide):
         certs = harnack_grid(
             make_drift("ou"),

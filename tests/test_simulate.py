@@ -198,6 +198,25 @@ class TestScenarioSweep:
             pbar_mc(make_drift("ou"), catalog()["sigmoid"], 0.0, 1.0, scs,
                     McConfig(100, 16, 1), workers)
 
+    def test_small_sweep_on_one_thread(self, band_wide, monkeypatch):
+        # at most _BLOCK_PATHS paths are one block on one thread, whatever
+        # the worker count; one path more is split across the workers
+        from gexp import simulate
+
+        threads = []
+
+        class Spy(simulate.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                threads.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Spy)
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        for n in (_BLOCK_PATHS, _BLOCK_PATHS + 1):
+            pbar_mc(make_drift("ou"), catalog()["sigmoid"], 0.0, 1.0, scs,
+                    McConfig(n, 4, 1), workers=2)
+        assert threads == [1, 2]
+
     def test_axioms_independent_of_workers(self, band_wide):
         mc = McConfig(2 * _BLOCK_PATHS + 123, 32, 43)
         results = [
