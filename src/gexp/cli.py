@@ -28,8 +28,8 @@ import os
 import sys
 from dataclasses import replace
 
+# only core at import: the parser takes its payoff choices from catalog()
 from . import __version__
-from .axioms import run_axioms
 from .core import (
     Kind,
     McConfig,
@@ -38,11 +38,6 @@ from .core import (
     make_drift,
     make_scenario_lattice,
 )
-from .coupling import run_coupling_suite
-from .gheat import Grid1D, pbar_pde, solve
-from .harnack import verify_harnack, verify_shift_harnack
-from .kernels import run_kernel_suite
-from .simulate import pbar_mc
 
 SCHEMA = 1
 DEFAULT_SEED = 12345
@@ -248,6 +243,8 @@ def _spec(drift_id: str, kind: Kind, k_override=None):
 
 
 def _cmd_gheat(args):
+    from .gheat import Grid1D, solve
+
     grid = Grid1D(args.xmin, args.xmax, args.nx)
     sol = solve(catalog()[args.payoff], args.band, args.T, grid)
     rows = [[float(x), float(u)] for x, u in zip(grid.xs, sol.values)]
@@ -256,6 +253,8 @@ def _cmd_gheat(args):
 
 
 def _cmd_pbar(args):
+    from .gheat import Grid1D, pbar_pde
+
     kind = Kind.QV_DRIVEN if args.kind == "qv" else Kind.TIME_DRIVEN
     spec = _spec(args.drift, kind)
     payoff = catalog()[args.payoff]
@@ -267,6 +266,8 @@ def _cmd_pbar(args):
         report["pde_value"] = pbar_pde(spec, payoff, args.x, args.T, args.band, grid)
         rows.append(["pde_value", report["pde_value"]])
     if args.method in ("mc", "both"):
+        from .simulate import pbar_mc
+
         scenarios = make_scenario_lattice(args.band, args.T, args.pieces, args.levels)
         mc = McConfig(args.npaths, args.nsteps, args.seed)
         est = pbar_mc(spec, payoff, args.x, args.T, scenarios, mc, args.workers)
@@ -287,7 +288,21 @@ def _cmd_certificate(verify, kind, y_or_shift, args):
     return {"certificate": d}, [[d[k] for k in sorted(d)]], sorted(d), cert.passed
 
 
+def _cmd_harnack(args):
+    from .harnack import verify_harnack
+
+    return _cmd_certificate(verify_harnack, Kind.QV_DRIVEN, args.y, args)
+
+
+def _cmd_shift_harnack(args):
+    from .harnack import verify_shift_harnack
+
+    return _cmd_certificate(verify_shift_harnack, Kind.TIME_DRIVEN, args.v, args)
+
+
 def _cmd_coupling(args):
+    from .coupling import run_coupling_suite
+
     spec = _spec(args.drift, Kind.QV_DRIVEN)
     scenarios = make_scenario_lattice(args.band, args.T, args.pieces, args.levels)
     mc = McConfig(args.npaths, args.nsteps, args.seed)
@@ -304,6 +319,8 @@ def _cmd_coupling(args):
 
 
 def _cmd_kernels(args):
+    from .kernels import run_kernel_suite
+
     rep = run_kernel_suite(alpha=args.alpha)
     report = {"report": rep.to_dict(), "all_pass": rep.passed}
     rows = (
@@ -318,6 +335,8 @@ def _cmd_kernels(args):
 
 
 def _cmd_axioms(args):
+    from .axioms import run_axioms
+
     spec = _spec(args.drift, Kind.QV_DRIVEN)
     result = run_axioms(
         spec, args.band, args.T, mc=McConfig(seed=args.seed), workers=args.workers
@@ -327,18 +346,14 @@ def _cmd_axioms(args):
 
 
 # each handler returns its report (the config is added here), the CSV rows
-# and header, and its verdict
+# and header, and its verdict.  It imports the library functions it calls
+# when it runs, so a command loads only its own modules and a rebound module
+# attribute (a tracer, a mock) takes effect
 _DISPATCH = {
     "gheat": _cmd_gheat,
     "pbar": _cmd_pbar,
-    # lambdas, not partials: the verify functions are looked up at call time,
-    # so a rebound module attribute (a tracer, a mock) takes effect
-    "harnack": lambda args: _cmd_certificate(
-        verify_harnack, Kind.QV_DRIVEN, args.y, args
-    ),
-    "shift-harnack": lambda args: _cmd_certificate(
-        verify_shift_harnack, Kind.TIME_DRIVEN, args.v, args
-    ),
+    "harnack": _cmd_harnack,
+    "shift-harnack": _cmd_shift_harnack,
     "coupling": _cmd_coupling,
     "kernels": _cmd_kernels,
     "axioms": _cmd_axioms,

@@ -96,13 +96,25 @@ class PdeSolution:
         return float(np.interp(x, g.xs, self.values))
 
 
+def _operand(x: float) -> np.ndarray:
+    """x as a read-only 0-d float64 array: a ufunc takes it with the bits of
+    the float, but without the scalar conversion that a Python float operand
+    costs every call."""
+    a = np.array(x, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO, _HALF, _TWO = _operand(0.0), _operand(0.5), _operand(2.0)
+
+
 def _g_into(a, v_lo, v_hi, out, tmp) -> None:
     """out = G(a) = (max(vhi*a, vlo*a) + 0.0) / 2; out, tmp must not overlap a."""
     np.multiply(a, v_hi, out=out)
     np.multiply(a, v_lo, out=tmp)
     np.maximum(out, tmp, out=out)
-    np.add(out, 0.0, out=out)
-    np.multiply(out, 0.5, out=out)
+    np.add(out, _ZERO, out=out)
+    np.multiply(out, _HALF, out=out)
 
 
 def g_operator(a, band: VolatilityBand):
@@ -189,8 +201,10 @@ def solve_batch(
     for row, payoff in zip(u, payoffs):
         row[:] = payoff(xs)
 
-    v_lo, v_hi = band.v_lo, band.v_hi
-    inv_dx2, inv_2dx, inv_dx = 1.0 / dx**2, 0.5 / dx, 1.0 / dx
+    # the march's float operands, made arrays once per solve
+    v_lo, v_hi = _operand(band.v_lo), _operand(band.v_hi)
+    inv_dx2, inv_2dx, inv_dx = _operand(1.0 / dx**2), _operand(0.5 / dx), _operand(1.0 / dx)
+    h = _operand(dt)
 
     # work buffers.  The difference stencils run over each buffer as one flat
     # array, so the first and last node of every row come out mixed with the
@@ -227,7 +241,7 @@ def solve_batch(
 
     def rhs(views, out):
         w_in, w_up, w_dn, w_runs = views
-        np.multiply(w_in, 2.0, out=wxx_in)
+        np.multiply(w_in, _TWO, out=wxx_in)
         np.subtract(w_up, wxx_in, out=wxx_in)
         np.add(wxx_in, w_dn, out=wxx_in)
         np.multiply(wxx_in, inv_dx2, out=wxx_in)
@@ -244,7 +258,7 @@ def solve_batch(
         if kind is Kind.QV_DRIVEN:
             # q = b*wx + wxx/2, times v* = vhi where q >= 0, vlo elsewhere
             np.multiply(b, wx, out=t1)
-            np.multiply(wxx, 0.5, out=t2)
+            np.multiply(wxx, _HALF, out=t2)
             np.add(t1, t2, out=t1)
             np.multiply(t1, v_lo, out=out)
             np.multiply(t1, v_hi, out=t2)
@@ -258,15 +272,15 @@ def solve_batch(
     # an overflow surfaces as a non-finite u, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            # Heun: u1 = u + dt*rhs(u);  u <- ((u + u1) + dt*rhs(u1)) / 2
+            # Heun: u1 = u + h*rhs(u);  u <- ((u + u1) + h*rhs(u1)) / 2, h = dt
             rhs(u_views, k)
-            np.multiply(k, dt, out=k)
+            np.multiply(k, h, out=k)
             np.add(u, k, out=u1)
             rhs(u1_views, k)
             np.add(u, u1, out=u)
-            np.multiply(k, dt, out=k)
+            np.multiply(k, h, out=k)
             np.add(u, k, out=u)
-            np.multiply(u, 0.5, out=u)
+            np.multiply(u, _HALF, out=u)
             if step % 128 == 0 and not np.all(np.isfinite(u)):
                 raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):

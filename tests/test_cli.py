@@ -672,8 +672,9 @@ class TestSeedResolution:
         def no_solve(*args, **kwargs):
             raise AssertionError("a PDE solve ran before the seed check")
 
-        monkeypatch.setattr(gexp.cli, "solve", no_solve)
-        monkeypatch.setattr(gexp.cli, "pbar_pde", no_solve)
+        # the handlers import these from gheat when they run
+        monkeypatch.setattr(gexp.gheat, "solve", no_solve)
+        monkeypatch.setattr(gexp.gheat, "pbar_pde", no_solve)
         extra, message = ["--seed", "-1"], "argument --seed: must be at least 0, got -1"
         if source == "config":
             cfg = tmp_path / "run.cfg"
@@ -806,35 +807,47 @@ class TestEntryPoint:
 
     def test_no_command_loads_scipy(self):
         """gexp runs on numpy alone: importing it, running every command and
-        the kernel suite leaves no scipy module loaded."""
+        the kernel suite leaves no scipy module loaded.  And each module
+        loads on first use: the package root loads none, the CLI only core,
+        and each command only its own modules, with the thread pool's
+        concurrent.futures absent until the coupling runs."""
         script = """
 import contextlib, io, sys
-import gexp, gexp.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-assert not scipy_modules(), scipy_modules()[:3]
-for argv in (
-    ["gheat", "--band", "0.5,1", "--payoff", "sigmoid", "--T", "1"],
-    ["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou",
-     "--kind", "qv", "--x", "1", "--T", "1", "--method", "pde"],
-    ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sigmoid",
-     "--p", "2", "--T", "1", "--x", "0", "--y", "0.7"],
-    ["shift-harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "bump",
-     "--p", "2", "--T", "1", "--x", "0", "--v", "0.5"],
-    ["coupling", "--band", "0.5,1", "--x", "0", "--y", "1", "--npaths", "100",
-     "--nsteps", "16"],
-    ["kernels"],
-    ["axioms", "--band", "0.5,1", "--drift", "ou"],
+import gexp
+assert loaded("gexp") == ["gexp"], loaded("gexp")
+import gexp.cli
+assert loaded("gexp") == ["gexp", "gexp.cli", "gexp.core"], loaded("gexp")
+assert not loaded("scipy"), loaded("scipy")[:3]
+coupled = False
+for argv, added in (
+    (["gheat", "--band", "0.5,1", "--payoff", "sigmoid", "--T", "1"], ["gheat"]),
+    (["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou",
+      "--kind", "qv", "--x", "1", "--T", "1", "--method", "pde"], []),
+    (["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sigmoid",
+      "--p", "2", "--T", "1", "--x", "0", "--y", "0.7"], ["harnack"]),
+    (["shift-harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "bump",
+      "--p", "2", "--T", "1", "--x", "0", "--v", "0.5"], []),
+    (["coupling", "--band", "0.5,1", "--x", "0", "--y", "1", "--npaths", "100",
+      "--nsteps", "16"], ["coupling", "simulate"]),
+    (["kernels"], ["kernels"]),
+    (["axioms", "--band", "0.5,1", "--drift", "ou"], ["axioms"]),
 ):
+    before = set(loaded("gexp"))
     with contextlib.redirect_stdout(io.StringIO()):
         code = gexp.cli.main(argv + ["--workers", "1"])
     assert code == 0, (argv, code)
-    assert not scipy_modules(), (argv[0], scipy_modules()[:3])
+    new = sorted(set(loaded("gexp")) - before)
+    assert new == ["gexp." + m for m in added], (argv[0], new)
+    coupled = coupled or argv[0] == "coupling"
+    assert ("concurrent.futures" in sys.modules) == coupled, argv[0]
+    assert not loaded("scipy"), (argv[0], loaded("scipy")[:3])
 rep = gexp.run_kernel_suite()
 assert rep.ex38.sum_dominance_violations == 0
-assert not scipy_modules(), scipy_modules()[:3]
+assert not loaded("scipy"), loaded("scipy")[:3]
 """
         src = Path(gexp.__file__).resolve().parents[1]
         proc = subprocess.run(

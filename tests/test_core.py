@@ -230,3 +230,39 @@ class TestPackage:
         for mod in modules:
             for name in mod.__all__:
                 assert getattr(gexp, name) is getattr(mod, name)
+
+    def test_dir_covers_all(self):
+        import gexp
+
+        assert set(gexp.__all__) <= set(dir(gexp))
+
+    def test_star_import_binds_every_name(self):
+        import gexp
+
+        namespace = {}
+        exec("from gexp import *", namespace)
+        assert all(name in namespace for name in gexp.__all__)
+        assert namespace["harnack_grid"] is gexp.harnack.harnack_grid
+
+    def test_unknown_name_raises(self):
+        import gexp
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gexp.no_such_name
+
+    def test_root_reads_names_through(self, monkeypatch):
+        """The root never stores a name it looked up, so a rebound module
+        attribute shows through it and its undo does too."""
+        import gexp
+        from gexp import harnack
+
+        original = harnack.harnack_grid
+        assert gexp.harnack_grid is original
+
+        def patched(*args, **kwargs):
+            raise AssertionError("never called")
+
+        monkeypatch.setattr(harnack, "harnack_grid", patched)
+        assert gexp.harnack_grid is patched
+        monkeypatch.undo()
+        assert gexp.harnack_grid is original
