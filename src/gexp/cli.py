@@ -40,7 +40,7 @@ from .core import (
 )
 
 SCHEMA = 1
-DEFAULT_SEED = 12345
+DEFAULT_SEED = McConfig.seed
 
 
 def _band(text: str) -> VolatilityBand:
@@ -223,8 +223,7 @@ def _emit(args: argparse.Namespace, report: dict, csv_rows, csv_header) -> None:
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if csv_header:
-            writer.writerow(csv_header)
+        writer.writerow(csv_header)
         for row in csv_rows:
             writer.writerow(row)
         text = buf.getvalue()
@@ -314,7 +313,7 @@ def _cmd_coupling(args):
     reports = [rep.to_dict() for rep in raw]
     ok = all(rep.passed for rep in raw)
     report = {"reports": reports, "all_pass": ok}
-    header = sorted(reports[0]) if reports else []
+    header = sorted(reports[0])
     return report, [[r[k] for k in header] for r in reports], header, ok
 
 

@@ -295,8 +295,7 @@ def catalog() -> dict[str, TestFunction]:
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings.  n_paths must be at least 2, for a standard
-    error, and n_steps a power of two, so halving checks stay on nested
-    grids."""
+    error, and n_steps at least 1."""
 
     n_paths: int = 10_000
     n_steps: int = 256
@@ -305,8 +304,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be at least 2, got {self.n_paths}")
-        if self.n_steps < 1 or (self.n_steps & (self.n_steps - 1)) != 0:
-            raise ValueError("n_steps must be a positive power of two")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 

@@ -1,9 +1,10 @@
-"""Monotone explicit finite-difference solver for the fully nonlinear
+"""Monotone explicit finite-difference solver for the two fully nonlinear
 parabolic equations that define the worst-case semigroup:
 
-  * pure second-order case     u_t = G(u_xx),  G(a) = (vhi*a+ - vlo*a-)/2
   * qv-driven drift            u_t = sup_{v in [vlo,vhi]} v*(b(x)u_x + u_xx/2)
-  * time-driven drift          u_t = b(x)u_x + G(u_xx)
+  * time-driven drift          u_t = b(x)u_x + G(u_xx),  G(a) = (vhi*a+ - vlo*a-)/2
+
+The G-heat equation u_t = G(u_xx) is the time-driven equation with b = 0.
 
 The scheme is explicit with Heun (two-stage) time stepping and a hybrid
 centered/upwind first derivative: centered wherever the cell Peclet number
@@ -22,8 +23,8 @@ one-row case.  Certificate sweeps and axiom checks stack every payoff they
 need at one (band, horizon, drift) into one call.
 
 At nx = 401 a step costs numpy call overhead, not arithmetic: a Heun step
-is 26 calls for the G-heat equation, 42 (qv-driven) or 44 (time-driven)
-with one upwinded run per side, and 4 more per extra run, whatever P is.
+is 34 calls (qv-driven) or 36 (time-driven) with no upwinded run, and 4 more
+per run, whatever P is.
 The max forms G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 and v* q =
 max(vlo*q, vhi*q) give the bits of (vhi*a+ - vlo*a-)/2 and of the masked
 choice of v*: each product has the sign of its factor, rounding is
@@ -35,13 +36,13 @@ vlo*a) to the +0.0 that the two-sided form gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import GsdeSpec, Kind, TestFunction, VolatilityBand, _require_horizon
+from .core import GsdeSpec, Kind, TestFunction, VolatilityBand, _require_horizon, make_drift
 
 __all__ = [
     "Grid1D", "PdeSolution", "g_operator", "solve", "solve_batch", "pbar_pde",
@@ -82,11 +83,9 @@ class Grid1D:
 @dataclass(frozen=True)
 class PdeSolution:
     grid: Grid1D
-    horizon: float
     values: np.ndarray  # u(T, x_j)
     dt: float
     n_steps: int
-    kind: str
 
     def value_at(self, x) -> float:
         x = float(x)
@@ -128,7 +127,7 @@ def g_operator(a, band: VolatilityBand):
     return float(out) if out.ndim == 0 else out
 
 
-def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind | None) -> float:
+def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind) -> float:
     # advective coefficient: v*b for the qv-driven equation, b otherwise
     adv = band.v_hi * bmax if kind is Kind.QV_DRIVEN else bmax
     try:
@@ -177,24 +176,26 @@ def solve_batch(
     """March the stack u(0,.) = payoffs[i] forward to u(horizon,.), one
     solution per payoff, each holding its row of the stack.
 
-    With spec=None the pure G-heat equation is solved; otherwise spec.kind
-    selects the qv-driven or time-driven drift equation.  The per-node
-    bang-bang optimum of the qv-driven equation takes the upper level on
-    ties (q = 0), which changes no flux but keeps runs reproducible.  Each
-    row depends only on its own payoff, bit for bit.
+    spec.kind selects the qv-driven or time-driven drift equation; spec=None
+    solves the G-heat equation as the time-driven equation with zero drift,
+    whose b*u_x adds an exact +-0 to G(u_xx).  The per-node bang-bang
+    optimum of the qv-driven equation takes the upper level on ties (q = 0),
+    which changes no flux but keeps runs reproducible.  Each row depends
+    only on its own payoff, bit for bit.
     """
     _require_horizon(horizon)
-    kind = None if spec is None else spec.kind
+    if spec is None:
+        spec = replace(make_drift("zero"), kind=Kind.TIME_DRIVEN)
+    kind = spec.kind
     # the drift-free count first, before grid.xs exists: a drift only
     # shortens the step, so this rejects no march the full count would pass
     steps = _march_steps(grid, band, horizon, 0.0, kind)
     xs, dx = grid.xs, grid.dx
-    b = None if spec is None else spec.b(xs)
-    if b is not None:
-        if not np.all(np.isfinite(b)):
-            x_bad = xs[~np.isfinite(b)][0]
-            raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
-        steps = _march_steps(grid, band, horizon, float(np.max(np.abs(b))), kind)
+    b = spec.b(xs)
+    if not np.all(np.isfinite(b)):
+        x_bad = xs[~np.isfinite(b)][0]
+        raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
+    steps = _march_steps(grid, band, horizon, float(np.max(np.abs(b))), kind)
     n_steps = max(1, math.ceil(steps))
     dt = horizon / n_steps
     u = np.empty((len(payoffs), grid.nx))
@@ -209,27 +210,24 @@ def solve_batch(
     # work buffers.  The difference stencils run over each buffer as one flat
     # array, so the first and last node of every row come out mixed with the
     # neighbouring row; those columns are set by the boundary rules below.
-    u1, k, wxx, t1, t2 = (np.empty_like(u) for _ in range(5))
+    u1, k, wxx, wx, t1, t2 = (np.empty_like(u) for _ in range(6))
     wxx_in, wxx_edges = wxx.reshape(-1)[1:-1], wxx[:, ::grid.nx - 1]
-    runs = []
+    wx_in, wx_edges = wx.reshape(-1)[1:-1], wx[:, ::grid.nx - 1]
 
-    if b is not None:
-        # centered first differences are monotone iff |b|*dx stays below the
-        # diffusion scale: 1 for the qv-driven equation (v cancels), vlo else;
-        # elsewhere the one-sided difference that follows the flow is used,
-        # and boundary nodes take it only when the flow enters the domain
-        pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
-        upwind = np.abs(b) * dx > pe_limit
-        fwd = upwind & (b > 0.0)
-        fwd[0], fwd[-1] = b[0] > 0.0, False
-        bwd = upwind & (b < 0.0)
-        bwd[0], bwd[-1] = False, b[-1] < 0.0
-        wx = np.empty_like(u)
-        wx_in, wx_edges = wx.reshape(-1)[1:-1], wx[:, ::grid.nx - 1]
-        # (first shift, second shift) of every run: forward runs take
-        # (w_{j+1} - w_j) / dx, backward runs (w_j - w_{j-1}) / dx
-        runs = [(lo, hi, 1, 0) for lo, hi in _runs(fwd)]
-        runs += [(lo, hi, 0, -1) for lo, hi in _runs(bwd)]
+    # centered first differences are monotone iff |b|*dx stays below the
+    # diffusion scale: 1 for the qv-driven equation (v cancels), vlo else;
+    # elsewhere the one-sided difference that follows the flow is used,
+    # and boundary nodes take it only when the flow enters the domain
+    pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
+    upwind = np.abs(b) * dx > pe_limit
+    fwd = upwind & (b > 0.0)
+    fwd[0], fwd[-1] = b[0] > 0.0, False
+    bwd = upwind & (b < 0.0)
+    bwd[0], bwd[-1] = False, b[-1] < 0.0
+    # (first shift, second shift) of every run: forward runs take
+    # (w_{j+1} - w_j) / dx, backward runs (w_j - w_{j-1}) / dx
+    runs = [(lo, hi, 1, 0) for lo, hi in _runs(fwd)]
+    runs += [(lo, hi, 0, -1) for lo, hi in _runs(bwd)]
 
     def stencil(w):
         # the views rhs reads from w, built once for each of the two buffers
@@ -246,9 +244,6 @@ def solve_batch(
         np.add(wxx_in, w_dn, out=wxx_in)
         np.multiply(wxx_in, inv_dx2, out=wxx_in)
         wxx_edges.fill(0.0)  # zero-curvature boundary
-        if b is None:
-            _g_into(wxx, v_lo, v_hi, out, t2)
-            return
         np.subtract(w_up, w_dn, out=wx_in)
         np.multiply(wx_in, inv_2dx, out=wx_in)
         wx_edges.fill(0.0)
@@ -285,9 +280,7 @@ def solve_batch(
                 raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):
         raise RuntimeError(f"non-finite values at final step {n_steps}")
-
-    label = "gheat" if kind is None else kind.value
-    return [PdeSolution(grid, horizon, row, dt, n_steps, label) for row in u]
+    return [PdeSolution(grid, row, dt, n_steps) for row in u]
 
 
 def safe_window(grid: Grid1D, band: VolatilityBand, horizon: float) -> tuple[float, float]:

@@ -96,12 +96,14 @@ def digests(seed: int, names) -> list[str]:
     ]
 
 
-# the tier-1 subset: the README's gheat, harnack and axioms, the benchmark's
+# the tier-1 subset: the README's gheat, harnack and axioms, a G-heat solve
+# off the default band, horizon, payoff and grid, the benchmark's
 # shift-harnack, the kernel suite, and pbar and coupling under ou and tanh:2
 # at 2000 paths.  Every command runs in JSON and CSV at one worker; those
 # with a Monte Carlo part run their JSON again at two
 GOLDEN_COMMANDS = [
     "gheat --band 0.5,1 --payoff sigmoid --T 1",
+    "gheat --band 0.25,1 --payoff sqclip --T 0.25 --xmin -5 --xmax 7 --nx 201",
     "harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 0.7",
     "shift-harnack --band 0.5,1 --drift ou --payoff bump --p 2 --T 1 --x 0 --v 0.5",
     "pbar --band 0.5,1 --payoff sigmoid --drift ou --kind qv --x 1 --T 1 --npaths 2000",

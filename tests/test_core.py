@@ -199,10 +199,11 @@ class TestTestFunction:
 
 
 class TestMcConfig:
-    def test_power_of_two_steps(self):
-        McConfig(100, 256, 1)
-        for bad in (0, 3, 100):
-            with pytest.raises(ValueError):
+    def test_positive_steps(self):
+        for good in (1, 3, 100, 256):
+            McConfig(100, good, 1)
+        for bad in (0, -4):
+            with pytest.raises(ValueError, match=f"n_steps must be at least 1, got {bad}"):
                 McConfig(100, bad, 1)
 
     def test_positive_paths(self):

@@ -206,7 +206,7 @@ class TestSolveBatch:
         for f, sol in zip(rows, sols):
             one = solve(f, band, 0.5, grid, spec)
             assert np.array_equal(sol.values, one.values), f.id
-            assert (sol.dt, sol.n_steps, sol.kind) == (one.dt, one.n_steps, one.kind)
+            assert (sol.dt, sol.n_steps) == (one.dt, one.n_steps)
             ref, dt, n_steps = reference_solve(f, band, 0.5, grid, spec)
             assert sol.values.tobytes() == ref.tobytes(), f.id
             assert (sol.dt, sol.n_steps) == (dt, n_steps)

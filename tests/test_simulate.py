@@ -181,6 +181,18 @@ class TestScenarioSweep:
             sys.setswitchinterval(interval)
         assert many.per_scenario == ref
 
+    @pytest.mark.parametrize("kind", [Kind.QV_DRIVEN, Kind.TIME_DRIVEN])
+    def test_steps_not_a_power_of_two(self, band_wide, kind):
+        # 100 steps: a last batch of normals cut short of 256, and three-piece
+        # scenarios whose breakpoints fall between grid nodes
+        spec = dataclasses.replace(make_drift("ou"), kind=kind)
+        scs = make_scenario_lattice(band_wide, 1.0, 3, 2)
+        mc = McConfig(_BLOCK_PATHS + 77, 100, 5)
+        f = catalog()["sigmoid"]
+        ref = self.reference(spec, f, 0.3, scs, mc)
+        for workers in (1, 2):
+            assert pbar_mc(spec, f, 0.3, 1.0, scs, mc, workers).per_scenario == ref
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_state_reported_for_every_worker_count(self, band_wide):
         # an unstable drift overflows before the first check (step 255)
