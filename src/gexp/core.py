@@ -147,7 +147,10 @@ def make_scenario_lattice(
     if pieces < 1 or levels < 2:
         raise ValueError("need pieces >= 1, levels >= 2")
     _require_horizon(horizon)
-    grid = np.unique(np.linspace(band.v_lo, band.v_hi, levels))
+    # the distinct levels, as np.unique gives them, without the numpy.ma
+    # import that np.unique costs on first use
+    grid = np.sort(np.linspace(band.v_lo, band.v_hi, levels))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     if len(grid) ** pieces > MAX_SCENARIOS:
         raise ValueError(
             f"{len(grid)}^{pieces} scenarios exceeds the cap {MAX_SCENARIOS}"

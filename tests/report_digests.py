@@ -106,6 +106,8 @@ GOLDEN_COMMANDS = [
     "gheat --band 0.25,1 --payoff sqclip --T 0.25 --xmin -5 --xmax 7 --nx 201",
     "harnack --band 0.5,1 --drift ou --payoff sigmoid --p 2 --T 1 --x 0 --y 0.7",
     "shift-harnack --band 0.5,1 --drift ou --payoff bump --p 2 --T 1 --x 0 --v 0.5",
+    "harnack --band 0.5,1 --drift ou --payoff one --p 2 --T 1 --x 0 --y 0.7",
+    "shift-harnack --band 0.5,1 --drift ou --payoff one --p 2 --T 1 --x 0 --v 0.5",
     "pbar --band 0.5,1 --payoff sigmoid --drift ou --kind qv --x 1 --T 1 --npaths 2000",
     "pbar --band 0.5,1 --payoff sigmoid --drift tanh:2 --kind time --x 1 --T 1 --npaths 2000",
     "coupling --band 0.5,1 --drift ou --x 0 --y 1 --T 1 --p 2 --payoff sigmoid"

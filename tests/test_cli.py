@@ -810,7 +810,8 @@ class TestEntryPoint:
         the kernel suite leaves no scipy module loaded.  And each module
         loads on first use: the package root loads none, the CLI only core,
         and each command only its own modules, with the thread pool's
-        concurrent.futures absent until the coupling runs."""
+        concurrent.futures absent until the coupling runs and numpy.ma
+        never loaded."""
         script = """
 import contextlib, io, sys
 
@@ -844,6 +845,7 @@ for argv, added in (
     assert new == ["gexp." + m for m in added], (argv[0], new)
     coupled = coupled or argv[0] == "coupling"
     assert ("concurrent.futures" in sys.modules) == coupled, argv[0]
+    assert "numpy.ma" not in sys.modules, argv[0]
     assert not loaded("scipy"), (argv[0], loaded("scipy")[:3])
 rep = gexp.run_kernel_suite()
 assert rep.ex38.sum_dominance_violations == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 
@@ -20,6 +21,7 @@ from gexp import (
     solve,
     solve_batch,
 )
+from gexp import gheat
 from gexp.gheat import CFL_SAFETY, _stable_dt, require_safe, safe_window
 from gexp.kernels import normal_expectation
 
@@ -211,13 +213,45 @@ class TestSolveBatch:
             assert sol.values.tobytes() == ref.tobytes(), f.id
             assert (sol.dt, sol.n_steps) == (dt, n_steps)
 
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_duplicate_rows_march_once(self, kind, monkeypatch):
+        band, grid = VolatilityBand(0.5, 1.0), Grid1D(nx=201)
+        spec = dataclasses.replace(make_drift("ou"), kind=kind)
+        one, sigmoid = catalog()["one"], catalog()["sigmoid"]
+        # two distinct initial rows: one, and sigmoid
+        rows = [one, one.power(2.0), sigmoid, sigmoid, sigmoid.shifted(0.0)]
+        singles = [solve(f, band, 0.5, grid, spec) for f in rows]
+        heights = []
+
+        class Numpy:  # gheat's numpy, noting the height of each work buffer
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty_like(self, a):
+                heights.append(len(a))
+                return np.empty_like(a)
+
+        monkeypatch.setattr(gheat, "np", Numpy())
+        sols = solve_batch(rows, band, 0.5, grid, spec)
+        monkeypatch.undo()
+        assert heights and set(heights) == {2}
+        for f, sol, single in zip(rows, sols, singles):
+            assert sol.values.tobytes() == single.values.tobytes(), f.id
+            assert (sol.dt, sol.n_steps) == (single.dt, single.n_steps)
+        for i, j in itertools.combinations(range(len(sols)), 2):
+            assert not np.shares_memory(sols[i].values, sols[j].values), (i, j)
+        sols[2].values[:] = 0.0
+        assert sols[3].values.tobytes() == singles[3].values.tobytes()
+
     def test_non_finite_row_fails_the_stack(self, band_wide, ou_spec):
         nan_at_node = TestFunction(
             "nan", lambda x: np.where(x == x[200], np.nan, 0.5), positivity=False
         )
-        rows = [catalog()["sigmoid"], nan_at_node, catalog()["bump"]]
-        with pytest.raises(RuntimeError, match=re.escape("non-finite values at step 0")):
-            solve_batch(rows, band_wide, 1.0, Grid1D(), ou_spec)
+        sigmoid, bump = catalog()["sigmoid"], catalog()["bump"]
+        # a duplicated row is marched once, and still fails the stack
+        for rows in ([sigmoid, nan_at_node, bump], [nan_at_node, sigmoid, nan_at_node, bump]):
+            with pytest.raises(RuntimeError, match=re.escape("non-finite values at step 0")):
+                solve_batch(rows, band_wide, 1.0, Grid1D(), ou_spec)
 
 
 class TestGHeatSolve:
