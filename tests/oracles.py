@@ -11,6 +11,10 @@ arithmetic, so it shares no stepping code with `simulate._sweep_blocks`:
 
 `eta_merge_defect` measures how far the discretized forcing schedule of
 `coupling.eta_schedule` misses its merge target.
+
+`gnormal_digital` is the exact solution of the G-heat equation from the
+digital datum 1{x >= 0}: the one closed form in the suite whose optimal
+control switches.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 
 import numpy as np
 
-from gexp.core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
+from gexp.core import GsdeSpec, Kind, McConfig, Scenario, TestFunction, VolatilityBand
 from gexp.coupling import (
     CouplingReport,
     _mt_moment_bound,
@@ -46,6 +50,26 @@ def eta_merge_defect(
     qv_mid = scenario.qv((ts[:-1] + ts[1:]) / 2.0)
     integral = float(np.sum(np.exp(-K * qv_mid) * eta * np.diff(qv_nodes)))
     return integral - dist
+
+
+def gnormal_digital(xi, band: VolatilityBand) -> np.ndarray:
+    """F(xi), with u(t, x) = F(x / sqrt(t)) the solution of u_t = G(u_xx)
+    from 1{x >= 0}: the worst-case probability of {x + B_t >= 0} for a
+    G-Brownian motion B.
+
+      F(xi) = 2 shi / (slo + shi) * Phi(xi / shi)              for xi < 0
+      F(xi) = 1 - 2 slo / (slo + shi) * (1 - Phi(xi / slo))    for xi >= 0
+
+    F is C^1 at 0, convex on the left (v = vhi) and concave on the right
+    (v = vlo), and F(0) = shi / (slo + shi).  Each side is written with erfc,
+    which keeps its tail to full relative precision.
+    """
+    slo, shi = band.sigma_lo, band.sigma_hi
+    xi = np.asarray(xi, dtype=float)
+    erfc = np.vectorize(math.erfc, otypes=[float])
+    left = shi / (slo + shi) * erfc(-np.minimum(xi, 0.0) / (shi * math.sqrt(2.0)))
+    right = 1.0 - slo / (slo + shi) * erfc(np.maximum(xi, 0.0) / (slo * math.sqrt(2.0)))
+    return np.where(xi < 0.0, left, right)
 
 
 def simulate_paths(spec: GsdeSpec, x0: float, scenario: Scenario, mc: McConfig):

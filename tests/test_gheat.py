@@ -26,6 +26,7 @@ from gexp.gheat import CFL_SAFETY, _stable_dt, require_safe, safe_window
 from gexp.kernels import normal_expectation
 
 from conftest import classical_params
+from oracles import gnormal_digital
 
 
 class TestGOperator:
@@ -323,6 +324,76 @@ class TestGHeatSolve:
             diffs.append(np.max(np.abs(np.diff(u))))
         assert diffs[1] < 0.7 * diffs[0]
         assert diffs[1] < 0.05
+
+
+class TestGNormalDigital:
+    """The G-heat equation against its exact switching solution
+    u(t, x) = F(x / sqrt(t)) (tests/oracles.gnormal_digital), started from
+    u(0.25, .) and marched 0.75 to t = 1."""
+
+    # The tolerance comes from the refinement: R = max|u_401 - u_801| / 3 is
+    # the Richardson estimate of the nx 801 error of a second-order scheme,
+    # and the nx 401 error is about 4R.  On nx 201 -> 1601 the measured
+    # errors were at most 1.09 times these estimates in both bands, under
+    # the two-stage Heun march and the forward-Euler march alike.
+    RICHARDSON_SLACK = 1.25
+
+    @pytest.mark.parametrize("sigmas", [(0.5, 1.0), (0.25, 1.0)], ids=["0.5-1", "0.25-1"])
+    def test_second_order_against_exact_solution(self, sigmas):
+        band = VolatilityBand(*sigmas)
+        datum = TestFunction("digital@0.25", lambda x: gnormal_digital(x / 0.5, band))
+        errors, inner = {}, {}
+        for nx in (401, 801):
+            grid = Grid1D(nx=nx)
+            window = np.abs(grid.xs) <= 4.0
+            u = solve(datum, band, 0.75, grid).values[window]
+            inner[nx] = u
+            errors[nx] = np.max(np.abs(u - gnormal_digital(grid.xs[window], band)))
+        estimate = np.max(np.abs(inner[401] - inner[801][::2])) / 3.0
+        assert errors[801] <= self.RICHARDSON_SLACK * estimate, (errors, estimate)
+        assert errors[401] <= self.RICHARDSON_SLACK * 4.0 * estimate, (errors, estimate)
+        assert math.log2(errors[401] / errors[801]) >= 1.8, errors
+
+
+class TestMonotoneMarch:
+    """Raising the datum by delta at one node moves every marched value by
+    between 0 and delta: the march is monotone and nonexpansive in the sup
+    norm at the CFL step, which the comparison principle rests on."""
+
+    DELTA = 1e-6
+
+    def _differences(self, drift, kind, steps=4):
+        band, grid = VolatilityBand(0.5, 1.0), Grid1D(nx=201)
+        spec = dataclasses.replace(make_drift(drift), kind=kind)
+        b = spec.b(grid.xs)
+        # tanh:20 upwinds |x| > 0.55 (qv-driven) and |x| > 0.25 (time-driven)
+        nodes = [int(np.argmin(np.abs(grid.xs - x))) for x in (-2.0, 0.0, 0.6, 2.0)]
+        cauchy = catalog()["cauchy"]  # curvature switches at |x| = 0.577
+
+        def raised(j):
+            return TestFunction(
+                f"cauchy+delta@{j}",
+                lambda x: cauchy(x) + np.where(np.arange(x.size) == j, self.DELTA, 0.0),
+            )
+
+        horizon = steps * gheat.CFL_SAFETY * _stable_dt(grid, band, float(np.max(np.abs(b))), kind)
+        sols = solve_batch([cauchy] + [raised(j) for j in nodes], band, horizon, grid, spec)
+        assert sols[0].n_steps in (steps, steps + 1)
+        return np.stack([sol.values - sols[0].values for sol in sols[1:]])
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("drift", ["tanh:20", "ou"])
+    def test_monotone_and_nonexpansive(self, drift, kind):
+        diffs = self._differences(drift, kind)
+        assert np.min(diffs) >= -1e-15
+        assert np.max(diffs) <= self.DELTA + 1e-15
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_fails_above_the_cfl_step(self, kind, monkeypatch):
+        # the check has teeth: at 1.5 times the stable step it fails
+        monkeypatch.setattr(gheat, "CFL_SAFETY", 1.5)
+        diffs = self._differences("tanh:20", kind)
+        assert np.min(diffs) < -1e-15 or np.max(diffs) > self.DELTA + 1e-15
 
 
 class TestPbarPde:

@@ -9,6 +9,7 @@ from gexp import (
     Kind,
     McConfig,
     Scenario,
+    TestFunction,
     VolatilityBand,
     catalog,
     make_drift,
@@ -20,7 +21,7 @@ from gexp import (
 from gexp.core import GsdeSpec
 from gexp.simulate import _BLOCK_PATHS
 
-from oracles import simulate_paths
+from oracles import gnormal_digital, simulate_paths
 
 
 def unit_scenario(v=1.0, horizon=1.0):
@@ -104,6 +105,20 @@ class TestPbarMc:
             pde = pbar_pde(spec, f, 0.5, 1.0, band_wide)
             budget = 3 * est.argmax_std_error + 2e-3 * max(1.0, abs(pde))
             assert est.value <= pde + budget, pid
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 3), (3, 3)], ids=["1x2", "2x3", "3x3"])
+    def test_open_loop_misses_the_switching_oracle(self, band_wide, shape):
+        # every open-loop control leaves X_T centred Gaussian at x0 = 0, so
+        # each scenario reads P(X_T >= 0) = 1/2, while the worst case is the
+        # feedback of tests/oracles.gnormal_digital: F(0) = 2/3 in this band
+        spec = dataclasses.replace(make_drift("zero"), kind=Kind.TIME_DRIVEN)
+        digital = TestFunction("digital", lambda x: (x >= 0.0).astype(float))
+        scs = make_scenario_lattice(band_wide, 1.0, *shape)
+        est = pbar_mc(spec, digital, 0.0, 1.0, scs, McConfig(20_000, 256, 7))
+        for mean, se in est.per_scenario:
+            assert abs(mean - 0.5) <= 3 * se
+        assert abs(est.value - 0.5) <= 3 * est.argmax_std_error
+        assert float(gnormal_digital(0.0, band_wide)) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_step_doubling_within_stat_noise(self, band_wide):
         spec = make_drift("ou")
