@@ -6,17 +6,21 @@ parabolic equations that define the worst-case semigroup:
 
 The G-heat equation u_t = G(u_xx) is the time-driven equation with b = 0.
 
-The scheme is explicit with Heun (two-stage) time stepping and a hybrid
+The scheme takes one forward-Euler stage per time step, with a hybrid
 centered/upwind first derivative: centered wherever the cell Peclet number
-permits a monotone stencil, one-sided otherwise.  Monotonicity gives the
-comparison principle that the property suite checks.  Boundaries use
+permits a monotone stencil, one-sided otherwise.  At the CFL step
+dt <= dx^2 / (vhi + dx*adv) a step is a maximum of linear maps with
+nonnegative weights, hence monotone: the comparison principle that the
+property suite checks.  Heun's two-stage SSP scheme has SSP coefficient 1,
+so its monotone step is Euler's, and with dt ~ dx^2 Euler's O(dt) time
+error matches the O(dx^2) space error.  Boundaries use
 zero-curvature (second derivative = 0) extrapolation; values within the
 6*sigma_hi*sqrt(T) padding zone of the boundary are treated as contaminated.
 
 One time-marcher, `solve_batch`, advances a (P, nx) stack of payoffs at
 once: every row shares the grid, the drift values, the upwind choice, the
 CFL step and the step count, and each step works in preallocated buffers,
-so the per-call numpy overhead of a Heun step is paid once per stack rather
+so the per-call numpy overhead of a step is paid once per stack rather
 than once per payoff.  The per-element arithmetic is that of a single row,
 so each row is bit-identical to solving its payoff alone; `solve` is the
 one-row case.  Certificate sweeps and axiom checks stack every payoff they
@@ -24,11 +28,11 @@ need at one (band, horizon, drift) into one call.  Identical initial rows
 (byte for byte, such as the powers and shifts of a constant payoff) end
 identical, so each is marched once and copied back to every payoff.
 
-At nx = 401 a Heun step costs about 25-45 us fixed, plus about 5-7 us per
-marched row (min of 7 solves at P = 1..32 on a 2-core x86-64 box; the range
-is the host's speed).  The fixed part is numpy call overhead: a step is 34
-calls (qv-driven) or 36 (time-driven) with no upwinded run, and 4 more per
-run, whatever P is.
+At nx = 401 a step costs about 12-15 us fixed, plus about 1.6-2.6 us per
+marched row (min of 7 solves at P = 1..32, ou drift, on a 2-core x86-64
+box).  The fixed part is numpy call overhead: a step is 16 calls
+(qv-driven) or 17 (time-driven) with no upwinded run, and 2 more per run,
+whatever P is.
 The max forms G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 and v* q =
 max(vlo*q, vhi*q) give the bits of (vhi*a+ - vlo*a-)/2 and of the masked
 choice of v*: each product has the sign of its factor, rounding is
@@ -55,7 +59,7 @@ __all__ = [
 
 # fraction of the stability bound taken as the time step
 CFL_SAFETY = 0.9
-# most Heun steps solve_batch marches; a longer march is a ValueError
+# most forward-Euler steps solve_batch marches; a longer march is a ValueError
 MAX_STEPS = 10**6
 # relative error allowed to this scheme's values by every check that reads them
 PDE_BUDGET = 2e-3
@@ -142,7 +146,7 @@ def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind) -> f
 
 
 def _march_steps(grid: Grid1D, band: VolatilityBand, horizon: float, bmax, kind) -> float:
-    """Heun steps at the CFL step; a ValueError unless finite and within MAX_STEPS."""
+    """Forward-Euler steps at the CFL step; a ValueError unless finite and within MAX_STEPS."""
     dt_max = _stable_dt(grid, band, bmax, kind)
     # dt_max is 0 if dx^2 underflows or dx*b overflows, inf or nan if dx^2 does
     if not math.isfinite(dt_max):
@@ -221,7 +225,7 @@ def solve_batch(
     # work buffers.  The difference stencils run over each buffer as one flat
     # array, so the first and last node of every row come out mixed with the
     # neighbouring row; those columns are set by the boundary rules below.
-    u1, k, wxx, wx, t1, t2 = (np.empty_like(u) for _ in range(6))
+    k, wxx, wx, t1, t2 = (np.empty_like(u) for _ in range(5))
     wxx_in, wxx_edges = wxx.reshape(-1)[1:-1], wxx[:, ::grid.nx - 1]
     wx_in, wx_edges = wx.reshape(-1)[1:-1], wx[:, ::grid.nx - 1]
 
@@ -240,25 +244,22 @@ def solve_batch(
     runs = [(lo, hi, 1, 0) for lo, hi in _runs(fwd)]
     runs += [(lo, hi, 0, -1) for lo, hi in _runs(bwd)]
 
-    def stencil(w):
-        # the views rhs reads from w, built once for each of the two buffers
-        wf = w.reshape(-1)
-        return wf[1:-1], wf[2:], wf[:-2], [
-            (w[:, lo + s1:hi + s1], w[:, lo + s2:hi + s2], wx[:, lo:hi])
-            for lo, hi, s1, s2 in runs
-        ]
+    # the views of u that rhs reads, built once per solve
+    u_in, u_up, u_dn = u.reshape(-1)[1:-1], u.reshape(-1)[2:], u.reshape(-1)[:-2]
+    u_runs = [
+        (u[:, lo + s1:hi + s1], u[:, lo + s2:hi + s2], wx[:, lo:hi]) for lo, hi, s1, s2 in runs
+    ]
 
-    def rhs(views, out):
-        w_in, w_up, w_dn, w_runs = views
-        np.multiply(w_in, _TWO, out=wxx_in)
-        np.subtract(w_up, wxx_in, out=wxx_in)
-        np.add(wxx_in, w_dn, out=wxx_in)
+    def rhs(out):
+        np.multiply(u_in, _TWO, out=wxx_in)
+        np.subtract(u_up, wxx_in, out=wxx_in)
+        np.add(wxx_in, u_dn, out=wxx_in)
         np.multiply(wxx_in, inv_dx2, out=wxx_in)
         wxx_edges.fill(0.0)  # zero-curvature boundary
-        np.subtract(w_up, w_dn, out=wx_in)
+        np.subtract(u_up, u_dn, out=wx_in)
         np.multiply(wx_in, inv_2dx, out=wx_in)
         wx_edges.fill(0.0)
-        for ahead, behind, wx_run in w_runs:
+        for ahead, behind, wx_run in u_runs:
             np.subtract(ahead, behind, out=wx_run)
             np.multiply(wx_run, inv_dx, out=wx_run)
         if kind is Kind.QV_DRIVEN:
@@ -274,19 +275,13 @@ def solve_batch(
         np.multiply(b, wx, out=t1)
         np.add(t1, out, out=out)
 
-    u_views, u1_views = stencil(u), stencil(u1)
     # an overflow surfaces as a non-finite u, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            # Heun: u1 = u + h*rhs(u);  u <- ((u + u1) + h*rhs(u1)) / 2, h = dt
-            rhs(u_views, k)
-            np.multiply(k, h, out=k)
-            np.add(u, k, out=u1)
-            rhs(u1_views, k)
-            np.add(u, u1, out=u)
+            # forward Euler: u <- u + h*rhs(u), h = dt
+            rhs(k)
             np.multiply(k, h, out=k)
             np.add(u, k, out=u)
-            np.multiply(u, _HALF, out=u)
             if step % 128 == 0 and not np.all(np.isfinite(u)):
                 raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):

@@ -161,7 +161,7 @@ class TestUsage:
         assert f"gexp: drift {drift!r} needs a finite parameter" in capsys.readouterr().err
 
     def test_gheat_step_budget_exit_2(self, capsys):
-        # about 4.5e11 Heun steps, which ran unbounded before the budget
+        # about 4.5e11 forward-Euler steps, which ran unbounded before the budget
         code, out = run_cli(_GHEAT + ["--T=1e9"])
         assert code == 2
         assert out == ""

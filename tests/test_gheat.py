@@ -161,8 +161,7 @@ def reference_solve(payoff, band, horizon, grid, spec=None):
         return b * wx + g
 
     for _ in range(n_steps):
-        u1 = u + dt * rhs(u)
-        u = 0.5 * (u + u1 + dt * rhs(u1))
+        u = u + dt * rhs(u)
     return u, dt, n_steps
 
 
