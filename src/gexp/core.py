@@ -82,11 +82,13 @@ class Scenario:
             raise ValueError("breakpoints must start at 0 and contain the horizon")
         if len(self.values) != len(bp) - 1:
             raise ValueError("need exactly one value per interval")
-        if any(t1 >= t2 for t1, t2 in zip(bp, bp[1:])):
+        # each comparison is False on NaN, so NaN breakpoints and levels fail
+        if not all(t1 < t2 for t1, t2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        _require_horizon(bp[-1])
         eps = 1e-12
         lo, hi = self.band.v_lo, self.band.v_hi
-        if any(v < lo - eps or v > hi + eps for v in self.values):
+        if not all(lo - eps <= v <= hi + eps for v in self.values):
             raise ValueError("scenario level outside the governing band")
 
     @property
@@ -186,8 +188,8 @@ class GsdeSpec:
     kind: Kind
 
     def __post_init__(self):
-        if self.lipschitz_k < 0:
-            raise ValueError("lipschitz_k must be nonnegative")
+        if not 0.0 <= self.lipschitz_k < math.inf:
+            raise ValueError(f"lipschitz_k must be finite and nonnegative, got {self.lipschitz_k}")
         xs = _LIPSCHITZ_GRID
         bx = np.asarray(self.drift(xs), dtype=float)
         if bx.shape != xs.shape:

@@ -25,8 +25,9 @@ than once per payoff.  The per-element arithmetic is that of a single row,
 so each row is bit-identical to solving its payoff alone; `solve` is the
 one-row case.  Certificate sweeps and axiom checks stack every payoff they
 need at one (band, horizon, drift) into one call.  Identical initial rows
-(byte for byte, such as the powers and shifts of a constant payoff) end
-identical, so each is marched once and copied back to every payoff.
+(byte for byte, such as the repeats of f^p in a Harnack stack, or the
+powers and shifts of a constant payoff) end identical, so each is marched
+once and copied back to every payoff.
 
 At nx = 401 a step costs about 12-15 us fixed, plus about 1.6-2.6 us per
 marched row (min of 7 solves at P = 1..32, ou drift, on a 2-core x86-64

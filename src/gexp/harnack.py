@@ -61,7 +61,7 @@ def _novikov_envelope(K: float, band: VolatilityBand, horizon: float, dist: floa
 
 def _require_coupling_k(K: float) -> None:
     """The coupling drift's rule K > 0, a ValueError otherwise."""
-    if K <= 0:
+    if not K > 0:
         raise ValueError("the coupling drift formula requires K > 0")
 
 
@@ -82,7 +82,7 @@ def harnack_exponent(
     Novikov envelope of _novikov_envelope (which also holds its input rules
     and derivation).  Continuous in all arguments and -> 0 as dist -> 0; an
     exponent too large for a float is a ValueError."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p must exceed 1")
     return _finite("harnack", p * _novikov_envelope(K, band, horizon, dist) / (2.0 * (p - 1.0)))
 
@@ -93,12 +93,12 @@ def shift_harnack_exponent(
     """Exponent of the shift Harnack inequality,
     p v^2 / (2 slo^2 (p-1)) * (1/T + K + K^2 T / 3); an exponent too large
     for a float is a ValueError."""
-    if p <= 1:
+    if not p > 1:
         raise ValueError("p must exceed 1")
     _require_horizon(horizon)
-    if sigma_lo <= 0:
+    if not sigma_lo > 0:
         raise ValueError("sigma_lo must be positive")
-    if K < 0:
+    if not K >= 0:
         raise ValueError("K must be nonnegative")
     try:
         expo = (
@@ -129,19 +129,10 @@ class HarnackCertificate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "horizon": self.horizon,
-            "x": self.x,
-            "y_or_shift": self.y_or_shift,
-            "payoff": self.payoff_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "exponent": self.exponent,
-            "tolerance_budget": self.tolerance_budget,
-            "pass": self.passed,
-        }
+        """Every field, payoff_id under "payoff" and passed under "pass"."""
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d["payoff"], d["pass"] = d.pop("payoff_id"), d.pop("passed")
+        return d
 
 
 def _finite(name: str, exponent: float) -> float:
@@ -216,9 +207,9 @@ def _certs(inequality, spec, payoffs, ps, horizons, bands, x0, ts):
     first: an invalid p, K or horizon, or a factor too large for a float,
     fails before the solve.  Then x0 and every read point must lie in the
     safe window, and a payoff that is not nonnegative fails as its rows are
-    made (TestFunction.power).  One solve stacks each payoff f and its
-    distinct row objects, by identity: TestFunction ids format shifts with
-    :g, so two close shifts share an id."""
+    made (TestFunction.power).  One solve stacks, payoff by payoff, f and
+    then its base rows for each p, and the solutions are read back in that
+    order; solve_batch marches each distinct row once."""
     kind, exponent, read_at, base_rows = inequality
     K, budget, grid = spec.lipschitz_k, gheat.PDE_BUDGET, Grid1D()
     certs = []
@@ -228,14 +219,14 @@ def _certs(inequality, spec, payoffs, ps, horizons, bands, x0, ts):
         ]
         for point in (x0, *(read_at(x0, t) for t in ts)):
             require_safe(point, grid, band, T)
-        bases = [[base_rows(f, p, ts) for p in ps] for f in payoffs]
-        rows = {id(g): g for f, gs in zip(payoffs, bases) for g in (f, *chain(*gs))}
-        sols = dict(zip(rows, solve_batch(list(rows.values()), band, T, grid, spec)))
-        for f, gs in zip(payoffs, bases):
-            for p, row, factor_row in zip(ps, gs, factors):
-                for t, g, (expo, scale) in zip(ts, row, factor_row):
-                    lhs = sols[id(f)].value_at(read_at(x0, t)) ** p
-                    rhs = sols[id(g)].value_at(x0) * scale
+        rows = [g for f in payoffs for g in (f, *chain(*(base_rows(f, p, ts) for p in ps)))]
+        # zip takes ts first, so each inner loop reads exactly len(ts) solutions
+        sols = iter(solve_batch(rows, band, T, grid, spec))
+        for f, u in zip(payoffs, sols):
+            for p, factor_row in zip(ps, factors):
+                for t, (expo, scale), g in zip(ts, factor_row, sols):
+                    lhs = u.value_at(read_at(x0, t)) ** p
+                    rhs = g.value_at(x0) * scale
                     certs.append(HarnackCertificate(
                         kind=kind, p=p, horizon=T, x=x0, y_or_shift=t, payoff_id=f.id,
                         lhs=lhs, rhs=rhs, exponent=expo, tolerance_budget=budget,
@@ -255,8 +246,8 @@ def harnack_grid(
 ) -> list[HarnackCertificate]:
     """PDE-backend certificate sweep on the default Grid1D, each certificate
     with the gheat.PDE_BUDGET relative tolerance: one stacked solve per (band,
-    horizon) over f and every f^p of each payoff, reused across the distance
-    grid."""
+    horizon) over f and, for each p, f^p once per distance; solve_batch
+    marches each f^p once."""
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
     return _certs(_HARNACK, spec, payoffs, ps, horizons, bands, x0, [x0 + float(d) for d in dists])
 
@@ -272,7 +263,7 @@ def shift_harnack_grid(
 ) -> list[HarnackCertificate]:
     """PDE-backend shift-Harnack sweep on the default Grid1D, each
     certificate with the gheat.PDE_BUDGET relative tolerance: one stacked
-    solve per (band, horizon) over f and every f^p(v + .) of each payoff; the
+    solve per (band, horizon) over f and, for each p, every f^p(v + .); the
     unshifted solution is shared across the shift grid."""
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
     return _certs(_SHIFT, spec, payoffs, ps, horizons, bands, x0, [float(v) for v in shifts])

@@ -324,18 +324,12 @@ class Ex38Report:
     origin_rhs: float
 
     def to_dict(self) -> dict:
-        return {
-            "x_grid": [float(v) for v in self.xs],
-            "y_grid": [float(v) for v in self.ys],
-            "printed_violations": self.printed_violations,
-            "printed_violation_rows": [
-                {"x": r[0], "y": r[1], "lhs": r[2], "rhs": r[3]}
-                for r in self.printed_violation_rows
-            ],
-            "sum_dominance_violations": self.sum_dominance_violations,
-            "origin_lhs": self.origin_lhs,
-            "origin_rhs": self.origin_rhs,
-        }
+        """Every field, the grids as x_grid and y_grid, each row as a dict."""
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d["x_grid"], d["y_grid"] = d.pop("xs").tolist(), d.pop("ys").tolist()
+        keys = ("x", "y", "lhs", "rhs")
+        d["printed_violation_rows"] = [dict(zip(keys, r)) for r in self.printed_violation_rows]
+        return d
 
 
 def ex38_probe(
@@ -393,15 +387,10 @@ class KernelReport:
     ex38: Ex38Report
 
     def to_dict(self) -> dict:
-        return {
-            "dominance": self.dominance,
-            "quasi_invariance_gaps": self.quasi_invariance_gaps,
-            "member_invariance_gaps": self.member_invariance_gaps,
-            "lower_bound_margins": self.lower_bound_margins,
-            "sup_kernel_margins": self.sup_kernel_margins,
-            "ex38": self.ex38.to_dict(),
-            "truncation_radius": TRUNCATION_RADIUS,
-        }
+        """Every field, ex38 as its dict, and the truncation radius."""
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d["ex38"], d["truncation_radius"] = self.ex38.to_dict(), TRUNCATION_RADIUS
+        return d
 
     @property
     def passed(self) -> bool:

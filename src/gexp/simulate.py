@@ -158,16 +158,10 @@ class PbarEstimate:
         return self.per_scenario[int(np.argmax(means))][1]
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax_scenario": self.argmax_scenario,
-            "per_scenario": [
-                {"mean": m, "std_error": s} for m, s in self.per_scenario
-            ],
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-        }
+        """Every field, each (mean, std_error) pair as a dict."""
+        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        d["per_scenario"] = [{"mean": m, "std_error": s} for m, s in self.per_scenario]
+        return d
 
     def cross_check(self, pde_value: float) -> dict:
         """Gap to the PDE value of the same problem, its budget and its pass.
@@ -195,8 +189,8 @@ def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
 
 
 def _check_horizon(scenario: Scenario, horizon: float) -> None:
-    """Reject a scenario that does not end at the requested horizon."""
-    if abs(scenario.horizon - horizon) > 1e-12:
+    """Reject a scenario that does not end at the requested horizon, or a NaN one."""
+    if not abs(scenario.horizon - horizon) <= 1e-12:
         raise ValueError("scenario horizon differs from the requested horizon")
 
 

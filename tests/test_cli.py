@@ -82,6 +82,12 @@ class TestUsage:
                 err = capsys.readouterr().err
                 assert f"argument --{option}: must be finite, got {value!r}" in err
 
+    def test_unparsable_float_option_exit_2(self, capsys):
+        code, out = run_cli(_GHEAT + ["--T=one"])
+        assert code == 2
+        assert out == ""
+        assert "argument --T: invalid float value: 'one'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "value, message",
         [("inf", "argument --T: must be finite, got 'inf'"),

@@ -65,6 +65,25 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(VolatilityBand(0.5, 1.0), (0.0, 1.0), (2.0,))
 
+    @pytest.mark.parametrize(
+        "breakpoints, values, message",
+        [((0.5, 1.0), (1.0,), "breakpoints must start at 0 and contain the horizon"),
+         ((0.0,), (), "breakpoints must start at 0 and contain the horizon"),
+         ((0.0, 1.0), (1.0, 1.0), "need exactly one value per interval"),
+         ((0.0, 0.5, 0.5), (1.0, 1.0), "breakpoints must be strictly increasing"),
+         ((0.0, math.nan), (1.0,), "breakpoints must be strictly increasing"),
+         ((0.0, math.nan, 1.0), (1.0, 1.0), "breakpoints must be strictly increasing"),
+         ((0.0, math.inf), (1.0,), "horizon must be finite and positive, got inf"),
+         ((0.0, 1.0), (math.nan,), "scenario level outside the governing band")],
+        ids=["late-start", "no-horizon", "values-count", "repeated", "nan-horizon",
+             "nan-breakpoint", "inf-horizon", "nan-level"],
+    )
+    def test_invalid_rejected(self, breakpoints, values, message):
+        # a NaN breakpoint or level failed no comparison: (0, nan) ran at
+        # whatever horizon pbar_mc asked for
+        with pytest.raises(ValueError, match=message):
+            Scenario(VolatilityBand(0.5, 1.0), breakpoints, values)
+
     def test_step_levels(self):
         sc = Scenario(VolatilityBand(0.5, 1.0), (0.0, 0.5, 1.0), (0.25, 1.0))
         lv = sc.step_levels(4)
@@ -132,6 +151,13 @@ class TestGsdeSpec:
         with pytest.raises(ValueError):
             GsdeSpec(lambda x: -3.0 * x, 1.0, Kind.QV_DRIVEN)
 
+    @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
+    def test_lipschitz_k_must_be_finite_and_nonnegative(self, k):
+        # a NaN K passed, and a certificate read a NaN exponent
+        message = f"lipschitz_k must be finite and nonnegative, got {k}"
+        with pytest.raises(ValueError, match=message):
+            GsdeSpec(np.zeros_like, k, Kind.QV_DRIVEN)
+
     def test_drift_catalog(self):
         assert make_drift("zero").lipschitz_k == 0.0
         assert make_drift("ou").lipschitz_k == 1.0
@@ -161,6 +187,9 @@ class TestGsdeSpec:
         spec = make_drift("const:1.5")
         out = spec.b(np.zeros((2, 3)))
         assert out.shape == (2, 3)
+        # a scalar drift is broadcast on the Lipschitz check grid as well
+        scalar = GsdeSpec(lambda x: 0.5, 0.0, Kind.TIME_DRIVEN)
+        assert scalar.b(np.zeros(3)).tolist() == [0.5] * 3
 
 
 class TestTestFunction:

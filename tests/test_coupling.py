@@ -180,6 +180,14 @@ class TestSuite:
                 )
                 assert got.mt_moment == pytest.approx(ref.mt_moment, rel=1e-9)
 
+    def test_time_driven_kind_rejected(self, band_wide):
+        spec = GsdeSpec(lambda x: -x, 1.0, Kind.TIME_DRIVEN)
+        scs = make_scenario_lattice(band_wide, 1.0, 2, 2)
+        with pytest.raises(ValueError, match="targets the qv-driven equation"):
+            run_coupling_suite(
+                spec, 0.0, 1.0, 1.0, scs, McConfig(100, 16, 1), 2.0, catalog()["sigmoid"],
+            )
+
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_p_at_most_one_rejected_before_the_sweep(self, monkeypatch, band_wide, p):
         def no_sweep(*args, **kwargs):

@@ -243,6 +243,19 @@ class TestSolveBatch:
         sols[2].values[:] = 0.0
         assert sols[3].values.tobytes() == singles[3].values.tobytes()
 
+    def test_overflow_after_step_0_caught_at_the_final_step(self, monkeypatch):
+        # at 50 times the stable step a checkerboard row grows 25- to
+        # 99-fold a step: finite after step 0 (the first periodic check),
+        # infinite before step 10, the last, which comes before step 128
+        monkeypatch.setattr(gheat, "CFL_SAFETY", 50.0)
+        band, grid = VolatilityBand(0.5, 1.0), Grid1D(nx=21)
+        checkerboard = TestFunction(
+            "checkerboard", lambda x: 1e300 * (-1.0) ** np.arange(x.size), positivity=False
+        )
+        horizon = 10 * 50.0 * _stable_dt(grid, band, 0.0, Kind.TIME_DRIVEN)
+        with pytest.raises(RuntimeError, match="non-finite values at final step 10"):
+            solve_batch([checkerboard], band, horizon, grid)
+
     def test_non_finite_row_fails_the_stack(self, band_wide, ou_spec):
         nan_at_node = TestFunction(
             "nan", lambda x: np.where(x == x[200], np.nan, 0.5), positivity=False
@@ -420,6 +433,12 @@ class TestPbarPde:
             pbar_pde(spec, catalog()["sigmoid"], 9.5, 1.0, band_classical)
         with pytest.raises(ValueError):
             require_safe(-9.5, Grid1D(), band_classical, 1.0)
+
+    def test_value_outside_the_grid_rejected(self, band_classical):
+        sol = solve(catalog()["sigmoid"], band_classical, 1.0, Grid1D(nx=21))
+        for x in (-10.5, 10.5):
+            with pytest.raises(ValueError, match=f"x={x} outside the grid"):
+                sol.value_at(x)
 
     def test_truncation_check_passes_for_interior_point(self, band_classical):
         # doubling the default domain [-10, 10] moves an interior value by

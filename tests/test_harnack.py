@@ -65,7 +65,8 @@ class TestHarnackExponent:
 
     def test_validation(self):
         band = VolatilityBand(1.0, 1.0)
-        for bad in ({"p": 1.0}, {"K": 0.0}, {"horizon": 0.0}):
+        # a NaN p or K failed no comparison and gave a NaN exponent
+        for bad in ({"p": 1.0}, {"K": 0.0}, {"horizon": 0.0}, {"p": math.nan}, {"K": math.nan}):
             kwargs = {"p": 2.0, "K": 1.0, "horizon": 1.0, **bad}
             with pytest.raises(ValueError):
                 harnack_exponent(kwargs["p"], kwargs["K"], band, kwargs["horizon"], 1.0)
@@ -120,6 +121,10 @@ class TestShiftHarnackExponent:
             shift_harnack_exponent(2.0, -0.5, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             shift_harnack_exponent(2.0, 1.0, 0.0, 1.0, 1.0)
+        # a NaN p, K or sigma_lo failed no comparison and gave a NaN exponent
+        for args in ((math.nan, 1.0, 1.0), (2.0, math.nan, 1.0), (2.0, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                shift_harnack_exponent(*args, 1.0, 1.0)
 
 
 class TestVerifyHarnack:
@@ -236,28 +241,44 @@ class TestCertificateGrids:
                 call()
 
     def test_one_stack_per_band_and_horizon(self, band_wide, monkeypatch):
-        # each payoff f, then its distinct rows: the one f^p that Harnack reads
-        # at every point, and f^p(v + .) for every shift, even shifts whose
-        # ids coincide
-        from gexp import harnack
+        # payoff by payoff, f and then its base rows for each p, one per point:
+        # f^p for Harnack, f^p(v + .) for the shift inequality, even for
+        # shifts whose ids coincide; the march holds each distinct row once
+        from gexp import gheat, harnack
 
-        stacks = []
+        stacks, heights = [], []
         solve = harnack.solve_batch
 
         def spy(rows, *args):
             stacks.append([g.id for g in rows])
             return solve(rows, *args)
 
+        class Numpy:  # gheat's numpy, noting the height of each work buffer
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty_like(self, a):
+                heights.append(len(a))
+                return np.empty_like(a)
+
         monkeypatch.setattr(harnack, "solve_batch", spy)
+        monkeypatch.setattr(gheat, "np", Numpy())
         ou, fs, ps = make_drift("ou"), [catalog()["sigmoid"], catalog()["bump"]], [2.0, 4.0]
         points = np.linspace(0.0, 1.0, 6)
         harnack_grid(ou, fs, ps, [0.5, 1.0], [band_wide], points)
-        assert stacks == 2 * [["sigmoid", "sigmoid^2", "sigmoid^4", "bump", "bump^2", "bump^4"]]
+        stack = [
+            row for f in ("sigmoid", "bump") for row in [f, *[f"{f}^2"] * 6, *[f"{f}^4"] * 6]
+        ]
+        assert stacks == 2 * [stack]
+        assert heights and set(heights) == {6}
         stacks.clear()
         shift_harnack_grid(ou, fs, ps, [0.5, 1.0], [band_wide], points)
-        assert [len(s) for s in stacks] == [2 * (1 + 2 * 6)] * 2
-        assert [s[0] for s in stacks] == ["sigmoid"] * 2
-        assert [s[13] for s in stacks] == ["bump"] * 2
+        stack = [
+            row
+            for f in ("sigmoid", "bump")
+            for row in [f, *(f"{f}^{p:g}(+{v:g})" for p in ps for v in points)]
+        ]
+        assert stacks == 2 * [stack]
         stacks.clear()
         certs = shift_harnack_grid(ou, fs[:1], [2.0], [1.0], [band_wide], [0.1, 0.1000001])
         assert stacks == [["sigmoid", "sigmoid^2(+0.1)", "sigmoid^2(+0.1)"]]

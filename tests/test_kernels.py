@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gexp import (
+    TestFunction,
     catalog,
     classical_ou_harnack_exponent,
     dominance_check,
@@ -119,6 +120,11 @@ class TestInvariance:
     def test_quasi_invariance_all_payoffs_nonpositive(self):
         for pid, f in catalog().items():
             assert quasi_invariance_check(f) <= 1e-6, pid
+
+    def test_quasi_invariance_requires_a_nonnegative_payoff(self):
+        signed = TestFunction("signed", np.tanh, positivity=False)
+        with pytest.raises(ValueError, match="requires a nonnegative payoff"):
+            quasi_invariance_check(signed)
 
     def test_member_invariance_tight(self):
         for pid, f in catalog().items():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -158,6 +159,10 @@ class TestPbarMc:
         scs = make_scenario_lattice(band_wide, 2.0, 1, 2)
         with pytest.raises(ValueError):
             pbar_mc(make_drift("ou"), catalog()["one"], 0.0, 1.0, scs, McConfig(10, 16, 1))
+        # abs(1 - nan) > 1e-12 is False: a NaN horizon ran, and raised RuntimeError
+        with pytest.raises(ValueError, match="scenario horizon differs from the requested"):
+            pbar_mc(make_drift("ou"), catalog()["one"], 0.0, math.nan, [unit_scenario()],
+                    McConfig(10, 16, 1))
 
 
 class TestScenarioSweep:
@@ -243,6 +248,24 @@ class TestScenarioSweep:
             pbar_mc(make_drift("ou"), catalog()["sigmoid"], 0.0, 1.0, scs,
                     McConfig(n, 4, 1), workers=2)
         assert threads == [1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_paths", [1000, 20000], ids=["one-block", "multi-block"])
+    def test_worker_exception_propagates(self, band_wide, workers, n_paths):
+        # the drift fails on the sweep's (S, b) blocks, not on the 1-D
+        # Lipschitz grid; each worker drains its queue after its failure, and
+        # the sweep raises that exception and leaves no thread behind
+        def drift(x):
+            if np.ndim(x) == 2:
+                raise KeyError("drift failed in the sweep")
+            return -x
+
+        spec = GsdeSpec(drift, 1.0, Kind.QV_DRIVEN)
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="drift failed in the sweep"):
+            pbar_mc(spec, catalog()["sigmoid"], 0.0, 1.0, scs, McConfig(n_paths, 64, 1), workers)
+        assert threading.active_count() == threads
 
     def test_axioms_independent_of_workers(self, band_wide):
         mc = McConfig(2 * _BLOCK_PATHS + 123, 32, 43)
