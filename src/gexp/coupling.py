@@ -26,7 +26,6 @@ import numpy as np
 
 from . import simulate
 from .core import GsdeSpec, Kind, McConfig, Scenario, TestFunction
-from .gheat import _runs
 from .harnack import _decay, _exp, _novikov_envelope, _require_coupling_k, harnack_exponent
 from .simulate import _check_horizon, _se, _step_table, _sweep_blocks
 
@@ -159,6 +158,12 @@ def _force_rows(spec, rows, bX, i, k, reached, tol, masked):
     np.copyto(gap, 0.0, where=merged)
     np.copyto(steps, i + 1, where=merged)
     return True
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of every run of True in a 1-D mask."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return [(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):

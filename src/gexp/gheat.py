@@ -29,17 +29,24 @@ need at one (band, horizon, drift) into one call.  Identical initial rows
 powers and shifts of a constant payoff) end identical, so each is marched
 once and copied back to every payoff.
 
-At nx = 401 a step costs about 12-15 us fixed, plus about 1.6-2.6 us per
-marched row (min of 7 solves at P = 1..32, ou drift, on a 2-core x86-64
-box).  The fixed part is numpy call overhead: a step is 16 calls
-(qv-driven) or 17 (time-driven) with no upwinded run, and 2 more per run,
-whatever P is.
-The max forms G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 and v* q =
-max(vlo*q, vhi*q) give the bits of (vhi*a+ - vlo*a-)/2 and of the masked
-choice of v*: each product has the sign of its factor, rounding is
+Each step is, node by node, a fixed three-point linear map under the max
+over the band (Oberman, SIAM J. Numer. Anal. 44, 2006): dt*b*u_x and
+dt*u_xx/2 are the node's forward and backward differences times
+coefficients built once per solve, and one subtraction over the flat
+stack gives both differences.  At nx = 401 a step costs about 4-6 us
+fixed, plus about 1.1-1.7 us per marched row (lines fitted to the min of
+21 solves at P = 1..32, ou drift, three runs, on a 2-core x86-64 box).
+The fixed part is numpy call overhead: a step is 9 calls (qv-driven) or
+11 (time-driven) on flat contiguous operands, whatever P is and wherever
+the march upwinds.
+The max forms G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 of g_operator and
+v* q = max(vlo*q, vhi*q) give the bits of (vhi*a+ - vlo*a-)/2 and of the
+masked choice of v*: each product has the sign of its factor, rounding is
 monotone and a sign flip is exact, so the larger product is the one the
 masked form takes; + 0.0 maps the -0.0 of a = -0.0 (or of an underflowing
-vlo*a) to the +0.0 that the two-sided form gives.
+vlo*a) to the +0.0 that the two-sided form gives.  The march takes
+dt*G(u_xx) as max(g_hi*D, g_lo*D), D = dx^2 u_xx and g = v*dt/(2dx^2),
+the same choice.
 """
 
 from __future__ import annotations
@@ -113,7 +120,7 @@ def _operand(x: float) -> np.ndarray:
     return a
 
 
-_ZERO, _HALF, _TWO = _operand(0.0), _operand(0.5), _operand(2.0)
+_ZERO, _HALF = _operand(0.0), _operand(0.5)
 
 
 def _g_into(a, v_lo, v_hi, out, tmp) -> None:
@@ -156,12 +163,6 @@ def _march_steps(grid: Grid1D, band: VolatilityBand, horizon: float, bmax, kind)
     if steps > MAX_STEPS:
         raise ValueError(f"the march needs {steps:.3g} steps, above the budget of {MAX_STEPS}")
     return steps
-
-
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of every run of True in a 1-D mask."""
-    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    return [(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def solve(
@@ -218,71 +219,69 @@ def solve_batch(
     slot = [marched.setdefault(row.tobytes(), len(marched)) for row in init]
     u = init[[slot.index(j) for j in range(len(marched))]]
 
-    # the march's float operands, made arrays once per solve
-    v_lo, v_hi = _operand(band.v_lo), _operand(band.v_hi)
-    inv_dx2, inv_2dx, inv_dx = _operand(1.0 / dx**2), _operand(0.5 / dx), _operand(1.0 / dx)
-    h = _operand(dt)
-
-    # work buffers.  The difference stencils run over each buffer as one flat
-    # array, so the first and last node of every row come out mixed with the
-    # neighbouring row; those columns are set by the boundary rules below.
-    k, wxx, wx, t1, t2 = (np.empty_like(u) for _ in range(5))
-    wxx_in, wxx_edges = wxx.reshape(-1)[1:-1], wxx[:, ::grid.nx - 1]
-    wx_in, wx_edges = wx.reshape(-1)[1:-1], wx[:, ::grid.nx - 1]
-
-    # centered first differences are monotone iff |b|*dx stays below the
+    # Each step reads every node's forward and backward differences d_f and
+    # d_b, times per-node coefficients built here with dt folded in.
+    # Centered first differences are monotone iff |b|*dx stays below the
     # diffusion scale: 1 for the qv-driven equation (v cancels), vlo else;
     # elsewhere the one-sided difference that follows the flow is used,
-    # and boundary nodes take it only when the flow enters the domain
+    # and boundary nodes take it only when the flow enters the domain.
+    # Then dt*b*u_x = cf*d_f + cb*d_b, and dt*u_xx/2 = c2*(d_f - d_b)
+    # inside the domain, 0 on its zero-curvature boundary.
     pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
     upwind = np.abs(b) * dx > pe_limit
-    fwd = upwind & (b > 0.0)
-    fwd[0], fwd[-1] = b[0] > 0.0, False
-    bwd = upwind & (b < 0.0)
-    bwd[0], bwd[-1] = False, b[-1] < 0.0
-    # (first shift, second shift) of every run: forward runs take
-    # (w_{j+1} - w_j) / dx, backward runs (w_j - w_{j-1}) / dx
-    runs = [(lo, hi, 1, 0) for lo, hi in _runs(fwd)]
-    runs += [(lo, hi, 0, -1) for lo, hi in _runs(bwd)]
+    full, half = b * (dt / dx), b * (0.5 * dt / dx)
+    cf = np.where(upwind, np.where(b > 0.0, full, 0.0), half)
+    cb = np.where(upwind, np.where(b < 0.0, full, 0.0), half)
+    cf[0], cb[0] = full[0] if b[0] > 0.0 else 0.0, 0.0
+    cf[-1], cb[-1] = 0.0, full[-1] if b[-1] < 0.0 else 0.0
+    c2 = np.full(grid.nx, 0.5 * dt / dx**2)
+    c2[::grid.nx - 1] = 0.0
+    if kind is Kind.QV_DRIVEN:
+        # dt*q = (cf + c2)*d_f + (cb - c2)*d_b, q = b*u_x + u_xx/2
+        cf, cb = cf + c2, cb - c2
+        v_lo, v_hi = _operand(band.v_lo), _operand(band.v_hi)
+    else:
+        # dt*G(u_xx) = max(g_hi*D, g_lo*D), D = d_f - d_b, g = c2*v
+        g_lo, g_hi = np.tile(c2 * band.v_lo, len(u)), np.tile(c2 * band.v_hi, len(u))
+    # one coefficient per node of the stack: a ufunc over contiguous flat
+    # operands costs less than one that broadcasts a row over the stack
+    cf, cb = np.tile(cf, len(u)), np.tile(cb, len(u))
 
-    # the views of u that rhs reads, built once per solve
-    u_in, u_up, u_dn = u.reshape(-1)[1:-1], u.reshape(-1)[2:], u.reshape(-1)[:-2]
-    u_runs = [
-        (u[:, lo + s1:hi + s1], u[:, lo + s2:hi + s2], wx[:, lo:hi]) for lo, hi, s1, s2 in runs
-    ]
-
-    def rhs(out):
-        np.multiply(u_in, _TWO, out=wxx_in)
-        np.subtract(u_up, wxx_in, out=wxx_in)
-        np.add(wxx_in, u_dn, out=wxx_in)
-        np.multiply(wxx_in, inv_dx2, out=wxx_in)
-        wxx_edges.fill(0.0)  # zero-curvature boundary
-        np.subtract(u_up, u_dn, out=wx_in)
-        np.multiply(wx_in, inv_2dx, out=wx_in)
-        wx_edges.fill(0.0)
-        for ahead, behind, wx_run in u_runs:
-            np.subtract(ahead, behind, out=wx_run)
-            np.multiply(wx_run, inv_dx, out=wx_run)
-        if kind is Kind.QV_DRIVEN:
-            # q = b*wx + wxx/2, times v* = vhi where q >= 0, vlo elsewhere
-            np.multiply(b, wx, out=t1)
-            np.multiply(wxx, _HALF, out=t2)
-            np.add(t1, t2, out=t1)
-            np.multiply(t1, v_lo, out=out)
-            np.multiply(t1, v_hi, out=t2)
-            np.maximum(out, t2, out=out)
-            return
-        _g_into(wxx, v_lo, v_hi, out, t2)
-        np.multiply(b, wx, out=t1)
-        np.add(t1, out, out=out)
+    # The march works on u as one flat array, where one subtraction gives
+    # both differences: with fp[1:-1] = u_{i+1} - u_i, fp[1:] is every
+    # node's d_f and fp[:-1] its d_b.  The differences across a seam between
+    # two rows, and the pads fp[0] and fp[-1], are set to 0, so every row
+    # reads only its own nodes.
+    u_flat = u.reshape(-1)
+    u_ahead, u_behind = u_flat[1:], u_flat[:-1]
+    fp = np.zeros(u.size + 1)
+    fp_in, seams, d_f, d_b = fp[1:-1], fp[::grid.nx], fp[1:], fp[:-1]
+    k, t = np.empty_like(u).reshape(-1), np.empty_like(u).reshape(-1)
 
     # an overflow surfaces as a non-finite u, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            # forward Euler: u <- u + h*rhs(u), h = dt
-            rhs(k)
-            np.multiply(k, h, out=k)
-            np.add(u, k, out=u)
+            # forward Euler: u <- u + dt*rhs(u)
+            np.subtract(u_ahead, u_behind, out=fp_in)
+            seams.fill(0.0)
+            if kind is Kind.QV_DRIVEN:
+                np.multiply(d_f, cf, out=k)
+                np.multiply(d_b, cb, out=t)
+                np.add(k, t, out=k)
+                # times v* = vhi where q >= 0, vlo elsewhere
+                np.multiply(k, v_lo, out=t)
+                np.multiply(k, v_hi, out=k)
+                np.maximum(k, t, out=k)
+            else:
+                np.subtract(d_f, d_b, out=t)
+                np.multiply(t, g_hi, out=k)
+                np.multiply(t, g_lo, out=t)
+                np.maximum(k, t, out=k)
+                np.multiply(d_f, cf, out=t)
+                np.add(k, t, out=k)
+                np.multiply(d_b, cb, out=t)
+                np.add(k, t, out=k)
+            np.add(u_flat, k, out=u_flat)
             if step % 128 == 0 and not np.all(np.isfinite(u)):
                 raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):

@@ -34,8 +34,8 @@ def _novikov_envelope(K: float, band: VolatilityBand, horizon: float, dist: floa
         N = 2K shi^4 (1 - e^{-2 slo^2 K T}) dist^2 / (slo^6 (1 - e^{-2 shi^2 K T})^2)
 
     with slo, shi the band edges; +inf when it overflows a float.  K <= 0, a
-    horizon that is not finite and positive, and one too short for the
-    decays (_decay) are ValueErrors.
+    horizon that is not finite and positive, one too short for the decays
+    (_decay), and a NaN dist are ValueErrors.
 
     N bounds int_0^T |u|^2 d qv along every path, so e^N is the Novikov
     ceiling (coupling.novikov_pathwise_bound).  The Harnack exponent is
@@ -51,6 +51,8 @@ def _novikov_envelope(K: float, band: VolatilityBand, horizon: float, dist: floa
     """
     _require_coupling_k(K)
     _require_horizon(horizon)
+    if math.isnan(dist):
+        raise ValueError("the distance is NaN")
     lo = _decay(2.0 * band.v_lo * K * horizon, horizon)
     hi = _decay(2.0 * band.v_hi * K * horizon, horizon)
     try:
@@ -91,8 +93,8 @@ def shift_harnack_exponent(
     p: float, K: float, sigma_lo: float, horizon: float, v: float
 ) -> float:
     """Exponent of the shift Harnack inequality,
-    p v^2 / (2 slo^2 (p-1)) * (1/T + K + K^2 T / 3); an exponent too large
-    for a float is a ValueError."""
+    p v^2 / (2 slo^2 (p-1)) * (1/T + K + K^2 T / 3); a NaN shift and an
+    exponent too large for a float are ValueErrors."""
     if not p > 1:
         raise ValueError("p must exceed 1")
     _require_horizon(horizon)
@@ -100,6 +102,8 @@ def shift_harnack_exponent(
         raise ValueError("sigma_lo must be positive")
     if not K >= 0:
         raise ValueError("K must be nonnegative")
+    if math.isnan(v):
+        raise ValueError("the shift is NaN")
     try:
         expo = (
             p

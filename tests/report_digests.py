@@ -8,9 +8,13 @@ the report bytes and the exit codes as they were:
     PYTHONPATH=src python tests/report_digests.py --seed 7
     PYTHONPATH=src python tests/report_digests.py --seed 7 gheat harnack
     PYTHONPATH=src python tests/report_digests.py --seed 7 --states
+    PYTHONPATH=src python tests/report_digests.py --seed 7 --check-workers
 
 The optional names keep only those subcommands.  Each command runs
-in-process through gexp.cli.main.  With --states it prints instead the
+in-process through gexp.cli.main.  With --check-workers it also exits 1,
+naming the commands on standard error, when the --workers 1 and --workers 2
+runs of a command differ in digest or exit code: report bytes must not
+depend on the worker count.  With --states it prints instead the
 sha256 of the five arrays of coupling._batched_states over STATE_CONFIGS.
 pytest does not collect this file.
 
@@ -34,6 +38,7 @@ import itertools
 import re
 import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +99,17 @@ def digests(seed: int, names) -> list[str]:
         for fmt in ("json", "csv")
         for workers in ("1", "2")
     ]
+
+
+def worker_mismatches(lines: list[str]) -> list[str]:
+    """The commands (argv without --workers) of `lines`, as digests prints
+    them, whose runs at different worker counts differ in digest or exit
+    code."""
+    runs: dict[str, set[tuple[str, str]]] = {}
+    for line in lines:
+        digest, code, argv = line.split(" ", 2)
+        runs.setdefault(re.sub(r" --workers \S+", "", argv), set()).add((digest, code))
+    return [argv for argv, seen in runs.items() if len(seen) > 1]
 
 
 # the tier-1 subset: the README's gheat, harnack and axioms, a G-heat solve
@@ -182,6 +198,10 @@ if __name__ == "__main__":
         "--write-golden", action="store_true",
         help=f"write the key and the GOLDEN_COMMANDS digests to {GOLDEN.name}",
     )
+    parser.add_argument(
+        "--check-workers", action="store_true",
+        help="exit 1 if a command's report differs between --workers 1 and 2",
+    )
     parser.add_argument("names", nargs="*", help="subcommands to keep (default: all)")
     args = parser.parse_args()
     if args.write_golden:
@@ -189,5 +209,12 @@ if __name__ == "__main__":
         raise SystemExit(0)
     if args.seed is None:
         parser.error("--seed is required")
+    if args.states and args.check_workers:
+        parser.error("--check-workers checks the report digests, not --states")
     lines = state_digests(args.seed) if args.states else digests(args.seed, args.names)
     print("\n".join(lines))
+    if args.check_workers:
+        mismatched = worker_mismatches(lines)
+        for argv in mismatched:
+            print(f"reports differ between worker counts: {argv}", file=sys.stderr)
+        raise SystemExit(1 if mismatched else 0)

@@ -1,7 +1,9 @@
 import ast
 import csv
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -346,16 +348,34 @@ class TestUsage:
         assert message in err
 
     @pytest.mark.parametrize("power", ["219", "220"])
-    def test_overflow_in_the_march_exit_3_one_line(self, capsys, power):
-        # the bound 25^p is finite, the stencil overflows at the first step;
-        # three numpy RuntimeWarnings came before the error line
+    def test_overflow_in_the_march_exit_3_one_line(self, monkeypatch, capsys, power):
+        # the bound 25^p is finite; at 50 times the stable step the march is
+        # unstable and overflows (three numpy RuntimeWarnings came before the
+        # error line).  At the stable step these powers certify, below
+        from gexp import gheat
+
+        monkeypatch.setattr(gheat, "CFL_SAFETY", 50.0)
         code, out = run_cli(
             ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sqclip",
              "--p", power, "--T", "1", "--x", "0", "--y", "0.1"]
         )
         assert code == 3
         assert out == ""
-        assert capsys.readouterr().err == "gexp: non-finite values at step 0\n"
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"gexp: non-finite values at (final )?step \d+\n", err), err
+
+    def test_largest_sqclip_power_certifies(self, capsys):
+        # 25^220 < 1.8e308 < 25^221.  The march forms no u/dx^2, so sqclip^220
+        # stays finite and certifies; the next power is rejected on its bound
+        args = ["harnack", "--band", "0.5,1", "--drift", "ou", "--payoff", "sqclip",
+                "--T", "1", "--x", "0", "--y", "0.1"]
+        code, out = run_cli(args + ["--p", "220"])
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        assert cert["pass"] and math.isfinite(cert["lhs"]) and math.isfinite(cert["rhs"])
+        code, out = run_cli(args + ["--p", "221"])
+        assert (code, out) == (2, "")
+        assert "gexp: the bound 25^221 of sqclip^221 overflows a float" in capsys.readouterr().err
 
     def test_axioms_empty_safe_window_exit_2(self, capsys):
         # pad 6 sqrt(3) > 10 left no grid node; numpy's reduction error came out

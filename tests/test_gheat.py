@@ -125,16 +125,57 @@ class TestGrid:
         assert calls == []
 
 
+def _n_steps(band, horizon, grid, b, kind):
+    bmax = 0.0 if b is None else float(np.max(np.abs(b)))
+    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * _stable_dt(grid, band, bmax, kind))))
+    return n_steps, horizon / n_steps
+
+
 def reference_solve(payoff, band, horizon, grid, spec=None):
-    """A one-payoff forward-Euler marcher with its own allocating per-step
-    arithmetic, kept as the bit-exact reference for every row of solve_batch."""
+    """A one-payoff forward-Euler marcher in coefficient form, with its own
+    allocating per-step arithmetic, kept as the bit-exact reference for
+    every row of solve_batch: dt times the right-hand side is a sum of each
+    node's forward and backward differences times coefficients built once."""
+    xs, dx = grid.xs, grid.dx
+    u = np.asarray(payoff(xs), dtype=float).copy()
+    if spec is None:
+        spec = dataclasses.replace(make_drift("zero"), kind=Kind.TIME_DRIVEN)
+    b, kind = spec.b(xs), spec.kind
+    n_steps, dt = _n_steps(band, horizon, grid, b, kind)
+    pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
+    centered = np.abs(b) * dx <= pe_limit
+    full, half = b * (dt / dx), b * (0.5 * dt / dx)
+    # dt*b*u_x = cf*d_f + cb*d_b
+    cf = np.where(centered, half, np.where(b > 0.0, full, 0.0))
+    cb = np.where(centered, half, np.where(b < 0.0, full, 0.0))
+    cf[0], cb[0] = (full[0] if b[0] > 0.0 else 0.0), 0.0
+    cf[-1], cb[-1] = 0.0, (full[-1] if b[-1] < 0.0 else 0.0)
+    # dt*u_xx/2 = c2*(d_f - d_b) inside, 0 on the zero-curvature boundary
+    c2 = np.zeros_like(u)
+    c2[1:-1] = 0.5 * dt / dx**2
+    for _ in range(n_steps):
+        d_f = np.append(np.diff(u), 0.0)
+        d_b = np.insert(np.diff(u), 0, 0.0)
+        if kind is Kind.QV_DRIVEN:
+            q = (cf + c2) * d_f + (cb - c2) * d_b  # dt*q
+            u = u + np.maximum(q * band.v_lo, q * band.v_hi)
+        else:
+            d2 = d_f - d_b
+            g = np.maximum(d2 * (c2 * band.v_hi), d2 * (c2 * band.v_lo))  # dt*G(u_xx)
+            u = u + (g + d_f * cf + d_b * cb)
+    return u, dt, n_steps
+
+
+def stencil_reference(payoff, band, horizon, grid, spec=None):
+    """A one-payoff forward-Euler marcher in stencil form: it forms u_x and
+    u_xx, then the right-hand side, then u + dt*rhs, as the marcher did
+    before its coefficient form.  Every row of solve_batch meets it within
+    rounding."""
     xs, dx = grid.xs, grid.dx
     u = np.asarray(payoff(xs), dtype=float).copy()
     b = None if spec is None else spec.b(xs)
     kind = None if spec is None else spec.kind
-    bmax = 0.0 if b is None else float(np.max(np.abs(b)))
-    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * _stable_dt(grid, band, bmax, kind))))
-    dt = horizon / n_steps
+    n_steps, dt = _n_steps(band, horizon, grid, b, kind)
     if b is not None:
         pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
         centered = np.abs(b) * dx <= pe_limit
@@ -213,6 +254,21 @@ class TestSolveBatch:
             assert sol.values.tobytes() == ref.tobytes(), f.id
             assert (sol.dt, sol.n_steps) == (dt, n_steps)
 
+    @pytest.mark.parametrize("eq", list(_equations()))
+    @pytest.mark.parametrize("sigmas", [(0.5, 1.0), (0.8, 0.8)], ids=["0.5-1", "degenerate"])
+    def test_rows_meet_the_stencil_form(self, eq, sigmas):
+        # the coefficient form regroups the stencil's arithmetic: equal up to
+        # rounding (measured 1e-14 relative, node by node), with the same step
+        band, spec = VolatilityBand(*sigmas), _equations()[eq]
+        grid = Grid1D(nx=201)
+        rows = [
+            g for f in catalog().values() for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))
+        ]
+        for f, sol in zip(rows, solve_batch(rows, band, 0.5, grid, spec)):
+            ref, dt, n_steps = stencil_reference(f, band, 0.5, grid, spec)
+            assert (sol.dt, sol.n_steps) == (dt, n_steps)
+            np.testing.assert_allclose(sol.values, ref, rtol=1e-12, atol=0.0, err_msg=f.id)
+
     @pytest.mark.parametrize("kind", list(Kind))
     def test_duplicate_rows_march_once(self, kind, monkeypatch):
         band, grid = VolatilityBand(0.5, 1.0), Grid1D(nx=201)
@@ -242,6 +298,20 @@ class TestSolveBatch:
             assert not np.shares_memory(sols[i].values, sols[j].values), (i, j)
         sols[2].values[:] = 0.0
         assert sols[3].values.tobytes() == singles[3].values.tobytes()
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_rows_read_nothing_across_a_seam(self, kind):
+        # the flat difference between two neighbouring rows, 1e308 - -1e308,
+        # overflows; each row still reads only its own nodes and stays constant
+        spec = dataclasses.replace(make_drift("ou"), kind=kind)
+        levels = (1e308, -1e308)
+        rows = [
+            TestFunction(f"{c:g}", lambda x, c=c: np.full_like(x, c), positivity=False)
+            for c in levels
+        ]
+        sols = solve_batch(rows, VolatilityBand(0.5, 1.0), 0.1, Grid1D(nx=21), spec)
+        for c, sol in zip(levels, sols):
+            assert np.all(sol.values == c), c
 
     def test_overflow_after_step_0_caught_at_the_final_step(self, monkeypatch):
         # at 50 times the stable step a checkerboard row grows 25- to

@@ -63,6 +63,15 @@ class TestHarnackExponent:
         with pytest.raises(ValueError, match="the Novikov exponent overflows a float"):
             novikov_pathwise_bound(1.0, VolatilityBand(0.5, 1.0), 1.0, dist)
 
+    def test_nan_distance_rejected(self):
+        # _finite rejects only +inf, so a NaN distance gave a NaN exponent
+        with pytest.raises(ValueError, match="the distance is NaN"):
+            harnack_exponent(2.0, 1.0, VolatilityBand(0.5, 1.0), 1.0, math.nan)
+
+    def test_nan_shift_rejected(self):
+        with pytest.raises(ValueError, match="the shift is NaN"):
+            shift_harnack_exponent(2.0, 1.0, 0.5, 1.0, math.nan)
+
     def test_validation(self):
         band = VolatilityBand(1.0, 1.0)
         # a NaN p or K failed no comparison and gave a NaN exponent

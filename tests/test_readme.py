@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gexp.cli import build_parser
-from report_digests import GOLDEN, digests, dispatch_key, golden_digests
+from report_digests import GOLDEN, digests, dispatch_key, golden_digests, worker_mismatches
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,6 +39,17 @@ def test_report_digests_smoke():
         assert re.fullmatch("[0-9a-f]{64}", digest) and code == "0", line
     # the worker count changes no report
     assert [line.split()[0] for line in lines[::2]] == [line.split()[0] for line in lines[1::2]]
+
+
+def test_worker_mismatches_names_the_command():
+    # what --check-workers exits 1 on: a digest or an exit code that moves
+    # with the worker count
+    runs = [f"{'a' * 64} 0 gheat --T 1 --workers {w} --seed 7" for w in (1, 2)]
+    assert worker_mismatches(runs) == []
+    for moved in (f"{'b' * 64} 0", f"{'a' * 64} 1"):
+        assert worker_mismatches([runs[0], moved + " gheat --T 1 --workers 2 --seed 7"]) == [
+            "gheat --T 1 --seed 7"
+        ]
 
 
 def test_report_digests_golden():
