@@ -6,16 +6,25 @@ parabolic equations that define the worst-case semigroup:
 
 The G-heat equation u_t = G(u_xx) is the time-driven equation with b = 0.
 
-The scheme takes one forward-Euler stage per time step, with a hybrid
-centered/upwind first derivative: centered wherever the cell Peclet number
-permits a monotone stencil, one-sided otherwise.  At the CFL step
-dt <= dx^2 / (vhi + dx*adv) a step is a maximum of linear maps with
-nonnegative weights, hence monotone: the comparison principle that the
-property suite checks.  Heun's two-stage SSP scheme has SSP coefficient 1,
-so its monotone step is Euler's, and with dt ~ dx^2 Euler's O(dt) time
-error matches the O(dx^2) space error.  Boundaries use
-zero-curvature (second derivative = 0) extrapolation; values within the
-6*sigma_hi*sqrt(T) padding zone of the boundary are treated as contaminated.
+Both equations are u_t = max over v in {vlo, vhi} of beta*u_x + v*u_xx/2,
+with beta = v*b for the qv-driven equation and beta = b for the
+time-driven one: the sup of a linear expression in v is taken at a band
+edge.  The scheme takes one forward-Euler stage per time step, and a step
+is the max of two three-point linear maps, one per band edge (Oberman,
+SIAM J. Numer. Anal. 44, 2006).  Each map takes the centered first
+difference where that keeps both neighbour weights nonnegative,
+|beta|*dx <= v, and the one-sided difference that follows the flow
+elsewhere.  A map's weight on its own node is 1 - dt*(a - c), a and c its
+coefficients on the forward and backward differences, so the step
+dt_max = 1 / max(a - c) over both maps and every node is the largest at
+which every weight is nonnegative and the step monotone: the comparison
+principle that the property suite checks.  The march takes CFL_SAFETY
+times it.  Heun's two-stage SSP scheme has SSP coefficient 1, so its
+monotone step is Euler's, and with dt ~ dx^2 Euler's O(dt) time error
+matches the O(dx^2) space error.  Boundaries use zero-curvature (second
+derivative = 0) extrapolation, with the one-sided first difference only
+where the flow enters; values within the 6*sigma_hi*sqrt(T) padding zone
+of the boundary are treated as contaminated.
 
 One time-marcher, `solve_batch`, advances a (P, nx) stack of payoffs at
 once: every row shares the grid, the drift values, the upwind choice, the
@@ -29,24 +38,19 @@ need at one (band, horizon, drift) into one call.  Identical initial rows
 powers and shifts of a constant payoff) end identical, so each is marched
 once and copied back to every payoff.
 
-Each step is, node by node, a fixed three-point linear map under the max
-over the band (Oberman, SIAM J. Numer. Anal. 44, 2006): dt*b*u_x and
-dt*u_xx/2 are the node's forward and backward differences times
-coefficients built once per solve, and one subtraction over the flat
-stack gives both differences.  At nx = 401 a step costs about 4-6 us
-fixed, plus about 1.1-1.7 us per marched row (lines fitted to the min of
-21 solves at P = 1..32, ou drift, three runs, on a 2-core x86-64 box).
-The fixed part is numpy call overhead: a step is 9 calls (qv-driven) or
-11 (time-driven) on flat contiguous operands, whatever P is and wherever
-the march upwinds.
-The max forms G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 of g_operator and
-v* q = max(vlo*q, vhi*q) give the bits of (vhi*a+ - vlo*a-)/2 and of the
-masked choice of v*: each product has the sign of its factor, rounding is
-monotone and a sign flip is exact, so the larger product is the one the
-masked form takes; + 0.0 maps the -0.0 of a = -0.0 (or of an underflowing
-vlo*a) to the +0.0 that the two-sided form gives.  The march takes
-dt*G(u_xx) as max(g_hi*D, g_lo*D), D = dx^2 u_xx and g = v*dt/(2dx^2),
-the same choice.
+The maps' coefficient rows are built once per solve with dt folded in,
+and one subtraction over the flat stack gives every node's forward and
+backward differences.  At nx = 401 a step costs about 3-4 us fixed,
+plus about 1.3-1.5 us per marched row (lines fitted to the min of 21
+solves at P = 1..32, ou drift, both kinds, three runs, on a 2-core x86-64
+box).  The fixed part is numpy call overhead: a step is 10 calls for
+either equation on flat contiguous operands, whatever P is and wherever a
+map upwinds.
+The max form G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 of g_operator gives the
+bits of (vhi*a+ - vlo*a-)/2: each product has the sign of its factor,
+rounding is monotone and a sign flip is exact, so the larger product is
+the one the two-sided form takes; + 0.0 maps the -0.0 of a = -0.0 (or of
+an underflowing vlo*a) to the +0.0 that the two-sided form gives.
 """
 
 from __future__ import annotations
@@ -143,26 +147,36 @@ def g_operator(a, band: VolatilityBand):
     return float(out) if out.ndim == 0 else out
 
 
-def _stable_dt(grid: Grid1D, band: VolatilityBand, bmax: float, kind: Kind) -> float:
-    # advective coefficient: v*b for the qv-driven equation, b otherwise
-    adv = band.v_hi * bmax if kind is Kind.QV_DRIVEN else bmax
-    try:
-        dx2 = grid.dx**2
-    except OverflowError:  # a grid step above 1e154
-        dx2 = math.inf
-    return dx2 / (band.v_hi + grid.dx * adv)
-
-
-def _march_steps(grid: Grid1D, band: VolatilityBand, horizon: float, bmax, kind) -> float:
-    """Forward-Euler steps at the CFL step; a ValueError unless finite and within MAX_STEPS."""
-    dt_max = _stable_dt(grid, band, bmax, kind)
-    # dt_max is 0 if dx^2 underflows or dx*b overflows, inf or nan if dx^2 does
+def _march_steps(grid: Grid1D, horizon: float, dt_max: float) -> float:
+    """Forward-Euler steps at CFL_SAFETY times the monotone step dt_max; a
+    ValueError unless finite and within MAX_STEPS."""
+    # dt_max is 0 if dx^2 underflows or a drift overflows, inf if dx^2 overflows
     if not math.isfinite(dt_max):
         raise ValueError(f"the grid step {grid.dx:.3g} is too large: its square overflows")
     steps = horizon / (CFL_SAFETY * dt_max) if dt_max > 0.0 else math.inf
     if steps > MAX_STEPS:
         raise ValueError(f"the march needs {steps:.3g} steps, above the budget of {MAX_STEPS}")
     return steps
+
+
+def _map_rows(beta: np.ndarray, v: float, dx: float, dx2: float):
+    """Rows a, c with beta*u_x + v*u_xx/2 = a*d_f + c*d_b at every node,
+    d_f and d_b the node's forward and backward differences.
+
+    u_x is centered where that keeps both neighbour weights nonnegative,
+    |beta|*dx <= v, and elsewhere the one-sided difference that follows the
+    flow; a boundary node takes that difference only when the flow enters
+    the domain, and has zero curvature.
+    """
+    upwind = np.abs(beta) * dx > v
+    full, half = beta / dx, beta * (0.5 / dx)
+    a = np.where(upwind, np.where(beta > 0.0, full, 0.0), half)
+    c = np.where(upwind, np.where(beta < 0.0, full, 0.0), half)
+    a[0], c[0] = full[0] if beta[0] > 0.0 else 0.0, 0.0
+    a[-1], c[-1] = 0.0, full[-1] if beta[-1] < 0.0 else 0.0
+    diffusion = np.full_like(beta, 0.5 * v / dx2)
+    diffusion[::len(beta) - 1] = 0.0
+    return a + diffusion, c - diffusion
 
 
 def solve(
@@ -187,28 +201,37 @@ def solve_batch(
     solution per payoff, each holding its row of the stack.
 
     spec.kind selects the qv-driven or time-driven drift equation; spec=None
-    solves the G-heat equation as the time-driven equation with zero drift,
-    whose b*u_x adds an exact +-0 to G(u_xx).  The per-node bang-bang
-    optimum of the qv-driven equation takes the upper level on ties (q = 0),
-    which changes no flux but keeps runs reproducible.  Each row depends
-    only on its own payoff, bit for bit, so payoffs whose initial rows are
-    byte-identical share one marched row; each solution still holds its own
-    copy of it.
+    solves the G-heat equation as the time-driven equation with zero drift.
+    Each row depends only on its own payoff, bit for bit, so payoffs whose
+    initial rows are byte-identical share one marched row; each solution
+    still holds its own copy of it.
     """
     _require_horizon(horizon)
     if spec is None:
         spec = replace(make_drift("zero"), kind=Kind.TIME_DRIVEN)
-    kind = spec.kind
+    try:
+        dx2 = grid.dx**2
+    except OverflowError:  # a grid step above 1e154
+        dx2 = math.inf
     # the drift-free count first, before grid.xs exists: a drift only
     # shortens the step, so this rejects no march the full count would pass
-    steps = _march_steps(grid, band, horizon, 0.0, kind)
+    _march_steps(grid, horizon, dx2 / band.v_hi)
     xs, dx = grid.xs, grid.dx
     b = spec.b(xs)
     if not np.all(np.isfinite(b)):
         x_bad = xs[~np.isfinite(b)][0]
         raise ValueError(f"drift is not finite on the grid, first at x = {x_bad:.6g}")
-    steps = _march_steps(grid, band, horizon, float(np.max(np.abs(b))), kind)
-    n_steps = max(1, math.ceil(steps))
+
+    # each band edge's map as rows per unit dt, v_lo first; a map keeps the
+    # weight 1 - dt*(a - c) on its own node, so the largest monotone step is
+    # 1 / max(a - c), which a drift that overflows makes 0
+    with np.errstate(over="ignore"):
+        maps = [
+            _map_rows(v * b if spec.kind is Kind.QV_DRIVEN else b, v, dx, dx2)
+            for v in (band.v_lo, band.v_hi)
+        ]
+        dt_max = 1.0 / max(float(np.max(a - c)) for a, c in maps)
+    n_steps = max(1, math.ceil(_march_steps(grid, horizon, dt_max)))
     dt = horizon / n_steps
     init = np.empty((len(payoffs), grid.nx))
     for row, payoff in zip(init, payoffs):
@@ -218,34 +241,11 @@ def solve_batch(
     marched: dict[bytes, int] = {}
     slot = [marched.setdefault(row.tobytes(), len(marched)) for row in init]
     u = init[[slot.index(j) for j in range(len(marched))]]
-
-    # Each step reads every node's forward and backward differences d_f and
-    # d_b, times per-node coefficients built here with dt folded in.
-    # Centered first differences are monotone iff |b|*dx stays below the
-    # diffusion scale: 1 for the qv-driven equation (v cancels), vlo else;
-    # elsewhere the one-sided difference that follows the flow is used,
-    # and boundary nodes take it only when the flow enters the domain.
-    # Then dt*b*u_x = cf*d_f + cb*d_b, and dt*u_xx/2 = c2*(d_f - d_b)
-    # inside the domain, 0 on its zero-curvature boundary.
-    pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
-    upwind = np.abs(b) * dx > pe_limit
-    full, half = b * (dt / dx), b * (0.5 * dt / dx)
-    cf = np.where(upwind, np.where(b > 0.0, full, 0.0), half)
-    cb = np.where(upwind, np.where(b < 0.0, full, 0.0), half)
-    cf[0], cb[0] = full[0] if b[0] > 0.0 else 0.0, 0.0
-    cf[-1], cb[-1] = 0.0, full[-1] if b[-1] < 0.0 else 0.0
-    c2 = np.full(grid.nx, 0.5 * dt / dx**2)
-    c2[::grid.nx - 1] = 0.0
-    if kind is Kind.QV_DRIVEN:
-        # dt*q = (cf + c2)*d_f + (cb - c2)*d_b, q = b*u_x + u_xx/2
-        cf, cb = cf + c2, cb - c2
-        v_lo, v_hi = _operand(band.v_lo), _operand(band.v_hi)
-    else:
-        # dt*G(u_xx) = max(g_hi*D, g_lo*D), D = d_f - d_b, g = c2*v
-        g_lo, g_hi = np.tile(c2 * band.v_lo, len(u)), np.tile(c2 * band.v_hi, len(u))
     # one coefficient per node of the stack: a ufunc over contiguous flat
     # operands costs less than one that broadcasts a row over the stack
-    cf, cb = np.tile(cf, len(u)), np.tile(cb, len(u))
+    (a_lo, c_lo), (a_hi, c_hi) = [
+        (np.tile(a * dt, len(u)), np.tile(c * dt, len(u))) for a, c in maps
+    ]
 
     # The march works on u as one flat array, where one subtraction gives
     # both differences: with fp[1:-1] = u_{i+1} - u_i, fp[1:] is every
@@ -261,26 +261,17 @@ def solve_batch(
     # an overflow surfaces as a non-finite u, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
-            # forward Euler: u <- u + dt*rhs(u)
+            # forward Euler: u <- u + max(a_hi*d_f + c_hi*d_b, a_lo*d_f + c_lo*d_b)
             np.subtract(u_ahead, u_behind, out=fp_in)
             seams.fill(0.0)
-            if kind is Kind.QV_DRIVEN:
-                np.multiply(d_f, cf, out=k)
-                np.multiply(d_b, cb, out=t)
-                np.add(k, t, out=k)
-                # times v* = vhi where q >= 0, vlo elsewhere
-                np.multiply(k, v_lo, out=t)
-                np.multiply(k, v_hi, out=k)
-                np.maximum(k, t, out=k)
-            else:
-                np.subtract(d_f, d_b, out=t)
-                np.multiply(t, g_hi, out=k)
-                np.multiply(t, g_lo, out=t)
-                np.maximum(k, t, out=k)
-                np.multiply(d_f, cf, out=t)
-                np.add(k, t, out=k)
-                np.multiply(d_b, cb, out=t)
-                np.add(k, t, out=k)
+            np.multiply(d_f, a_hi, out=k)
+            np.multiply(d_b, c_hi, out=t)
+            np.add(k, t, out=k)
+            np.multiply(d_f, a_lo, out=t)
+            # d_b is read for the last time: the next step refills all of fp
+            np.multiply(d_b, c_lo, out=d_b)
+            np.add(t, d_b, out=t)
+            np.maximum(k, t, out=k)
             np.add(u_flat, k, out=u_flat)
             if step % 128 == 0 and not np.all(np.isfinite(u)):
                 raise RuntimeError(f"non-finite values at step {step}")

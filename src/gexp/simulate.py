@@ -93,20 +93,23 @@ def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
         # drawing thread never blocks on it
         failure = None
         tmp = scratch((S, size))
-        while (item := q.get()) is not None:
-            if failure is not None:
-                continue
-            Z, i0 = item
-            try:
-                for lo, views in mine:
-                    advance_block(views, tmp, Z, lo, i0)
-                i1 = i0 + len(Z)
-                if i1 % 256 == 0 and not all(
-                    np.all(np.isfinite(a)) for _, views in mine for a in views
-                ):
-                    failure = i1 - 1
-            except BaseException as exc:
-                failure = exc
+        # an overflow surfaces as a non-finite state, which the checks report;
+        # errstate is per thread, so each worker sets its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (item := q.get()) is not None:
+                if failure is not None:
+                    continue
+                Z, i0 = item
+                try:
+                    for lo, views in mine:
+                        advance_block(views, tmp, Z, lo, i0)
+                    i1 = i0 + len(Z)
+                    if i1 % 256 == 0 and not all(
+                        np.all(np.isfinite(a)) for _, views in mine for a in views
+                    ):
+                        failure = i1 - 1
+                except BaseException as exc:
+                    failure = exc
         return failure
 
     k = min(workers, len(blocks))

@@ -418,14 +418,19 @@ class TestUsage:
         assert message in capsys.readouterr().err
 
     def test_numerical_failure_exit_3(self, capsys):
-        with pytest.warns(RuntimeWarning):
+        # the steppers' overflow is reported by the non-finite check alone:
+        # a numpy RuntimeWarning from a worker thread came before the line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, _ = run_cli(
                 ["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "const:1e308",
                  "--kind", "time", "--x", "0", "--T", "4", "--method", "mc",
                  "--npaths", "100", "--nsteps", "8"]
             )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 3
-        assert "non-finite state at step 8" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "gexp: non-finite state at step 8\n", err
 
     def test_version_flag(self, capsys):
         import gexp

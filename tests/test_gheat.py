@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,9 @@ from gexp import (
     solve,
     solve_batch,
 )
+import gexp
 from gexp import gheat
-from gexp.gheat import CFL_SAFETY, _stable_dt, require_safe, safe_window
+from gexp.gheat import CFL_SAFETY, require_safe, safe_window
 from gexp.kernels import normal_expectation
 
 from conftest import classical_params
@@ -125,81 +130,84 @@ class TestGrid:
         assert calls == []
 
 
-def _n_steps(band, horizon, grid, b, kind):
-    bmax = 0.0 if b is None else float(np.max(np.abs(b)))
-    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * _stable_dt(grid, band, bmax, kind))))
+def _maps(band, grid, spec):
+    """Each band edge's three-point map, v_lo first, as rows (a, c) per unit
+    dt with beta*u_x + v*u_xx/2 = a*d_f + c*d_b: beta = v*b for the
+    qv-driven equation and b otherwise; a map is centered where
+    |beta|*dx <= v and follows the flow elsewhere, and a boundary node
+    takes the one-sided difference when the flow enters, with zero
+    curvature."""
+    dx = grid.dx
+    if spec is None:
+        spec = dataclasses.replace(make_drift("zero"), kind=Kind.TIME_DRIVEN)
+    b = spec.b(grid.xs)
+    maps = []
+    for v in (band.v_lo, band.v_hi):
+        beta = v * b if spec.kind is Kind.QV_DRIVEN else b
+        centered = np.abs(beta) * dx <= v
+        full, half = beta / dx, beta * (0.5 / dx)
+        a = np.where(centered, half, np.where(beta > 0.0, full, 0.0))
+        c = np.where(centered, half, np.where(beta < 0.0, full, 0.0))
+        a[0], c[0] = (full[0] if beta[0] > 0.0 else 0.0), 0.0
+        a[-1], c[-1] = 0.0, (full[-1] if beta[-1] < 0.0 else 0.0)
+        diffusion = np.zeros_like(b)
+        diffusion[1:-1] = 0.5 * v / grid.dx**2
+        maps.append((beta, a + diffusion, c - diffusion))
+    return maps
+
+
+def _n_steps(horizon, maps):
+    """The step count at CFL_SAFETY times the largest step that keeps every
+    map's weight 1 - dt*(a - c) on its own node nonnegative."""
+    dt_max = 1.0 / max(float(np.max(a - c)) for _, a, c in maps)
+    n_steps = max(1, math.ceil(horizon / (CFL_SAFETY * dt_max)))
     return n_steps, horizon / n_steps
 
 
 def reference_solve(payoff, band, horizon, grid, spec=None):
     """A one-payoff forward-Euler marcher in coefficient form, with its own
     allocating per-step arithmetic, kept as the bit-exact reference for
-    every row of solve_batch: dt times the right-hand side is a sum of each
-    node's forward and backward differences times coefficients built once."""
-    xs, dx = grid.xs, grid.dx
-    u = np.asarray(payoff(xs), dtype=float).copy()
-    if spec is None:
-        spec = dataclasses.replace(make_drift("zero"), kind=Kind.TIME_DRIVEN)
-    b, kind = spec.b(xs), spec.kind
-    n_steps, dt = _n_steps(band, horizon, grid, b, kind)
-    pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
-    centered = np.abs(b) * dx <= pe_limit
-    full, half = b * (dt / dx), b * (0.5 * dt / dx)
-    # dt*b*u_x = cf*d_f + cb*d_b
-    cf = np.where(centered, half, np.where(b > 0.0, full, 0.0))
-    cb = np.where(centered, half, np.where(b < 0.0, full, 0.0))
-    cf[0], cb[0] = (full[0] if b[0] > 0.0 else 0.0), 0.0
-    cf[-1], cb[-1] = 0.0, (full[-1] if b[-1] < 0.0 else 0.0)
-    # dt*u_xx/2 = c2*(d_f - d_b) inside, 0 on the zero-curvature boundary
-    c2 = np.zeros_like(u)
-    c2[1:-1] = 0.5 * dt / dx**2
+    every row of solve_batch: dt times the right-hand side is the max over
+    the band edges of a map that sums each node's forward and backward
+    differences times coefficients built once."""
+    u = np.asarray(payoff(grid.xs), dtype=float).copy()
+    maps = _maps(band, grid, spec)
+    n_steps, dt = _n_steps(horizon, maps)
+    (_, a_lo, c_lo), (_, a_hi, c_hi) = [(beta, a * dt, c * dt) for beta, a, c in maps]
     for _ in range(n_steps):
         d_f = np.append(np.diff(u), 0.0)
         d_b = np.insert(np.diff(u), 0, 0.0)
-        if kind is Kind.QV_DRIVEN:
-            q = (cf + c2) * d_f + (cb - c2) * d_b  # dt*q
-            u = u + np.maximum(q * band.v_lo, q * band.v_hi)
-        else:
-            d2 = d_f - d_b
-            g = np.maximum(d2 * (c2 * band.v_hi), d2 * (c2 * band.v_lo))  # dt*G(u_xx)
-            u = u + (g + d_f * cf + d_b * cb)
+        u = u + np.maximum(d_f * a_hi + d_b * c_hi, d_f * a_lo + d_b * c_lo)
     return u, dt, n_steps
 
 
 def stencil_reference(payoff, band, horizon, grid, spec=None):
-    """A one-payoff forward-Euler marcher in stencil form: it forms u_x and
-    u_xx, then the right-hand side, then u + dt*rhs, as the marcher did
-    before its coefficient form.  Every row of solve_batch meets it within
+    """A one-payoff forward-Euler marcher in stencil form: it forms u_xx and
+    each band edge's u_x, then the right-hand side max_v(beta*u_x +
+    v*u_xx/2), then u + dt*rhs.  Every row of solve_batch meets it within
     rounding."""
-    xs, dx = grid.xs, grid.dx
-    u = np.asarray(payoff(xs), dtype=float).copy()
-    b = None if spec is None else spec.b(xs)
-    kind = None if spec is None else spec.kind
-    n_steps, dt = _n_steps(band, horizon, grid, b, kind)
-    if b is not None:
-        pe_limit = 1.0 if kind is Kind.QV_DRIVEN else band.v_lo
-        centered = np.abs(b) * dx <= pe_limit
-    v_lo, v_hi = band.v_lo, band.v_hi
+    dx = grid.dx
+    u = np.asarray(payoff(grid.xs), dtype=float).copy()
+    maps = _maps(band, grid, spec)
+    n_steps, dt = _n_steps(horizon, maps)
+    edges = list(zip((band.v_lo, band.v_hi), (beta for beta, _, _ in maps)))
 
     def rhs(w):
         wxx = np.zeros_like(w)
         wxx[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) * (1.0 / dx**2)
-        g = 0.5 * (v_hi * np.maximum(wxx, 0.0) - v_lo * np.maximum(-wxx, 0.0))
-        if b is None:
-            return g
-        wx = np.zeros_like(w)
-        wx[1:-1] = (w[2:] - w[:-2]) * (0.5 / dx)
+        centered = np.zeros_like(w)
+        centered[1:-1] = (w[2:] - w[:-2]) * (0.5 / dx)
         fwd = np.zeros_like(w)
         fwd[:-1] = (w[1:] - w[:-1]) * (1.0 / dx)
         bwd = np.zeros_like(w)
         bwd[1:] = (w[1:] - w[:-1]) * (1.0 / dx)
-        wx = np.where(centered, wx, np.where(b > 0.0, fwd, np.where(b < 0.0, bwd, wx)))
-        wx[0] = fwd[0] if b[0] > 0.0 else 0.0
-        wx[-1] = bwd[-1] if b[-1] < 0.0 else 0.0
-        if kind is Kind.QV_DRIVEN:
-            q = b * wx + 0.5 * wxx
-            return np.where(q >= 0.0, v_hi, v_lo) * q
-        return b * wx + g
+        out = []
+        for v, beta in edges:
+            wx = np.where(np.abs(beta) * dx <= v, centered, np.where(beta > 0.0, fwd, bwd))
+            wx[0] = fwd[0] if beta[0] > 0.0 else 0.0
+            wx[-1] = bwd[-1] if beta[-1] < 0.0 else 0.0
+            out.append(beta * wx + 0.5 * v * wxx)
+        return np.maximum(*out)
 
     for _ in range(n_steps):
         u = u + dt * rhs(u)
@@ -258,7 +266,7 @@ class TestSolveBatch:
     @pytest.mark.parametrize("sigmas", [(0.5, 1.0), (0.8, 0.8)], ids=["0.5-1", "degenerate"])
     def test_rows_meet_the_stencil_form(self, eq, sigmas):
         # the coefficient form regroups the stencil's arithmetic: equal up to
-        # rounding (measured 1e-14 relative, node by node), with the same step
+        # rounding (measured 2.5e-15 relative, node by node), with the same step
         band, spec = VolatilityBand(*sigmas), _equations()[eq]
         grid = Grid1D(nx=201)
         rows = [
@@ -268,6 +276,16 @@ class TestSolveBatch:
             ref, dt, n_steps = stencil_reference(f, band, 0.5, grid, spec)
             assert (sol.dt, sol.n_steps) == (dt, n_steps)
             np.testing.assert_allclose(sol.values, ref, rtol=1e-12, atol=0.0, err_msg=f.id)
+
+    @pytest.mark.parametrize("eq", ["qv-ou", "time-ou", "gheat"])
+    def test_steps_of_the_default_march(self, eq):
+        # each map upwinds only where its centered difference is not
+        # monotone, so with ou on the default grid the step is dx^2/v_hi for
+        # every equation: 445 steps to T = 1.  One step bound for both maps,
+        # dx^2/(v_hi + dx*max|beta|), took 667 for either drift equation
+        band, grid = VolatilityBand(0.5, 1.0), Grid1D()
+        sol = solve(catalog()["sigmoid"], band, 1.0, grid, _equations()[eq])
+        assert sol.n_steps == 445
 
     @pytest.mark.parametrize("kind", list(Kind))
     def test_duplicate_rows_march_once(self, kind, monkeypatch):
@@ -322,7 +340,8 @@ class TestSolveBatch:
         checkerboard = TestFunction(
             "checkerboard", lambda x: 1e300 * (-1.0) ** np.arange(x.size), positivity=False
         )
-        horizon = 10 * 50.0 * _stable_dt(grid, band, 0.0, Kind.TIME_DRIVEN)
+        # 9.5 of the drift-free steps dx^2/v_hi: 10 steps, whatever the rounding
+        horizon = 9.5 * 50.0 * grid.dx**2 / band.v_hi
         with pytest.raises(RuntimeError, match="non-finite values at final step 10"):
             solve_batch([checkerboard], band, horizon, grid)
 
@@ -448,8 +467,7 @@ class TestMonotoneMarch:
     def _differences(self, drift, kind, steps=4):
         band, grid = VolatilityBand(0.5, 1.0), Grid1D(nx=201)
         spec = dataclasses.replace(make_drift(drift), kind=kind)
-        b = spec.b(grid.xs)
-        # tanh:20 upwinds |x| > 0.55 (qv-driven) and |x| > 0.25 (time-driven)
+        # tanh:20 upwinds |x| > 0.55, and in the time-driven v_lo map |x| > 0.13
         nodes = [int(np.argmin(np.abs(grid.xs - x))) for x in (-2.0, 0.0, 0.6, 2.0)]
         cauchy = catalog()["cauchy"]  # curvature switches at |x| = 0.577
 
@@ -459,8 +477,12 @@ class TestMonotoneMarch:
                 lambda x: cauchy(x) + np.where(np.arange(x.size) == j, self.DELTA, 0.0),
             )
 
-        horizon = steps * gheat.CFL_SAFETY * _stable_dt(grid, band, float(np.max(np.abs(b))), kind)
-        sols = solve_batch([cauchy] + [raised(j) for j in nodes], band, horizon, grid, spec)
+        # the step that solve_batch takes at this CFL_SAFETY, to within a
+        # hundredth: the step of a march of at least a hundred steps
+        probe = solve(cauchy, band, 4.0, grid, spec)
+        assert probe.n_steps >= 100
+        dt = probe.dt
+        sols = solve_batch([cauchy] + [raised(j) for j in nodes], band, steps * dt, grid, spec)
         assert sols[0].n_steps in (steps, steps + 1)
         return np.stack([sol.values - sols[0].values for sol in sols[1:]])
 
@@ -472,11 +494,76 @@ class TestMonotoneMarch:
         assert np.max(diffs) <= self.DELTA + 1e-15
 
     @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("drift", ["tanh:20", "ou"])
+    def test_monotone_at_the_full_step(self, drift, kind, monkeypatch):
+        # the step is the largest at which every map keeps its weights >= 0
+        monkeypatch.setattr(gheat, "CFL_SAFETY", 1.0)
+        diffs = self._differences(drift, kind)
+        assert np.min(diffs) >= -1e-15
+        assert np.max(diffs) <= self.DELTA + 1e-15
+
+    @pytest.mark.parametrize("kind", list(Kind))
     def test_fails_above_the_cfl_step(self, kind, monkeypatch):
-        # the check has teeth: at 1.5 times the stable step it fails
+        # the check has teeth: at 1.5 times the stable step it fails, both
+        # where the step is bound by an upwinded node (tanh:20) and where it
+        # is bound by the centered diffusion (ou)
         monkeypatch.setattr(gheat, "CFL_SAFETY", 1.5)
-        diffs = self._differences("tanh:20", kind)
-        assert np.min(diffs) < -1e-15 or np.max(diffs) > self.DELTA + 1e-15
+        for drift in ("tanh:20", "ou"):
+            diffs = self._differences(drift, kind)
+            assert np.min(diffs) < -1e-15 or np.max(diffs) > self.DELTA + 1e-15, drift
+
+
+def _avx512() -> bool:
+    """Whether numpy finds AVX512F and the X86_V4 level that dispatches to it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX512F") and __cpu_features__.get("X86_V4"))
+
+
+# Solves stacks whose initial rows use no exp, log or power, and prints the
+# sha256 of every marched row and whether numpy dispatches to X86_V4.
+_DISPATCH_CHILD = """
+import dataclasses, hashlib, itertools
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from gexp import Grid1D, Kind, TestFunction, VolatilityBand, make_drift, solve_batch
+rows = [
+    TestFunction("tanh-step", lambda x: 0.5 * (1.0 + np.tanh(x))),
+    TestFunction("sqclip", lambda x: np.minimum(x * x, 25.0), bound=25.0),
+    TestFunction("neg-sqclip", lambda x: -np.minimum(x * x, 25.0), positivity=False, bound=25.0),
+]
+digest = hashlib.sha256()
+for drift, kind, sigmas in itertools.product(
+    ("ou", "tanh:2", "tanh:20", "const:0.8"), Kind, ((0.5, 1.0), (0.25, 1.0))
+):
+    spec = dataclasses.replace(make_drift(drift), kind=kind)
+    for sol in solve_batch(rows, VolatilityBand(*sigmas), 1.0, Grid1D(), spec):
+        digest.update(sol.values.tobytes())
+print(digest.hexdigest(), bool(__cpu_features__.get("X86_V4")))
+"""
+
+
+@pytest.mark.skipif(not _avx512(), reason="numpy dispatches to no AVX-512 loops here")
+def test_march_is_dispatch_stable():
+    """A step adds, subtracts, multiplies and takes maxima, which IEEE 754
+    rounds exactly whatever the SIMD loop: from the same initial bytes the
+    march gives the same bytes with numpy's AVX-512 loops turned off."""
+    src = str(Path(gexp.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = src
+    outputs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_CHILD], capture_output=True, text=True,
+            env={**env, **extra},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    (full, full_v4), (v3, v3_v4) = outputs
+    assert (full_v4, v3_v4) == ("True", "False")
+    assert full == v3
 
 
 class TestPbarPde:
