@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import json
@@ -440,6 +441,113 @@ class TestUsage:
 
             build_parser().parse_args(["--version"])
         assert gexp.__version__ == "0.1.0"
+
+
+_PAYOFFS = ("bump", "cauchy", "one", "sigmoid", "sqclip")
+_COMMON = [
+    ("format", False, "json", ("json", "csv"), None),
+    ("out", False, None, None, None),
+    ("config", False, None, None, None),
+    ("seed", False, None, None, "parse"),
+    ("workers", False, None, None, "parse"),
+]
+# each subcommand's options in --help order: (dest, required, default,
+# choices, type name)
+_SURFACE = {
+    "gheat": [
+        ("band", True, None, None, "_band"),
+        ("payoff", True, None, _PAYOFFS, None),
+        ("T", True, None, None, "_finite_float"),
+        ("xmin", False, -10.0, None, "_finite_float"),
+        ("xmax", False, 10.0, None, "_finite_float"),
+        ("nx", False, 401, None, "int"),
+    ],
+    "pbar": [
+        ("kind", True, None, ("qv", "time"), None),
+        ("drift", True, None, None, None),
+        ("band", True, None, None, "_band"),
+        ("payoff", True, None, _PAYOFFS, None),
+        ("T", True, None, None, "_finite_float"),
+        ("x", True, None, None, "_finite_float"),
+        ("method", False, "both", ("pde", "mc", "both"), None),
+        ("npaths", False, 20000, None, "int"),
+        ("nsteps", False, 256, None, "int"),
+        ("pieces", False, 2, None, "int"),
+        ("levels", False, 3, None, "int"),
+        ("nx", False, 401, None, "int"),
+    ],
+    "harnack": [
+        ("drift", True, None, None, None),
+        ("K", False, None, None, "_finite_float"),
+        ("band", True, None, None, "_band"),
+        ("p", True, None, None, "_finite_float"),
+        ("T", True, None, None, "_finite_float"),
+        ("x", True, None, None, "_finite_float"),
+        ("y", True, None, None, "_finite_float"),
+        ("payoff", True, None, _PAYOFFS, None),
+    ],
+    "shift-harnack": [
+        ("drift", True, None, None, None),
+        ("K", False, None, None, "_finite_float"),
+        ("band", True, None, None, "_band"),
+        ("p", True, None, None, "_finite_float"),
+        ("T", True, None, None, "_finite_float"),
+        ("x", True, None, None, "_finite_float"),
+        ("v", True, None, None, "_finite_float"),
+        ("payoff", True, None, _PAYOFFS, None),
+    ],
+    "coupling": [
+        ("drift", False, "ou", None, None),
+        ("band", True, None, None, "_band"),
+        ("x", True, None, None, "_finite_float"),
+        ("y", True, None, None, "_finite_float"),
+        ("T", False, 1.0, None, "_finite_float"),
+        ("p", False, 2.0, None, "_finite_float"),
+        ("payoff", False, "sigmoid", _PAYOFFS, None),
+        ("pieces", False, 2, None, "int"),
+        ("levels", False, 3, None, "int"),
+        ("npaths", False, 10000, None, "int"),
+        ("nsteps", False, 4096, None, "int"),
+    ],
+    "kernels": [
+        ("alpha", False, 2.0, None, "_finite_float"),
+    ],
+    "axioms": [
+        ("drift", False, "zero", None, None),
+        ("band", True, None, None, "_band"),
+        ("T", False, 1.0, None, "_finite_float"),
+    ],
+}
+
+
+class TestOptionSurface:
+    """Each subcommand accepts exactly these options, with these parse rules,
+    defaults and required flags, in this order."""
+
+    @staticmethod
+    def _subparsers():
+        from gexp.cli import build_parser
+
+        parser = build_parser()
+        assert parser.allow_abbrev is False
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return subs.choices
+
+    def test_subcommands(self):
+        assert list(self._subparsers()) == list(_SURFACE)
+
+    @pytest.mark.parametrize("command", list(_SURFACE))
+    def test_options(self, command):
+        sub = self._subparsers()[command]
+        assert sub.allow_abbrev is False
+        actions = [a for a in sub._actions if a.dest != "help"]
+        assert [a.option_strings for a in actions] == [[f"--{a.dest}"] for a in actions]
+        surface = [
+            (a.dest, a.required, a.default, None if a.choices is None else tuple(a.choices),
+             None if a.type is None else a.type.__name__)
+            for a in actions
+        ]
+        assert surface == _SURFACE[command] + _COMMON
 
 
 class TestReports:
