@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -89,14 +88,20 @@ def _finite_float(text: str) -> float:
     return x
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--config", default=None, help="key = value configuration file")
-    sub.add_argument("--seed", type=_seed, default=None,
-                     help="RNG seed (default GEXP_SEED or %d)" % DEFAULT_SEED)
-    sub.add_argument("--workers", type=_int_from(1), default=None,
-                     help="Monte Carlo stepping threads (default: the core count)")
+# each subcommand option's parse rule: its type or its choices, and any help
+_OPTIONS = {
+    **dict.fromkeys(("T", "p", "x", "y", "v", "xmin", "xmax", "alpha"), {"type": _finite_float}),
+    **dict.fromkeys(("nx", "npaths", "nsteps", "pieces", "levels"), {"type": int}),
+    "band": {"type": _band},
+    "drift": {},
+    "K": {"type": _finite_float, "help": "override the drift catalog Lipschitz constant"},
+    "kind": {"choices": ("qv", "time")},
+    "method": {"choices": ("pde", "mc", "both")},
+    "payoff": {"choices": sorted(catalog())},
+}
+
+# the default that marks an option required: --K's default is None
+_REQUIRED = object()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,79 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gexp", allow_abbrev=False)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
-
-    s = add_parser("gheat", help="solve the nonlinear heat equation and dump u(T, .)")
-    s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    s.add_argument("--T", type=_finite_float, required=True)
-    s.add_argument("--xmin", type=_finite_float, default=-10.0)
-    s.add_argument("--xmax", type=_finite_float, default=10.0)
-    s.add_argument("--nx", type=int, default=401)
-    _add_common(s)
-
-    s = add_parser("pbar", help="worst-case semigroup value, PDE and/or MC")
-    s.add_argument("--kind", choices=("qv", "time"), required=True)
-    s.add_argument("--drift", required=True)
-    s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    s.add_argument("--T", type=_finite_float, required=True)
-    s.add_argument("--x", type=_finite_float, required=True)
-    s.add_argument("--method", choices=("pde", "mc", "both"), default="both")
-    s.add_argument("--npaths", type=int, default=20000)
-    s.add_argument("--nsteps", type=int, default=256)
-    s.add_argument("--pieces", type=int, default=2)
-    s.add_argument("--levels", type=int, default=3)
-    s.add_argument("--nx", type=int, default=401)
-    _add_common(s)
-
-    s = add_parser("harnack", help="two-point Harnack certificate")
-    s.add_argument("--drift", required=True)
-    s.add_argument("--K", type=_finite_float, default=None,
-                   help="override the drift catalog Lipschitz constant")
-    s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--p", type=_finite_float, required=True)
-    s.add_argument("--T", type=_finite_float, required=True)
-    s.add_argument("--x", type=_finite_float, required=True)
-    s.add_argument("--y", type=_finite_float, required=True)
-    s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    _add_common(s)
-
-    s = add_parser("shift-harnack", help="shift Harnack certificate")
-    s.add_argument("--drift", required=True)
-    s.add_argument("--K", type=_finite_float, default=None)
-    s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--p", type=_finite_float, required=True)
-    s.add_argument("--T", type=_finite_float, required=True)
-    s.add_argument("--x", type=_finite_float, required=True)
-    s.add_argument("--v", type=_finite_float, required=True)
-    s.add_argument("--payoff", required=True, choices=sorted(catalog()))
-    _add_common(s)
-
-    s = add_parser("coupling", help="coupling / change-of-measure diagnostics")
-    s.add_argument("--drift", default="ou")
-    s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--x", type=_finite_float, required=True)
-    s.add_argument("--y", type=_finite_float, required=True)
-    s.add_argument("--T", type=_finite_float, default=1.0)
-    s.add_argument("--p", type=_finite_float, default=2.0)
-    s.add_argument("--payoff", default="sigmoid", choices=sorted(catalog()))
-    s.add_argument("--pieces", type=int, default=2)
-    s.add_argument("--levels", type=int, default=3)
-    s.add_argument("--npaths", type=int, default=10000)
-    s.add_argument("--nsteps", type=int, default=4096)
-    _add_common(s)
-
-    s = add_parser("kernels", help="OU kernel suite and the density probe")
-    s.add_argument("--alpha", type=_finite_float, default=2.0)
-    _add_common(s)
-
-    s = add_parser("axioms", help="sublinear-expectation axiom suite")
-    s.add_argument("--drift", default="zero")
-    s.add_argument("--band", type=_band, required=True)
-    s.add_argument("--T", type=_finite_float, default=1.0)
-    _add_common(s)
-
+    for name, (help_text, _, options) in _COMMANDS.items():
+        s = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for key, default in options.items():
+            if default is _REQUIRED:
+                s.add_argument(f"--{key}", required=True, **_OPTIONS[key])
+            else:
+                s.add_argument(f"--{key}", default=default, **_OPTIONS[key])
+        s.add_argument("--format", choices=("json", "csv"), default="json")
+        s.add_argument("--out", default=None, help="output path (default stdout)")
+        s.add_argument("--config", default=None, help="key = value configuration file")
+        s.add_argument("--seed", type=_seed, default=None,
+                       help="RNG seed (default GEXP_SEED or %d)" % DEFAULT_SEED)
+        s.add_argument("--workers", type=_int_from(1), default=None,
+                       help="Monte Carlo stepping threads (default: the core count)")
     return parser
 
 
@@ -191,7 +137,7 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+            values[key] = val
     return values
 
 
@@ -254,8 +200,7 @@ def _cmd_gheat(args):
 def _cmd_pbar(args):
     from .gheat import Grid1D, pbar_pde
 
-    kind = Kind.QV_DRIVEN if args.kind == "qv" else Kind.TIME_DRIVEN
-    spec = _spec(args.drift, kind)
+    spec = _spec(args.drift, Kind(args.kind))
     payoff = catalog()[args.payoff]
     grid = Grid1D(nx=args.nx)
     report = {}
@@ -279,24 +224,19 @@ def _cmd_pbar(args):
     return report, rows, ["key", "value"], ok
 
 
-def _cmd_certificate(verify, kind, y_or_shift, args):
-    """Harnack-type certificate from `verify` for the equation of `kind`."""
+def _cmd_certificate(args):
+    """The Harnack certificate of x and y for the qv-driven equation, or the
+    shift Harnack certificate of x and the shift v for the time-driven one."""
+    from .harnack import verify_harnack, verify_shift_harnack
+
+    if args.command == "harnack":
+        verify, kind, y_or_shift = verify_harnack, Kind.QV_DRIVEN, args.y
+    else:
+        verify, kind, y_or_shift = verify_shift_harnack, Kind.TIME_DRIVEN, args.v
     spec = _spec(args.drift, kind, args.K)
     cert = verify(spec, catalog()[args.payoff], args.x, y_or_shift, args.p, args.T, args.band)
     d = cert.to_dict()
     return {"certificate": d}, [[d[k] for k in sorted(d)]], sorted(d), cert.passed
-
-
-def _cmd_harnack(args):
-    from .harnack import verify_harnack
-
-    return _cmd_certificate(verify_harnack, Kind.QV_DRIVEN, args.y, args)
-
-
-def _cmd_shift_harnack(args):
-    from .harnack import verify_shift_harnack
-
-    return _cmd_certificate(verify_shift_harnack, Kind.TIME_DRIVEN, args.v, args)
 
 
 def _cmd_coupling(args):
@@ -344,18 +284,39 @@ def _cmd_axioms(args):
     return result, rows, ["check", "violation", "limit", "pass"], result["all_pass"]
 
 
-# each handler returns its report (the config is added here), the CSV rows
-# and header, and its verdict.  It imports the library functions it calls
-# when it runs, so a command loads only its own modules and a rebound module
-# attribute (a tracer, a mock) takes effect
-_DISPATCH = {
-    "gheat": _cmd_gheat,
-    "pbar": _cmd_pbar,
-    "harnack": _cmd_harnack,
-    "shift-harnack": _cmd_shift_harnack,
-    "coupling": _cmd_coupling,
-    "kernels": _cmd_kernels,
-    "axioms": _cmd_axioms,
+# one row per subcommand: its help, its handler and its options, in --help
+# order, each with its default or _REQUIRED.  A handler returns its report
+# (the config is added here), the CSV rows and header, and its verdict.  It
+# imports the library functions it calls when it runs, so a command loads
+# only its own modules and a rebound module attribute (a tracer, a mock)
+# takes effect
+_COMMANDS = {
+    "gheat": ("solve the nonlinear heat equation and dump u(T, .)", _cmd_gheat, {
+        "band": _REQUIRED, "payoff": _REQUIRED, "T": _REQUIRED,
+        "xmin": -10.0, "xmax": 10.0, "nx": 401,
+    }),
+    "pbar": ("worst-case semigroup value, PDE and/or MC", _cmd_pbar, {
+        "kind": _REQUIRED, "drift": _REQUIRED, "band": _REQUIRED, "payoff": _REQUIRED,
+        "T": _REQUIRED, "x": _REQUIRED, "method": "both", "npaths": 20000, "nsteps": 256,
+        "pieces": 2, "levels": 3, "nx": 401,
+    }),
+    "harnack": ("two-point Harnack certificate", _cmd_certificate, {
+        "drift": _REQUIRED, "K": None, "band": _REQUIRED, "p": _REQUIRED, "T": _REQUIRED,
+        "x": _REQUIRED, "y": _REQUIRED, "payoff": _REQUIRED,
+    }),
+    "shift-harnack": ("shift Harnack certificate", _cmd_certificate, {
+        "drift": _REQUIRED, "K": None, "band": _REQUIRED, "p": _REQUIRED, "T": _REQUIRED,
+        "x": _REQUIRED, "v": _REQUIRED, "payoff": _REQUIRED,
+    }),
+    "coupling": ("coupling / change-of-measure diagnostics", _cmd_coupling, {
+        "drift": "ou", "band": _REQUIRED, "x": _REQUIRED, "y": _REQUIRED, "T": 1.0,
+        "p": 2.0, "payoff": "sigmoid", "pieces": 2, "levels": 3, "npaths": 10000,
+        "nsteps": 4096,
+    }),
+    "kernels": ("OU kernel suite and the density probe", _cmd_kernels, {"alpha": 2.0}),
+    "axioms": ("sublinear-expectation axiom suite", _cmd_axioms, {
+        "drift": "zero", "band": _REQUIRED, "T": 1.0,
+    }),
 }
 
 
@@ -382,7 +343,8 @@ def main(argv=None) -> int:
         print(f"gexp: {exc}", file=sys.stderr)
         return 2
     try:
-        report, csv_rows, csv_header, ok = _DISPATCH[args.command](args)
+        _, run, _ = _COMMANDS[args.command]
+        report, csv_rows, csv_header, ok = run(args)
         _emit(args, {"config": _resolved_config(args), **report}, csv_rows, csv_header)
     except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"gexp: {exc}", file=sys.stderr)

@@ -35,7 +35,8 @@ class VolatilityBand:
     """Uncertainty interval [sigma_lo, sigma_hi] for the volatility.
 
     The quadratic variation of the driving noise accrues at a squared rate
-    confined to [sigma_lo**2, sigma_hi**2].  A degenerate band
+    confined to [sigma_lo**2, sigma_hi**2], and both squares must be
+    positive floats short of overflow.  A degenerate band
     sigma_lo == sigma_hi recovers the classical (single-measure) setting.
     """
 
@@ -50,6 +51,15 @@ class VolatilityBand:
         if not (0.0 < self.sigma_lo <= self.sigma_hi):
             raise ValueError(
                 f"need 0 < sigma_lo <= sigma_hi, got ({self.sigma_lo}, {self.sigma_hi})"
+            )
+        try:
+            squares_in_range = self.sigma_lo**2 > 0.0 and math.isfinite(self.sigma_hi**2)
+        except OverflowError:  # a float's ** raises where the square overflows
+            squares_in_range = False
+        if not squares_in_range:
+            raise ValueError(
+                f"need sigma_lo**2 > 0 and a finite sigma_hi**2, "
+                f"got ({self.sigma_lo}, {self.sigma_hi})"
             )
 
     @property

@@ -46,11 +46,6 @@ solves at P = 1..32, ou drift, both kinds, three runs, on a 2-core x86-64
 box).  The fixed part is numpy call overhead: a step is 10 calls for
 either equation on flat contiguous operands, whatever P is and wherever a
 map upwinds.
-The max form G(a) = (max(vhi*a, vlo*a) + 0.0) / 2 of g_operator gives the
-bits of (vhi*a+ - vlo*a-)/2: each product has the sign of its factor,
-rounding is monotone and a sign flip is exact, so the larger product is
-the one the two-sided form takes; + 0.0 maps the -0.0 of a = -0.0 (or of
-an underflowing vlo*a) to the +0.0 that the two-sided form gives.
 """
 
 from __future__ import annotations
@@ -115,35 +110,18 @@ class PdeSolution:
         return float(np.interp(x, g.xs, self.values))
 
 
-def _operand(x: float) -> np.ndarray:
-    """x as a read-only 0-d float64 array: a ufunc takes it with the bits of
-    the float, but without the scalar conversion that a Python float operand
-    costs every call."""
-    a = np.array(x, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-_ZERO, _HALF = _operand(0.0), _operand(0.5)
-
-
-def _g_into(a, v_lo, v_hi, out, tmp) -> None:
-    """out = G(a) = (max(vhi*a, vlo*a) + 0.0) / 2; out, tmp must not overlap a."""
-    np.multiply(a, v_hi, out=out)
-    np.multiply(a, v_lo, out=tmp)
-    np.maximum(out, tmp, out=out)
-    np.add(out, _ZERO, out=out)
-    np.multiply(out, _HALF, out=out)
-
-
 def g_operator(a, band: VolatilityBand):
     """1-D nonlinear generator G(a) = (vhi*max(a,0) - vlo*max(-a,0)) / 2.
 
-    Positively homogeneous and subadditive in a.
+    Positively homogeneous and subadditive in a.  The max form
+    (max(vhi*a, vlo*a) + 0.0) / 2 gives the bits of the two-sided one: each
+    product has the sign of its factor, rounding is monotone and a sign flip
+    is exact, so the larger product is the one the two-sided form takes;
+    + 0.0 maps the -0.0 of a = -0.0 (or of an underflowing vlo*a) to the
+    +0.0 that the two-sided form gives.
     """
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    _g_into(a, band.v_lo, band.v_hi, out, np.empty_like(a))
+    out = (np.maximum(a * band.v_hi, a * band.v_lo) + 0.0) * 0.5
     return float(out) if out.ndim == 0 else out
 
 

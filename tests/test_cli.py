@@ -8,7 +8,6 @@ import re
 import shutil
 import subprocess
 import sys
-import tomllib
 import warnings
 from pathlib import Path
 
@@ -54,6 +53,16 @@ class TestUsage:
             ["gheat", "--band", "one,two", "--payoff", "sigmoid", "--T", "1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("band", ["1e-200,1e-200", "1,1e200", "1e-200,1"])
+    def test_band_squares_outside_the_float_range_exit_2(self, capsys, band):
+        # the first died with a ZeroDivisionError and the second with an
+        # OverflowError traceback (exit 1); the third ran with v_lo = 0
+        code, out = run_cli(["gheat", "--band", band, "--payoff", "sigmoid", "--T", "1"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert f"argument --band: bad band {band!r}: need sigma_lo**2 > 0" in err
 
     @pytest.mark.parametrize(
         "flags", [["--band", "0.5,inf"], ["--band", "0.5,1", "--xmax=inf"]],
@@ -703,6 +712,15 @@ class TestConfigFile:
         )
         assert code == 2
 
+    def test_unknown_config_key_reported_as_written(self, tmp_path, capsys):
+        # the key was reported as 'x_min', a name the user never wrote
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("x-min = 1\n")
+        code, out = run_cli(_GHEAT + ["--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "gexp: unknown configuration key 'x-min'\n"
+
     @pytest.mark.parametrize("line", ["command = kernels", "config = other.cfg", "alpha = 3"])
     def test_non_option_config_key_exit_2(self, tmp_path, capsys, line):
         # only options of the chosen subcommand: `command` may not switch it,
@@ -916,7 +934,8 @@ class TestEntryPoint:
         process and prints the version.  A checkout run with PYTHONPATH=src
         has no `gexp` script, so the declared target is called the way the
         console-script wrapper calls it; an installed `gexp` found on PATH is
-        run as well."""
+        run as well.  tomllib is new in Python 3.11, so on 3.10 this skips."""
+        tomllib = pytest.importorskip("tomllib")
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["gexp"]
         module, func = target.split(":")

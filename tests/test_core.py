@@ -26,11 +26,19 @@ class TestVolatilityBand:
     @pytest.mark.parametrize(
         "lo,hi",
         [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (0.5, math.inf), (math.inf, math.inf),
-         (math.nan, 1.0), (0.5, math.nan)],
+         (math.nan, 1.0), (0.5, math.nan),
+         # squares outside the float range: v_lo = 1e-400 rounded to 0, and
+         # v_hi = 1e400 raised OverflowError
+         (1e-200, 1e-200), (1.0, 1e200), (1e-200, 1.0)],
     )
     def test_invalid(self, lo, hi):
         with pytest.raises(ValueError):
             VolatilityBand(lo, hi)
+
+    def test_squares_at_the_edge_of_the_float_range(self):
+        # the smallest sigma_lo and largest sigma_hi are near 2.2e-162 and 1.3e154
+        b = VolatilityBand(1e-160, 1e154)
+        assert b.v_lo > 0.0 and math.isfinite(b.v_hi)
 
 
 class TestScenario:

@@ -56,7 +56,7 @@ class TestGOperator:
 
     @pytest.mark.parametrize("sigmas", [(0.5, 1.0), (0.7, 0.7)])
     def test_bits_of_two_sided_formula(self, sigmas):
-        # the max form shared with the marcher against the two-sided formula,
+        # the max form of g_operator against the two-sided formula,
         # byte for byte, signed zeros and subnormal products included
         band = VolatilityBand(*sigmas)
         special = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324]
