@@ -40,12 +40,17 @@ once and copied back to every payoff.
 
 The maps' coefficient rows are built once per solve with dt folded in,
 and one subtraction over the flat stack gives every node's forward and
-backward differences.  At nx = 401 a step costs about 3-4 us fixed,
-plus about 1.3-1.5 us per marched row (lines fitted to the min of 21
-solves at P = 1..32, ou drift, both kinds, three runs, on a 2-core x86-64
-box).  The fixed part is numpy call overhead: a step is 10 calls for
-either equation on flat contiguous operands, whatever P is and wherever a
-map upwinds.
+backward differences.  Every array a step stores into or streams from
+starts on a 64-byte boundary: numpy aligns data to 16 bytes only, and a
+SIMD load or store that straddles two cache lines costs more, so at
+numpy's alignment a step's speed depended on what the process had
+allocated before (steps at P = 16 and 32 took about 1.4 times as long).
+At nx = 401 a step costs about 4 us fixed, plus about 0.9-1.0 us per
+marched row (lines fitted to the min of 21 solves at P = 1, 2, 4, ..., 32,
+ou drift, both kinds, three runs, on a 2-core x86-64 box with AVX-512).
+The fixed part is numpy call overhead: a step is 10 calls for either
+equation on flat contiguous operands, whatever P is and wherever a map
+upwinds.
 """
 
 from __future__ import annotations
@@ -137,6 +142,15 @@ def _march_steps(grid: Grid1D, horizon: float, dt_max: float) -> float:
     return steps
 
 
+def _aligned(n: int, lead: int = 0) -> np.ndarray:
+    """A writable length-n float64 view whose element `lead` starts on a
+    64-byte boundary, cut from a buffer 7 elements longer (numpy aligns
+    its data to 16 bytes only)."""
+    buf = np.empty(n + 7)
+    skip = (-(buf.ctypes.data + 8 * lead) % 64) // 8
+    return buf[skip:skip + n]
+
+
 def _map_rows(beta: np.ndarray, v: float, dx: float, dx2: float):
     """Rows a, c with beta*u_x + v*u_xx/2 = a*d_f + c*d_b at every node,
     d_f and d_b the node's forward and backward differences.
@@ -218,23 +232,31 @@ def solve_batch(
     # takes the first row of each group; slot[i] is payoff i's marched row
     marched: dict[bytes, int] = {}
     slot = [marched.setdefault(row.tobytes(), len(marched)) for row in init]
-    u = init[[slot.index(j) for j in range(len(marched))]]
-    # one coefficient per node of the stack: a ufunc over contiguous flat
-    # operands costs less than one that broadcasts a row over the stack
-    (a_lo, c_lo), (a_hi, c_hi) = [
-        (np.tile(a * dt, len(u)), np.tile(c * dt, len(u))) for a, c in maps
-    ]
+    # u, the coefficient rows, fp, k and t start on 64-byte boundaries (see
+    # the module docstring)
+    u = _aligned(len(marched) * grid.nx).reshape(len(marched), grid.nx)
+    u[:] = init[[slot.index(j) for j in range(len(marched))]]
+
+    def stacked(row):
+        # one coefficient per node of the stack: a ufunc over contiguous flat
+        # operands costs less than one that broadcasts a row over the stack
+        out = _aligned(u.size)
+        out.reshape(u.shape)[:] = row * dt
+        return out
+
+    (a_lo, c_lo), (a_hi, c_hi) = [(stacked(a), stacked(c)) for a, c in maps]
 
     # The march works on u as one flat array, where one subtraction gives
     # both differences: with fp[1:-1] = u_{i+1} - u_i, fp[1:] is every
     # node's d_f and fp[:-1] its d_b.  The differences across a seam between
     # two rows, and the pads fp[0] and fp[-1], are set to 0, so every row
-    # reads only its own nodes.
+    # reads only its own nodes.  fp[1] is the aligned element: fp[1:] is
+    # both the subtraction's store and d_f.
     u_flat = u.reshape(-1)
     u_ahead, u_behind = u_flat[1:], u_flat[:-1]
-    fp = np.zeros(u.size + 1)
+    fp = _aligned(u.size + 1, lead=1)
     fp_in, seams, d_f, d_b = fp[1:-1], fp[::grid.nx], fp[1:], fp[:-1]
-    k, t = np.empty_like(u).reshape(-1), np.empty_like(u).reshape(-1)
+    k, t = _aligned(u.size), _aligned(u.size)
 
     # an overflow surfaces as a non-finite u, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):

@@ -228,6 +228,78 @@ def _equations():
     return eqs
 
 
+def _views_at(offset):
+    """A stand-in for gheat._aligned whose views put element `lead` offset
+    bytes past a 64-byte boundary."""
+
+    def views(n, lead=0):
+        buf = np.empty(n + 8)
+        skip = (offset - buf.ctypes.data - 8 * lead) % 64 // 8
+        view = buf[skip:skip + n]
+        assert (view.ctypes.data + 8 * lead) % 64 == offset
+        return view
+
+    return views
+
+
+def _mixed_stack():
+    """Every catalog payoff with mixed powers and shifts, P = 15."""
+    return [g for f in catalog().values() for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))]
+
+
+class TestAlignedBuffers:
+    @pytest.mark.parametrize("base", range(0, 64, 8))
+    def test_views_start_on_64_bytes(self, base, monkeypatch):
+        # np.empty at every 8-byte offset from a boundary, not only the
+        # 16-byte ones that malloc hands out
+        class Numpy:  # gheat's numpy, whose empty returns views base bytes past a boundary
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, n):
+                return _views_at(base)(n)
+
+        monkeypatch.setattr(gheat, "np", Numpy())
+        for n, lead in itertools.product(range(1, 65), (0, 1)):
+            view = gheat._aligned(n, lead)
+            assert view.shape == (n,) and view.dtype == np.float64
+            assert view.flags.c_contiguous and view.flags.writeable
+            assert (view.ctypes.data + 8 * lead) % 64 == 0, (n, lead)
+
+    @pytest.mark.parametrize("kind", list(Kind))
+    @pytest.mark.parametrize("P", [1, 7, 32])
+    def test_march_buffers_aligned(self, kind, P, monkeypatch):
+        # the march takes from the helper, in any order: u, the four
+        # coefficient rows, k and t (P*nx each), and fp with fp[1] aligned
+        grid = Grid1D(nx=201)
+        spec = dataclasses.replace(make_drift("ou"), kind=kind)
+        rows = [catalog()["sigmoid"].shifted(0.01 * i) for i in range(P)]
+        views, aligned = [], gheat._aligned
+
+        def spy(n, lead=0):
+            views.append((aligned(n, lead), lead))
+            return views[-1][0]
+
+        monkeypatch.setattr(gheat, "_aligned", spy)
+        sols = solve_batch(rows, VolatilityBand(0.5, 1.0), 0.1, grid, spec)
+        size = P * grid.nx
+        assert sorted((len(v), lead) for v, lead in views) == [(size, 0)] * 7 + [(size + 1, 1)]
+        for view, lead in views:
+            assert (view.ctypes.data + 8 * lead) % 64 == 0
+        stack = np.concatenate([sol.values for sol in sols]).tobytes()
+        assert any(view.tobytes() == stack for view, _ in views)  # u is one of them
+
+    @pytest.mark.parametrize("eq", list(_equations()))
+    def test_layout_moves_no_byte(self, eq, monkeypatch):
+        band, spec, grid = VolatilityBand(0.5, 1.0), _equations()[eq], Grid1D(nx=201)
+        rows = _mixed_stack()
+        want = [sol.values.tobytes() for sol in solve_batch(rows, band, 0.5, grid, spec)]
+        for offset in (8, 16, 32):
+            monkeypatch.setattr(gheat, "_aligned", _views_at(offset))
+            sols = solve_batch(rows, band, 0.5, grid, spec)
+            assert [sol.values.tobytes() for sol in sols] == want, offset
+
+
 class TestSolveBatch:
     @pytest.mark.parametrize(
         "eq, sigmas",
@@ -243,15 +315,7 @@ class TestSolveBatch:
         band = VolatilityBand(*sigmas)
         spec = _equations()[eq]
         grid = Grid1D(nx=201)
-        cat = catalog()
-        if stack == "single":
-            rows = [cat["bump"]]
-        else:  # every catalog payoff with mixed powers and shifts, P = 15
-            rows = [
-                g
-                for f in cat.values()
-                for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))
-            ]
+        rows = [catalog()["bump"]] if stack == "single" else _mixed_stack()
         sols = solve_batch(rows, band, 0.5, grid, spec)
         assert len(sols) == len(rows)
         for f, sol in zip(rows, sols):
@@ -269,9 +333,7 @@ class TestSolveBatch:
         # rounding (measured 2.5e-15 relative, node by node), with the same step
         band, spec = VolatilityBand(*sigmas), _equations()[eq]
         grid = Grid1D(nx=201)
-        rows = [
-            g for f in catalog().values() for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))
-        ]
+        rows = _mixed_stack()
         for f, sol in zip(rows, solve_batch(rows, band, 0.5, grid, spec)):
             ref, dt, n_steps = stencil_reference(f, band, 0.5, grid, spec)
             assert (sol.dt, sol.n_steps) == (dt, n_steps)
@@ -296,16 +358,13 @@ class TestSolveBatch:
         rows = [one, one.power(2.0), sigmoid, sigmoid, sigmoid.shifted(0.0)]
         singles = [solve(f, band, 0.5, grid, spec) for f in rows]
         heights = []
+        aligned = gheat._aligned
 
-        class Numpy:  # gheat's numpy, noting the height of each work buffer
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def spy(n, lead=0):  # gheat._aligned, noting the height of each work buffer
+            heights.append(n // grid.nx)
+            return aligned(n, lead)
 
-            def empty_like(self, a):
-                heights.append(len(a))
-                return np.empty_like(a)
-
-        monkeypatch.setattr(gheat, "np", Numpy())
+        monkeypatch.setattr(gheat, "_aligned", spy)
         sols = solve_batch(rows, band, 0.5, grid, spec)
         monkeypatch.undo()
         assert heights and set(heights) == {2}

@@ -256,22 +256,18 @@ class TestCertificateGrids:
         from gexp import gheat, harnack
 
         stacks, heights = [], []
-        solve = harnack.solve_batch
+        solve, aligned = harnack.solve_batch, gheat._aligned
 
         def spy(rows, *args):
             stacks.append([g.id for g in rows])
             return solve(rows, *args)
 
-        class Numpy:  # gheat's numpy, noting the height of each work buffer
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def empty_like(self, a):
-                heights.append(len(a))
-                return np.empty_like(a)
+        def aligned_spy(n, lead=0):  # gheat._aligned, noting the height of each work buffer
+            heights.append(n // gheat.Grid1D().nx)
+            return aligned(n, lead)
 
         monkeypatch.setattr(harnack, "solve_batch", spy)
-        monkeypatch.setattr(gheat, "np", Numpy())
+        monkeypatch.setattr(gheat, "_aligned", aligned_spy)
         ou, fs, ps = make_drift("ou"), [catalog()["sigmoid"], catalog()["bump"]], [2.0, 4.0]
         points = np.linspace(0.0, 1.0, 6)
         harnack_grid(ou, fs, ps, [0.5, 1.0], [band_wide], points)
