@@ -36,7 +36,15 @@ one-row case.  Certificate sweeps and axiom checks stack every payoff they
 need at one (band, horizon, drift) into one call.  Identical initial rows
 (byte for byte, such as the repeats of f^p in a Harnack stack, or the
 powers and shifts of a constant payoff) end identical, so each is marched
-once and copied back to every payoff.
+once and copied back to every payoff.  A finite row whose nodes all
+equal its first is a fixed point of the step, up to the sign of a zero.
+Its differences are zeros, a map's coefficients have a >= +0 and c <= 0,
+so each map's sum at a node is +0 (at a -0.0 node d_f = +0 and a*d_f = +0),
+and a step adds +0 to every node: the march's result is the row + 0.0,
+which turns -0.0 into +0.0.  So a stack whose distinct rows are all such
+constant rows comes back as the rows + 0.0, with the march's dt and step
+count, and takes no step and no buffer; a constant NaN or inf row is
+still marched, and fails at step 0.
 
 The maps' coefficient rows are built once per solve with dt folded in,
 and one subtraction over the flat stack gives every node's forward and
@@ -45,12 +53,15 @@ starts on a 64-byte boundary: numpy aligns data to 16 bytes only, and a
 SIMD load or store that straddles two cache lines costs more, so at
 numpy's alignment a step's speed depended on what the process had
 allocated before (steps at P = 16 and 32 took about 1.4 times as long).
-At nx = 401 a step costs about 4 us fixed, plus about 0.9-1.0 us per
-marched row (lines fitted to the min of 21 solves at P = 1, 2, 4, ..., 32,
-ou drift, both kinds, three runs, on a 2-core x86-64 box with AVX-512).
+At nx = 401 a step costs about 3.2-3.7 us fixed, plus about 0.84-0.90 us
+per marched row (lines fitted to the min of 21 solves at P = 1, 2, 4, ...,
+32, ou drift, both kinds, six runs, on a 2-core x86-64 box with AVX-512;
+3.7-4.4 us fixed before the ufuncs were bound once per solve).
 The fixed part is numpy call overhead: a step is 10 calls for either
 equation on flat contiguous operands, whatever P is and wherever a map
-upwinds.
+upwinds.  The march binds its four ufuncs to local names once per solve,
+so a call skips the global and attribute lookups, and passes out= as a
+keyword, which numpy parses faster than a positional output.
 """
 
 from __future__ import annotations
@@ -196,7 +207,11 @@ def solve_batch(
     solves the G-heat equation as the time-driven equation with zero drift.
     Each row depends only on its own payoff, bit for bit, so payoffs whose
     initial rows are byte-identical share one marched row; each solution
-    still holds its own copy of it.
+    still holds its own copy of it.  A finite constant row ends as itself
+    + 0.0 (a step adds +0 to each of its nodes), so when every distinct row
+    is one, the march's result is known without a step and none is taken;
+    dt, n_steps and the step budget are as for any stack.  The step loop
+    looks its ufuncs up once per solve and keeps out= a keyword.
     """
     _require_horizon(horizon)
     if spec is None:
@@ -228,6 +243,10 @@ def solve_batch(
     init = np.empty((len(payoffs), grid.nx))
     for row, payoff in zip(init, payoffs):
         row[:] = payoff(xs)
+    # a finite constant row is a fixed point of the step, up to the sign of
+    # a zero (see the module docstring): a stack of such rows takes no step
+    if np.all(np.isfinite(init[:, 0])) and np.all(init == init[:, :1]):
+        return [PdeSolution(grid, row, dt, n_steps) for row in init + 0.0]
     # rows with the same initial bytes end with the same bytes, so the march
     # takes the first row of each group; slot[i] is payoff i's marched row
     marched: dict[bytes, int] = {}
@@ -257,22 +276,24 @@ def solve_batch(
     fp = _aligned(u.size + 1, lead=1)
     fp_in, seams, d_f, d_b = fp[1:-1], fp[::grid.nx], fp[1:], fp[:-1]
     k, t = _aligned(u.size), _aligned(u.size)
+    # looked up once per solve, with out= kept a keyword (see the module docstring)
+    subtract, multiply, add, maximum = np.subtract, np.multiply, np.add, np.maximum
 
     # an overflow surfaces as a non-finite u, which the checks below report
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(n_steps):
             # forward Euler: u <- u + max(a_hi*d_f + c_hi*d_b, a_lo*d_f + c_lo*d_b)
-            np.subtract(u_ahead, u_behind, out=fp_in)
+            subtract(u_ahead, u_behind, out=fp_in)
             seams.fill(0.0)
-            np.multiply(d_f, a_hi, out=k)
-            np.multiply(d_b, c_hi, out=t)
-            np.add(k, t, out=k)
-            np.multiply(d_f, a_lo, out=t)
+            multiply(d_f, a_hi, out=k)
+            multiply(d_b, c_hi, out=t)
+            add(k, t, out=k)
+            multiply(d_f, a_lo, out=t)
             # d_b is read for the last time: the next step refills all of fp
-            np.multiply(d_b, c_lo, out=d_b)
-            np.add(t, d_b, out=t)
-            np.maximum(k, t, out=k)
-            np.add(u_flat, k, out=u_flat)
+            multiply(d_b, c_lo, out=d_b)
+            add(t, d_b, out=t)
+            maximum(k, t, out=k)
+            add(u_flat, k, out=u_flat)
             if step % 128 == 0 and not np.all(np.isfinite(u)):
                 raise RuntimeError(f"non-finite values at step {step}")
     if not np.all(np.isfinite(u)):

@@ -27,6 +27,7 @@ from gexp import (
 )
 import gexp
 from gexp import gheat
+from gexp.cli import main
 from gexp.gheat import CFL_SAFETY, require_safe, safe_window
 from gexp.kernels import normal_expectation
 
@@ -243,8 +244,14 @@ def _views_at(offset):
 
 
 def _mixed_stack():
-    """Every catalog payoff with mixed powers and shifts, P = 15."""
+    """Every catalog payoff with mixed powers and shifts, P = 15.  The
+    constant `one` gives three constant rows, which march with the others."""
     return [g for f in catalog().values() for g in (f, f.power(1.5), f.power(4.0).shifted(0.3))]
+
+
+def _constant(level):
+    """The payoff equal to level at every node."""
+    return TestFunction(f"{level:g}", lambda x: np.full_like(x, level), positivity=False)
 
 
 class TestAlignedBuffers:
@@ -379,13 +386,11 @@ class TestSolveBatch:
     @pytest.mark.parametrize("kind", list(Kind))
     def test_rows_read_nothing_across_a_seam(self, kind):
         # the flat difference between two neighbouring rows, 1e308 - -1e308,
-        # overflows; each row still reads only its own nodes and stays constant
+        # overflows; each row still reads only its own nodes and stays constant.
+        # The sigmoid row makes the stack march: constant rows alone take no step
         spec = dataclasses.replace(make_drift("ou"), kind=kind)
         levels = (1e308, -1e308)
-        rows = [
-            TestFunction(f"{c:g}", lambda x, c=c: np.full_like(x, c), positivity=False)
-            for c in levels
-        ]
+        rows = [_constant(c) for c in levels] + [catalog()["sigmoid"]]
         sols = solve_batch(rows, VolatilityBand(0.5, 1.0), 0.1, Grid1D(nx=21), spec)
         for c, sol in zip(levels, sols):
             assert np.all(sol.values == c), c
@@ -403,6 +408,48 @@ class TestSolveBatch:
         horizon = 9.5 * 50.0 * grid.dx**2 / band.v_hi
         with pytest.raises(RuntimeError, match="non-finite values at final step 10"):
             solve_batch([checkerboard], band, horizon, grid)
+
+    @pytest.mark.parametrize("eq", list(_equations()))
+    def test_flat_stack_takes_no_step(self, eq, monkeypatch):
+        # a finite constant row is a fixed point of the step, bar a -0.0 that
+        # the first step makes +0.0: the march's bytes and step count, with
+        # no coefficient or work buffer taken
+        band, spec, grid = VolatilityBand(0.5, 1.0), _equations()[eq], Grid1D(nx=201)
+        one = catalog()["one"]
+        signed_zeros = TestFunction(
+            "signed-zeros", lambda x: np.where(np.arange(x.size) % 3 == 1, -0.0, 0.0),
+            positivity=False,
+        )
+        rows = [one, one.power(2.0), one.scaled(0.3), _constant(-0.0), _constant(1e308),
+                signed_zeros]
+        buffers, aligned = [], gheat._aligned
+
+        def spy(n, lead=0):  # gheat._aligned, noting every buffer taken
+            buffers.append(n)
+            return aligned(n, lead)
+
+        monkeypatch.setattr(gheat, "_aligned", spy)
+        sols = solve_batch(rows, band, 0.5, grid, spec)
+        monkeypatch.undo()
+        assert buffers == []
+        for sol in (sols[3], sols[5]):
+            assert sol.values.tobytes() == np.zeros(grid.nx).tobytes()
+        for f, sol in zip(rows, sols):
+            ref, dt, n_steps = reference_solve(f, band, 0.5, grid, spec)
+            assert sol.values.tobytes() == ref.tobytes(), f.id
+            assert (sol.dt, sol.n_steps) == (dt, n_steps)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_row_is_marched(self, level, band_wide, ou_spec):
+        for rows in ([_constant(level)], [catalog()["one"], _constant(level)]):
+            with pytest.raises(RuntimeError, match=re.escape("non-finite values at step 0")):
+                solve_batch(rows, band_wide, 1.0, Grid1D(nx=201), ou_spec)
+
+    def test_flat_stack_keeps_the_step_budget(self, capsys):
+        # the step count is checked before any row is looked at
+        args = ["gheat", "--band", "0.5,1", "--payoff", "one", "--T", "1", "--nx", "100001"]
+        assert main(args) == 2
+        assert "above the budget of 1000000" in capsys.readouterr().err
 
     def test_non_finite_row_fails_the_stack(self, band_wide, ou_spec):
         nan_at_node = TestFunction(
@@ -581,8 +628,12 @@ def _avx512() -> bool:
     return bool(__cpu_features__.get("AVX512F") and __cpu_features__.get("X86_V4"))
 
 
+# numpy's AVX-512 dispatch targets: disabling X86_V4 alone leaves the other
+# two on, so a child that runs without AVX-512 loops names all three
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
 # Solves stacks whose initial rows use no exp, log or power, and prints the
-# sha256 of every marched row and whether numpy dispatches to X86_V4.
+# sha256 of every marched row and whether numpy dispatches to each AVX-512 target.
 _DISPATCH_CHILD = """
 import dataclasses, hashlib, itertools
 import numpy as np
@@ -600,7 +651,7 @@ for drift, kind, sigmas in itertools.product(
     spec = dataclasses.replace(make_drift(drift), kind=kind)
     for sol in solve_batch(rows, VolatilityBand(*sigmas), 1.0, Grid1D(), spec):
         digest.update(sol.values.tobytes())
-print(digest.hexdigest(), bool(__cpu_features__.get("X86_V4")))
+print(digest.hexdigest(), *(bool(__cpu_features__.get(t)) for t in TARGETS))
 """
 
 
@@ -613,15 +664,16 @@ def test_march_is_dispatch_stable():
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
     env["PYTHONPATH"] = src
     outputs = []
-    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}):
+    child = f"TARGETS = {_AVX512_TARGETS!r}\n" + _DISPATCH_CHILD
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512_TARGETS)}):
         proc = subprocess.run(
-            [sys.executable, "-c", _DISPATCH_CHILD], capture_output=True, text=True,
-            env={**env, **extra},
+            [sys.executable, "-c", child], capture_output=True, text=True, env={**env, **extra},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.split())
-    (full, full_v4), (v3, v3_v4) = outputs
-    assert (full_v4, v3_v4) == ("True", "False")
+    (full, *full_on), (v3, *v3_on) = outputs
+    assert full_on[0] == "True"  # as the skip condition found
+    assert v3_on == ["False"] * len(_AVX512_TARGETS)
     assert full == v3
 
 
