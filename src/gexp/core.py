@@ -154,11 +154,19 @@ def make_scenario_lattice(
 
     The two constant extreme scenarios are always in the result, which takes
     at least two levels.  A degenerate band collapses to the single classical
-    scenario.
+    scenario.  More than MAX_SCENARIOS pieces or levels is rejected before
+    the level grid is built, even on a degenerate band, where the lattice
+    would hold one scenario; otherwise the number of distinct levels to the
+    power `pieces` must be at most MAX_SCENARIOS.
     """
     if pieces < 1 or levels < 2:
         raise ValueError("need pieces >= 1, levels >= 2")
     _require_horizon(horizon)
+    # an exact power of a huge count, or a huge level grid, would take
+    # minutes or gigabytes before the cap below could reject it
+    for count, name in ((pieces, "pieces"), (levels, "levels")):
+        if count > MAX_SCENARIOS:
+            raise ValueError(f"{count} {name} exceed the cap {MAX_SCENARIOS} on scenarios")
     # the distinct levels, as np.unique gives them, without the numpy.ma
     # import that np.unique costs on first use
     grid = np.sort(np.linspace(band.v_lo, band.v_hi, levels))

@@ -24,7 +24,11 @@ monotone step is Euler's, and with dt ~ dx^2 Euler's O(dt) time error
 matches the O(dx^2) space error.  Boundaries use zero-curvature (second
 derivative = 0) extrapolation, with the one-sided first difference only
 where the flow enters; values within the 6*sigma_hi*sqrt(T) padding zone
-of the boundary are treated as contaminated.
+of the boundary are treated as contaminated.  Conversely, a value read at x
+depends, beyond a Gaussian tail, only on the nodes within that pad of x
+plus the drift's transport, so a caller that reads a few points marches
+the grid cut to them (`dependence_grid`, which the Harnack certificates
+use) at the same grid step.
 
 One time-marcher, `solve_batch`, advances a (P, nx) stack of payoffs at
 once: every row shares the grid, the drift values, the upwind choice, the
@@ -301,11 +305,61 @@ def solve_batch(
     return [PdeSolution(grid, row, dt, n_steps) for row in u[slot]]
 
 
+def _pad(band: VolatilityBand, horizon: float) -> float:
+    """6*sigma_hi*sqrt(horizon): how far diffusion carries a value in a march
+    to the horizon, beyond a Gaussian tail.  A value this close to the
+    grid's boundary feels it (safe_window), and a node this far from every
+    read point, past the drift's transport, does not reach them
+    (dependence_grid)."""
+    _require_horizon(horizon)
+    return 6.0 * band.sigma_hi * math.sqrt(horizon)
+
+
 def safe_window(grid: Grid1D, band: VolatilityBand, horizon: float) -> tuple[float, float]:
     """Interval where boundary truncation is negligible for bounded payoffs."""
-    _require_horizon(horizon)
-    pad = 6.0 * band.sigma_hi * math.sqrt(horizon)
+    pad = _pad(band, horizon)
     return grid.x_min + pad, grid.x_max - pad
+
+
+def dependence_grid(
+    grid: Grid1D,
+    band: VolatilityBand,
+    horizon: float,
+    spec: GsdeSpec,
+    reads: Sequence[float],
+) -> Grid1D:
+    """The part of `grid` that holds the domain of dependence of the values
+    at the points `reads` after a march to `horizon`.
+
+    That is [min(reads) - L, max(reads) + R], where L is _pad plus the
+    farthest the drift carries a path leftward, T*s*max(0, -b) over the
+    nodes at or left of min(reads), and R is _pad plus T*s*max(0, b) over
+    the nodes at or right of max(reads); s is v_hi for the qv-driven
+    equation, whose drift runs on the quadratic-variation clock, and 1 for
+    the time-driven one.  Its ends are snapped outward to grid nodes with
+    one node of slack and clipped to the grid, so it has the grid's step
+    up to rounding.  The far boundary's error in a read decays like a
+    Gaussian tail in its distance (Kangro & Nicolaides, SIAM J. Numer.
+    Anal. 38, 2000).  A drift that is not finite on the grid gives `grid`
+    itself, so that solve_batch reports it as it would on `grid`, and so
+    does a transport term that overflows.
+    """
+    xs = grid.xs
+    b = spec.b(xs)
+    if not np.all(np.isfinite(b)):
+        return grid
+    lo, hi = min(reads), max(reads)
+    pad, speed = _pad(band, horizon), band.v_hi if spec.kind is Kind.QV_DRIVEN else 1.0
+    # initial=0.0: a drift toward the reads carries nothing out to them
+    left = lo - pad - horizon * speed * float(np.max(-b[xs <= lo], initial=0.0))
+    right = hi + pad + horizon * speed * float(np.max(b[xs >= hi], initial=0.0))
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return grid
+    # the last node at or left of `left` and the first at or right of
+    # `right`, each moved out by one node
+    first = max(0, int(np.searchsorted(xs, left, side="right")) - 2)
+    last = min(grid.nx - 1, int(np.searchsorted(xs, right)) + 1)
+    return Grid1D(float(xs[first]), float(xs[last]), last - first + 1)
 
 
 def require_safe(x: float, grid: Grid1D, band: VolatilityBand, horizon: float) -> None:

@@ -3,6 +3,11 @@ certificates on the PDE backend.
 
 Each certificate reads both sides of its inequality off one stacked
 `gheat.solve_batch` march and passes when lhs <= rhs * (1 + gheat.PDE_BUDGET).
+The march runs on the default Grid1D cut to its reads' dependence interval
+(`gheat.dependence_grid`): the read points padded by 6*sigma_hi*sqrt(T) and
+by the drift's transport, so the far nodes whose values cannot reach a read
+take no step.  Every read point is still checked against the safe window
+of the whole default grid first.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import gheat
 from .core import GsdeSpec, Kind, TestFunction, VolatilityBand, _require_horizon
-from .gheat import Grid1D, require_safe, solve_batch
+from .gheat import Grid1D, dependence_grid, require_safe, solve_batch
 
 __all__ = [
     "HarnackCertificate",
@@ -164,7 +169,8 @@ def verify_harnack(
     band: VolatilityBand,
 ) -> HarnackCertificate:
     """Check (Pbar_T f)^p(y) <= Pbar_T f^p(x) * exp(exponent) for the
-    qv-driven equation: the grid sweep at the one point y."""
+    qv-driven equation: the grid sweep at the one point y, marched on the
+    default Grid1D cut to the dependence interval of x and y."""
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the two-point Harnack inequality targets the qv-driven equation")
     return _certs(_HARNACK, spec, [payoff], [p], [horizon], [band], x, [y])[0]
@@ -180,7 +186,8 @@ def verify_shift_harnack(
     band: VolatilityBand,
 ) -> HarnackCertificate:
     """Check (Pbar_T f(x))^p <= Pbar_T [f^p(v + .)](x) * exp(exponent) for
-    the time-driven equation: the grid sweep at the one shift v."""
+    the time-driven equation: the grid sweep at the one shift v, marched on
+    the default Grid1D cut to the dependence interval of x."""
     if spec.kind is not Kind.TIME_DRIVEN:
         raise ValueError("the shift Harnack inequality targets the time-driven equation")
     return _certs(_SHIFT, spec, [payoff], [p], [horizon], [band], x, [v])[0]
@@ -213,7 +220,8 @@ def _certs(inequality, spec, payoffs, ps, horizons, bands, x0, ts):
     safe window, and a payoff that is not nonnegative fails as its rows are
     made (TestFunction.power).  One solve stacks, payoff by payoff, f and
     then its base rows for each p, and the solutions are read back in that
-    order; solve_batch marches each distinct row once."""
+    order; solve_batch marches each distinct row once, on the default grid
+    cut to the dependence interval of x0 and the read points."""
     kind, exponent, read_at, base_rows = inequality
     K, budget, grid = spec.lipschitz_k, gheat.PDE_BUDGET, Grid1D()
     certs = []
@@ -221,11 +229,12 @@ def _certs(inequality, spec, payoffs, ps, horizons, bands, x0, ts):
         factors = [
             [(e := exponent(p, K, band, T, x0, t), _exp(kind, e)) for t in ts] for p in ps
         ]
-        for point in (x0, *(read_at(x0, t) for t in ts)):
+        reads = (x0, *(read_at(x0, t) for t in ts))
+        for point in reads:
             require_safe(point, grid, band, T)
         rows = [g for f in payoffs for g in (f, *chain(*(base_rows(f, p, ts) for p in ps)))]
         # zip takes ts first, so each inner loop reads exactly len(ts) solutions
-        sols = iter(solve_batch(rows, band, T, grid, spec))
+        sols = iter(solve_batch(rows, band, T, dependence_grid(grid, band, T, spec, reads), spec))
         for f, u in zip(payoffs, sols):
             for p, factor_row in zip(ps, factors):
                 for t, (expo, scale), g in zip(ts, factor_row, sols):
@@ -248,8 +257,9 @@ def harnack_grid(
     dists: np.ndarray,
     x0: float = 0.0,
 ) -> list[HarnackCertificate]:
-    """PDE-backend certificate sweep on the default Grid1D, each certificate
-    with the gheat.PDE_BUDGET relative tolerance: one stacked solve per (band,
+    """PDE-backend certificate sweep on the default Grid1D cut to the
+    dependence interval of x0 and every x0 + d, each certificate with the
+    gheat.PDE_BUDGET relative tolerance: one stacked solve per (band,
     horizon) over f and, for each p, f^p once per distance; solve_batch
     marches each f^p once."""
     spec = replace(drift_spec, kind=Kind.QV_DRIVEN)
@@ -265,9 +275,10 @@ def shift_harnack_grid(
     shifts: np.ndarray,
     x0: float = 0.0,
 ) -> list[HarnackCertificate]:
-    """PDE-backend shift-Harnack sweep on the default Grid1D, each
-    certificate with the gheat.PDE_BUDGET relative tolerance: one stacked
-    solve per (band, horizon) over f and, for each p, every f^p(v + .); the
-    unshifted solution is shared across the shift grid."""
+    """PDE-backend shift-Harnack sweep on the default Grid1D cut to the
+    dependence interval of x0, each certificate with the gheat.PDE_BUDGET
+    relative tolerance: one stacked solve per (band, horizon) over f and,
+    for each p, every f^p(v + .); the unshifted solution is shared across
+    the shift grid."""
     spec = replace(drift_spec, kind=Kind.TIME_DRIVEN)
     return _certs(_SHIFT, spec, payoffs, ps, horizons, bands, x0, [float(v) for v in shifts])

@@ -19,9 +19,10 @@ sha256 of the five arrays of coupling._batched_states over STATE_CONFIGS.
 pytest does not collect this file.
 
 tests/report_digests.golden holds the digests of the smaller GOLDEN_COMMANDS
-set, which test_readme compares in tier-1, under the key of the numpy build
-and CPU they were taken on (dispatch_key).  A change that means to move
-report bytes rewrites the file with
+set and the --states digests of GOLDEN_STATE_CONFIGS, which test_readme
+compares in tier-1, under the key of the numpy build and CPU they were taken
+on (dispatch_key).  A change that means to move report bytes or coupling
+states rewrites the file with
 
     PYTHONPATH=src python tests/report_digests.py --write-golden
 
@@ -174,11 +175,21 @@ STATE_CONFIGS = list(
 )
 
 
-def state_digests(seed: int) -> list[str]:
-    """One line per STATE_CONFIGS entry: the sha256 of the bytes of X, Y,
+# the tier-1 subset of STATE_CONFIGS: each drift from both (x, y) orders,
+# each order at both worker counts, at band (0.5, 1) and 64 steps
+GOLDEN_STATE_CONFIGS = [
+    ("ou", (0.5, 1.0), (1.0, 0.0), 1, 64),
+    ("ou", (0.5, 1.0), (0.0, 1.0), 2, 64),
+    ("tanh:2", (0.5, 1.0), (1.0, 0.0), 2, 64),
+    ("tanh:2", (0.5, 1.0), (0.0, 1.0), 1, 64),
+]
+
+
+def state_digests(seed: int, configs=STATE_CONFIGS) -> list[str]:
+    """One line per entry of `configs`: the sha256 of the bytes of X, Y,
     log M, Xref and the Novikov integral, and the configuration."""
     lines = []
-    for drift, band, (x, y), workers, m in STATE_CONFIGS:
+    for drift, band, (x, y), workers, m in configs:
         scs = make_scenario_lattice(VolatilityBand(*band), 1.0, 2, 3)
         states = coupling._batched_states(
             make_drift(drift), x, y, 1.0, scs, 9000, m, seed, workers=workers
@@ -196,7 +207,7 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--write-golden", action="store_true",
-        help=f"write the key and the GOLDEN_COMMANDS digests to {GOLDEN.name}",
+        help=f"write the key and the golden report and state digests to {GOLDEN.name}",
     )
     parser.add_argument(
         "--check-workers", action="store_true",
@@ -205,7 +216,8 @@ if __name__ == "__main__":
     parser.add_argument("names", nargs="*", help="subcommands to keep (default: all)")
     args = parser.parse_args()
     if args.write_golden:
-        GOLDEN.write_text("\n".join([dispatch_key(), *golden_digests()]) + "\n")
+        states = state_digests(GOLDEN_SEED, GOLDEN_STATE_CONFIGS)
+        GOLDEN.write_text("\n".join([dispatch_key(), *golden_digests(), *states]) + "\n")
         raise SystemExit(0)
     if args.seed is None:
         parser.error("--seed is required")

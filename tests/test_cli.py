@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -356,6 +357,23 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("gexp: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("count", [["--pieces", "100000000"], ["--levels", "1000000000000"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["pbar", "--band", "0.5,1", "--payoff", "sigmoid", "--drift", "ou", "--kind", "qv",
+          "--x", "1", "--T", "1", "--method", "mc"], _COUPLING],
+        ids=["pbar", "coupling"],
+    )
+    def test_huge_scenario_lattice_exit_2_at_once(self, capsys, command, count):
+        # 2^100000000 was computed exactly before the cap (still running
+        # after 100 s), and 10^12 levels were built as a level grid first
+        start = time.perf_counter()
+        code, out = run_cli(command + count)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"gexp: {count[1]} {count[0][2:]} exceed the cap 4096 on scenarios\n"
 
     @pytest.mark.parametrize("power", ["219", "220"])
     def test_overflow_in_the_march_exit_3_one_line(self, monkeypatch, capsys, power):

@@ -119,6 +119,29 @@ class TestScenarioLattice:
         assert len(scs) == 1
         assert scs[0].values == (1.0, 1.0, 1.0)
 
+    def test_counts_above_the_cap_rejected_before_the_grid(self, monkeypatch):
+        # a huge count failed only after an exact power or a level grid of
+        # that size; now no linspace runs, and a degenerate band's one
+        # scenario is rejected too
+        from gexp import core
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a level grid was built")
+
+        monkeypatch.setattr(core.np, "linspace", no_grid)
+        for band in (VolatilityBand(0.5, 1.0), VolatilityBand(1.0, 1.0)):
+            with pytest.raises(ValueError, match="^4097 pieces exceed the cap 4096 on scenarios$"):
+                make_scenario_lattice(band, 1.0, 4097, 2)
+            with pytest.raises(ValueError, match="^4097 levels exceed the cap 4096 on scenarios$"):
+                make_scenario_lattice(band, 1.0, 1, 4097)
+
+    def test_counts_at_the_cap_built_as_before(self):
+        assert len(make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 1, 4096)) == 4096
+        scs = make_scenario_lattice(VolatilityBand(1.0, 1.0), 1.0, 4096, 4096)
+        assert len(scs) == 1 and scs[0].values == (1.0,) * 4096
+        with pytest.raises(ValueError, match="^2\\^4096 scenarios exceeds the cap 4096$"):
+            make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 4096, 2)
+
     def test_two_levels_two_pieces(self):
         scs = make_scenario_lattice(VolatilityBand(0.5, 1.0), 1.0, 2, 2)
         assert len(scs) == 4

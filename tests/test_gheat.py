@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -728,3 +729,39 @@ class TestPbarPde:
         lam = 3.0
         vl = pbar_pde(ou_spec, f.scaled(lam), 0.0, 1.0, band_wide, grid)
         assert vl == pytest.approx(lam * vf, abs=1e-12)
+
+
+class TestDependenceGrid:
+    def test_pad_and_transport_snapped_to_nodes(self, band_wide):
+        # ou points inward on both sides, so the interval is the reads
+        # padded by 6 sigma_hi sqrt(T), plus one node of slack at each end
+        default = Grid1D()
+        for kind in Kind:
+            spec = dataclasses.replace(make_drift("ou"), kind=kind)
+            cut = gheat.dependence_grid(default, band_wide, 1.0, spec, [0.0])
+            assert (cut.x_min, cut.x_max, cut.nx) == (default.xs[79], default.xs[321], 243)
+            np.testing.assert_allclose(cut.xs, default.xs[79:322], rtol=0, atol=1e-14)
+            cut = gheat.dependence_grid(default, band_wide, 0.5, spec, [0.0, 0.4, 1.0])
+            assert (cut.x_min, cut.x_max) == (default.xs[114], default.xs[306])
+        # const:-4.87 carries a path 4.87 v_hi T to the left on the qv clock
+        # and 4.87 T on calendar time: [-5.3532, 3.6] and [-8.47, 3.6] at
+        # sigma_hi 0.6, each snapped out to a node and one more
+        band = VolatilityBand(0.5, 0.6)
+        for kind, x_min in ((Kind.QV_DRIVEN, -5.45), (Kind.TIME_DRIVEN, -8.55)):
+            spec = dataclasses.replace(make_drift("const:-4.87"), kind=kind)
+            cut = gheat.dependence_grid(default, band, 1.0, spec, [0.0])
+            assert cut.x_min == pytest.approx(x_min, abs=1e-12)
+            assert cut.x_max == pytest.approx(3.65, abs=1e-12)
+
+    def test_unbounded_transport_gives_the_grid(self, band_wide):
+        default = Grid1D()
+        # a drift that is not finite on the grid: solve_batch reports it
+        nan_drift = types.SimpleNamespace(b=lambda x: np.where(x > 9.9, np.nan, 0.0),
+                                          kind=Kind.TIME_DRIVEN)
+        assert gheat.dependence_grid(default, band_wide, 1.0, nan_drift, [0.0]) is default
+        # T * 1e308 overflows at T = 2; at T = 1 it is finite and only the
+        # downstream end reaches the edge
+        spec = dataclasses.replace(make_drift("const:1e308"), kind=Kind.TIME_DRIVEN)
+        assert gheat.dependence_grid(default, band_wide, 2.0, spec, [0.0]) is default
+        cut = gheat.dependence_grid(default, band_wide, 1.0, spec, [0.0])
+        assert cut.x_max == default.x_max and cut.x_min == pytest.approx(-6.05)

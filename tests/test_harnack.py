@@ -255,15 +255,16 @@ class TestCertificateGrids:
         # shifts whose ids coincide; the march holds each distinct row once
         from gexp import gheat, harnack
 
-        stacks, heights = [], []
+        stacks, heights, nxs = [], [], []
         solve, aligned = harnack.solve_batch, gheat._aligned
 
-        def spy(rows, *args):
+        def spy(rows, band, horizon, grid, spec):
             stacks.append([g.id for g in rows])
-            return solve(rows, *args)
+            nxs.append(grid.nx)
+            return solve(rows, band, horizon, grid, spec)
 
         def aligned_spy(n, lead=0):  # gheat._aligned, noting the height of each work buffer
-            heights.append(n // gheat.Grid1D().nx)
+            heights.append(n // nxs[-1])
             return aligned(n, lead)
 
         monkeypatch.setattr(harnack, "solve_batch", spy)
@@ -328,6 +329,7 @@ class TestCertificateGrids:
         assert len(certs) == 5
         assert all(c.passed for c in certs)
 
+
     def test_theorem_power_harnack_integrated_form(self):
         # normalized-payoff form on the classical OU fixture:
         # sup_{E0[f^a] <= 1} (max_th P_th f(x))^a <= 1 / E0[exp(-Psi(x, .))]
@@ -357,3 +359,90 @@ class TestCertificateGrids:
                 256,
             )
             assert lhs <= 1.0 / rhs_denom + 1e-9, pid
+
+
+# Largest relative change of a certificate side that the cut to the reads'
+# dependence interval may make against a march of the whole default grid.
+# Measured: 2.7e-9 over test_cut_agrees_with_the_default_grid's cases (the
+# rhs of sqclip^4(. + 0) at T = 0.5 under tanh:2), and 5.9e-8 at most over
+# the certificate grids of acceptance tests 4 and 5, under tanh:1.
+CUT_REL = 1e-6
+
+
+def _certs_on_the_default_grid(monkeypatch, grid_fn, *args):
+    """The certificates of grid_fn(*args) with every stack marched on the
+    whole default grid, as the certificates were before the cut."""
+    from gexp import harnack
+
+    with monkeypatch.context() as m:
+        m.setattr(harnack, "dependence_grid", lambda grid, *rest: grid)
+        return grid_fn(*args)
+
+
+def _spy_grids(monkeypatch):
+    """The grid of every solve_batch call of harnack, in call order."""
+    from gexp import harnack
+
+    grids, solve = [], harnack.solve_batch
+
+    def spy(rows, band, horizon, grid, spec):
+        grids.append(grid)
+        return solve(rows, band, horizon, grid, spec)
+
+    monkeypatch.setattr(harnack, "solve_batch", spy)
+    return grids
+
+
+class TestDependenceInterval:
+    @pytest.mark.parametrize("grid_fn", [harnack_grid, shift_harnack_grid])
+    @pytest.mark.parametrize("drift", ["ou", "tanh:2"])
+    def test_cut_agrees_with_the_default_grid(self, monkeypatch, grid_fn, drift):
+        args = (
+            make_drift(drift), list(catalog().values()), [1.5, 4.0], [0.5, 1.0],
+            [VolatilityBand(0.5, 1.0), VolatilityBand(1.0, 1.0)], np.linspace(0.0, 1.0, 6),
+        )
+        grids = _spy_grids(monkeypatch)
+        certs = grid_fn(*args)
+        assert len(grids) == 4 and all(g.nx < Grid1D().nx for g in grids)
+        expected = _certs_on_the_default_grid(monkeypatch, grid_fn, *args)
+        assert len(certs) == len(expected) == 5 * 2 * 6 * 2 * 2
+        for cert, ref in zip(certs, expected):
+            assert dataclasses.replace(cert, lhs=ref.lhs, rhs=ref.rhs) == ref
+            assert cert.lhs == pytest.approx(ref.lhs, rel=CUT_REL, abs=0.0)
+            assert cert.rhs == pytest.approx(ref.rhs, rel=CUT_REL, abs=0.0)
+
+    def test_drift_transport_keeps_the_downstream_edge(self, monkeypatch, band_wide):
+        # const:5 carries a time-driven path 5 to the right by T = 1, past
+        # the grid's right edge; the 6 sigma_hi sqrt(T) pad alone, a cut to
+        # [-6.05, 6.05], moves Pbar_1[cauchy^2(. + 0.5)](0) by 1.1e-2 relative
+        from gexp.gheat import solve_batch
+
+        spec = make_drift("const:5")  # K = 0
+        args = (spec, [catalog()["cauchy"]], [2.0], [1.0], [band_wide], [0.5])
+        grids = _spy_grids(monkeypatch)
+        (cert,) = shift_harnack_grid(*args)
+        (grid,) = grids
+        assert grid.x_max == Grid1D().x_max and grid.x_min == pytest.approx(-6.05)
+        (ref,) = _certs_on_the_default_grid(monkeypatch, shift_harnack_grid, *args)
+        assert cert.lhs == pytest.approx(ref.lhs, rel=CUT_REL, abs=0.0)
+        assert cert.rhs == pytest.approx(ref.rhs, rel=CUT_REL, abs=0.0)
+        time_spec = dataclasses.replace(spec, kind=Kind.TIME_DRIVEN)
+        shifted = [catalog()["cauchy"].power(2.0).shifted(0.5)]
+        pad_only = solve_batch(shifted, band_wide, 1.0, Grid1D(-6.05, 6.05, 243), time_spec)
+        assert abs(pad_only[0].value_at(0.0) * math.exp(ref.exponent) / ref.rhs - 1.0) > 5e-3
+
+    @pytest.mark.parametrize("grid_fn", [harnack_grid, shift_harnack_grid])
+    def test_interval_covering_the_grid_marches_the_default_grid(
+        self, monkeypatch, band_wide, grid_fn
+    ):
+        # an outward drift of speed up to 5 takes the interval past both
+        # edges, so the cut is the default grid and the bytes are its march
+        from gexp import GsdeSpec
+
+        spec = GsdeSpec(lambda x: 5.0 * np.tanh(x), 5.0, Kind.QV_DRIVEN)
+        args = (spec, list(catalog().values()), [2.0], [1.0], [band_wide], [0.0, 0.5, 1.0])
+        grids = _spy_grids(monkeypatch)
+        certs = grid_fn(*args)
+        assert grids == [Grid1D()]
+        expected = _certs_on_the_default_grid(monkeypatch, grid_fn, *args)
+        assert [c.to_dict() for c in certs] == [c.to_dict() for c in expected]

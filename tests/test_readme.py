@@ -8,7 +8,16 @@ from pathlib import Path
 import pytest
 
 from gexp.cli import build_parser
-from report_digests import GOLDEN, digests, dispatch_key, golden_digests, worker_mismatches
+from report_digests import (
+    GOLDEN,
+    GOLDEN_SEED,
+    GOLDEN_STATE_CONFIGS,
+    digests,
+    dispatch_key,
+    golden_digests,
+    state_digests,
+    worker_mismatches,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,10 +62,13 @@ def test_worker_mismatches_names_the_command():
 
 
 def test_report_digests_golden():
-    # the report bytes and exit codes of report_digests.GOLDEN_COMMANDS are
-    # those in the golden file, whose first line keys the numpy build and
-    # SIMD dispatch targets it was written under
+    # the report bytes and exit codes of report_digests.GOLDEN_COMMANDS, and
+    # the coupling states of GOLDEN_STATE_CONFIGS, are those in the golden
+    # file, whose first line keys the numpy build and SIMD dispatch targets
+    # it was written under
     key, *expected = GOLDEN.read_text().splitlines()
     if key != dispatch_key():
         pytest.skip(f"the golden digests are for {key!r}, not this {dispatch_key()!r}")
-    assert golden_digests() == expected
+    n_states = len(GOLDEN_STATE_CONFIGS)
+    assert golden_digests() == expected[:-n_states]
+    assert state_digests(GOLDEN_SEED, GOLDEN_STATE_CONFIGS) == expected[-n_states:]
