@@ -61,8 +61,10 @@ def eta_schedule(
 
     evaluated at step midpoints.  The denominator has the exact closed form
     (1 - e^{-2K qv(T)}) / (2K) because qv is continuous and increasing; a
-    horizon too short for it (harnack._decay) is a ValueError.
+    horizon too short for it (harnack._decay), or n_steps < 1, is a ValueError.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     _require_coupling_k(K)  # before the decay, which would call K = 0 a short horizon
     _check_horizon(scenario, horizon)
     h = horizon / n_steps
@@ -166,10 +168,10 @@ def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
-def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
+def _advance_block(spec, state, tmp, Z, i0, vh, sqv, eta, s0, merge_tol):
     """Advance one path block's (S, b) state views in place over the steps
-    i0, i0+1, ... whose normals are the rows of Z, columns lo:lo+b; `tmp`
-    holds the worker's (S, size >= b) scratch arrays.
+    i0, i0+1, ... whose normals are the rows of Z; `tmp` holds the block's
+    (S, b) scratch arrays.
 
     A step makes 9 (S, b) passes over every row, counting a drift call as
     one: the normals, X and Xref.  The forcing, _force_rows, adds 11 on a
@@ -189,7 +191,7 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
     """
     X, gap, log_m, steps, Xref = state
     b = X.shape[1]
-    db, t, Y, merged, live = (a[:, :b] for a in tmp)
+    db, t, Y, merged, live = tmp
     reached, tol = (
         (np.less_equal, merge_tol) if s0 > 0 else (np.greater_equal, -merge_tol)
     )
@@ -207,10 +209,10 @@ def _advance_block(spec, state, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol):
         ]
 
     whole_runs, part_runs = groups()
-    for k in range(Z.shape[0]):
+    for k, z in enumerate(Z):
         i = i0 + k
         vhc = vh[:, i : i + 1]
-        np.multiply(sqv[:, i : i + 1], Z[k, lo : lo + b], out=db)
+        np.multiply(sqv[:, i : i + 1], z, out=db)
         bX = spec.b(X)
         merges = [
             _force_rows(spec, rows, bX[run], i, k, reached, tol, masked)
@@ -272,10 +274,10 @@ def _batched_states(spec, x, y, horizon, scenarios, n, m, seed, workers=1):
     Xref = np.full((S, n), float(y))
     _sweep_blocks(
         (X, gap, log_m, steps, Xref), m, seed, workers,
-        lambda views, tmp, Z, lo, i0: _advance_block(
-            spec, views, tmp, Z, lo, i0, vh, sqv, eta, s0, merge_tol
+        lambda views, tmp, Z, i0: _advance_block(
+            spec, views, tmp, Z, i0, vh, sqv, eta, s0, merge_tol
         ),
-        lambda shape: tuple(np.empty(shape, d) for d in (float,) * 3 + (bool,) * 2),
+        (float,) * 3 + (bool,) * 2,
     )
     u = eta * s0
     sums = np.zeros((S, m + 1))
@@ -307,8 +309,8 @@ def run_coupling_suite(
     `workers` threads (default os.cpu_count(); fewer than 1 is a
     ValueError), each with its own scratch arrays for the whole sweep; the
     reports are bit-identical for every worker count.  A closed-form ceiling
-    too large for a float, and p <= 1 (harnack_exponent's check), are
-    ValueErrors raised before the sweep.
+    too large for a float, and a p that is not finite and above 1
+    (harnack_exponent's check), are ValueErrors raised before the sweep.
     """
     if spec.kind is not Kind.QV_DRIVEN:
         raise ValueError("the coupling construction targets the qv-driven equation")
@@ -316,7 +318,7 @@ def run_coupling_suite(
         raise ValueError(f"girsanov_paths must be at least 2, got {girsanov_paths}")
     K = spec.lipschitz_k
     dist = abs(x - y)
-    # the closed-form ceilings first: one that overflows, or p <= 1, fails
+    # the closed-form ceilings first: one that overflows, or a bad p, fails
     # before the sweep
     ceilings = [
         (novikov_pathwise_bound(K, sc.band, horizon, dist),

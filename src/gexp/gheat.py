@@ -59,8 +59,7 @@ numpy's alignment a step's speed depended on what the process had
 allocated before (steps at P = 16 and 32 took about 1.4 times as long).
 At nx = 401 a step costs about 3.2-3.7 us fixed, plus about 0.84-0.90 us
 per marched row (lines fitted to the min of 21 solves at P = 1, 2, 4, ...,
-32, ou drift, both kinds, six runs, on a 2-core x86-64 box with AVX-512;
-3.7-4.4 us fixed before the ufuncs were bound once per solve).
+32, ou drift, both kinds, six runs, on a 2-core x86-64 box with AVX-512).
 The fixed part is numpy call overhead: a step is 10 calls for either
 equation on flat contiguous operands, whatever P is and wherever a map
 upwinds.  The march binds its four ufuncs to local names once per solve,

@@ -89,8 +89,8 @@ def harnack_exponent(
     Novikov envelope of _novikov_envelope (which also holds its input rules
     and derivation).  Continuous in all arguments and -> 0 as dist -> 0; an
     exponent too large for a float is a ValueError."""
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must exceed 1 and be finite, got {p}")
     return _finite("harnack", p * _novikov_envelope(K, band, horizon, dist) / (2.0 * (p - 1.0)))
 
 
@@ -100,8 +100,8 @@ def shift_harnack_exponent(
     """Exponent of the shift Harnack inequality,
     p v^2 / (2 slo^2 (p-1)) * (1/T + K + K^2 T / 3); a NaN shift and an
     exponent too large for a float are ValueErrors."""
-    if not p > 1:
-        raise ValueError("p must exceed 1")
+    if not 1 < p < math.inf:
+        raise ValueError(f"p must exceed 1 and be finite, got {p}")
     _require_horizon(horizon)
     if not sigma_lo > 0:
         raise ValueError("sigma_lo must be positive")

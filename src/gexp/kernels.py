@@ -279,8 +279,8 @@ def member_invariance_gap(theta: float, payoff: TestFunction) -> float:
 def classical_ou_harnack_exponent(alpha: float, theta: float, dist: float) -> float:
     """Two-point Harnack exponent of the classical time-1 OU kernel:
     alpha e^{-2 theta} dist^2 / (2 (alpha-1) (1 - e^{-2 theta}))."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
+    if not 1 < alpha < math.inf:
+        raise ValueError(f"alpha must exceed 1 and be finite, got {alpha}")
     return alpha * math.exp(-2.0 * theta) * dist**2 / (2.0 * (alpha - 1.0) * _ou_variance(theta))
 
 
@@ -407,8 +407,8 @@ class KernelReport:
 
 def run_kernel_suite(alpha: float = 2.0) -> KernelReport:
     """Run every kernel-level check on the shipped payoff catalog.  The
-    lower-bound margins come first, so alpha <= 1 fails before any
-    quadrature (classical_ou_harnack_exponent)."""
+    lower-bound margins come first, so an alpha that is not finite and
+    above 1 fails before any quadrature (classical_ou_harnack_exponent)."""
     lower = {
         f"x={x:g},y={y:g}": kernel_lower_bound_check(x, y, alpha)
         for x in (-1.0, 0.0, 1.0)

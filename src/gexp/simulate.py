@@ -17,12 +17,11 @@ bytes; a coupling sweep carries five (S, n) arrays, four float64 and the
 int64 merge step), split into blocks of at most _BLOCK_PATHS paths that a
 pool of worker threads steps in place while the calling thread draws the
 normals in stream order; a sweep of at most _BLOCK_PATHS paths is one block
-on one thread.  Each worker allocates its scratch arrays once per sweep.
-Each scenario's terminal states are bit-identical to stepping that scenario
-alone, for every worker count.
+on one thread.  Each scenario's terminal states are bit-identical to
+stepping that scenario alone, for every worker count.
 _sweep_blocks is that block driver, shared with the coupling suite: the
-only Euler stepping loop in the package, and the one place that rejects a
-non-finite state.
+only Euler stepping loop in the package, the one place that rejects a
+non-finite state, and the only code that knows where a block starts.
 """
 
 from __future__ import annotations
@@ -53,13 +52,13 @@ _STEP_BATCH = 4
 _QUEUED_BATCHES = 2
 
 
-def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
+def _sweep_blocks(state, m, seed, workers, advance, scratch):
     """Advance the (S, n) arrays of `state` in place over m steps.
 
-    `advance_block(views, tmp, Z, lo, i0)` advances one block's (S, b) views
-    of the state over the steps i0, i0+1, ... whose normals are the rows of
-    Z, columns lo:lo+b; `tmp` is the worker's scratch, `scratch((S, size))`
-    for the widest block, allocated once per worker for the whole sweep.
+    Each call `advance(views, tmp, Z, i0)` advances one block of b paths
+    over the steps i0 .. i0+k-1: `views` are its (S, b) views of `state`, Z
+    the (k, b) normals of its paths, and `tmp` its (S, b) views of the
+    worker's scratch, one array per dtype in `scratch`, made once per sweep.
     At most _BLOCK_PATHS paths are one block, stepped on one thread: at that
     size, handing blocks to threads costs more than it saves.  More paths
     are split into blocks of at most _BLOCK_PATHS, a multiple of the worker
@@ -79,10 +78,7 @@ def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
     S, n = state[0].shape
     n_blocks = 1 if n <= _BLOCK_PATHS else workers * -(-n // (workers * _BLOCK_PATHS))
     size = -(-n // n_blocks)
-    blocks = [
-        (lo, tuple(a[:, lo : lo + size] for a in state))
-        for lo in range(0, n, size)
-    ]
+    blocks = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
     rng = _generator(seed)
 
     def work(q, mine):
@@ -92,7 +88,12 @@ def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
         # after a failure the worker keeps emptying its queue, so that the
         # drawing thread never blocks on it
         failure = None
-        tmp = scratch((S, size))
+        wide = [np.empty((S, size), d) for d in scratch]
+        # each block's columns and its views of the state and of the scratch
+        mine = [
+            (c, [a[:, c] for a in state], [a[:, : c.stop - c.start] for a in wide])
+            for c in mine
+        ]
         # an overflow surfaces as a non-finite state, which the checks report;
         # errstate is per thread, so each worker sets its own
         with np.errstate(over="ignore", invalid="ignore"):
@@ -101,11 +102,11 @@ def _sweep_blocks(state, m, seed, workers, advance_block, scratch):
                     continue
                 Z, i0 = item
                 try:
-                    for lo, views in mine:
-                        advance_block(views, tmp, Z, lo, i0)
+                    for cols, views, tmp in mine:
+                        advance(views, tmp, Z[:, cols], i0)
                     i1 = i0 + len(Z)
                     if i1 % 256 == 0 and not all(
-                        np.all(np.isfinite(a)) for _, views in mine for a in views
+                        np.all(np.isfinite(a)) for _, views, _ in mine for a in views
                     ):
                         failure = i1 - 1
                 except BaseException as exc:
@@ -175,19 +176,17 @@ class PbarEstimate:
         return {"gap": gap, "budget": budget, "pass": gap <= budget}
 
 
-def _advance_terminal(spec, views, tmp, Z, lo, i0, c, sq):
+def _advance_terminal(spec, views, tmp, Z, i0, c, sq):
     """Advance one path block's (S, b) state in place over the steps i0,
-    i0+1, ... whose normals are the rows of Z, columns lo:lo+b; `tmp` holds
-    one (S, size >= b) scratch array."""
-    (X,) = views
-    b = X.shape[1]
-    t = tmp[0][:, :b]
-    for k in range(Z.shape[0]):
+    i0+1, ... whose normals are the rows of Z; `tmp` holds one (S, b)
+    scratch array."""
+    (X,), (t,) = views, tmp
+    for k, z in enumerate(Z):
         i = i0 + k
         # X = (X + b(X) c) + sqrt(v h) z, in that order of operations
         np.multiply(spec.b(X), c[:, i : i + 1], out=t)
         np.add(X, t, out=X)
-        np.multiply(sq[:, i : i + 1], Z[k, lo : lo + b], out=t)
+        np.multiply(sq[:, i : i + 1], z, out=t)
         np.add(X, t, out=X)
 
 
@@ -218,10 +217,8 @@ def _terminal_states(spec, x0, horizon, scenarios, mc, workers):
     X = np.full((len(scenarios), mc.n_paths), float(x0))
     _sweep_blocks(
         (X,), m, mc.seed, workers,
-        lambda views, tmp, Z, lo, i0: _advance_terminal(
-            spec, views, tmp, Z, lo, i0, c, sq
-        ),
-        lambda shape: (np.empty(shape),),
+        lambda views, tmp, Z, i0: _advance_terminal(spec, views, tmp, Z, i0, c, sq),
+        (float,),
     )
     return X
 

@@ -9,13 +9,15 @@ the report bytes and the exit codes as they were:
     PYTHONPATH=src python tests/report_digests.py --seed 7 gheat harnack
     PYTHONPATH=src python tests/report_digests.py --seed 7 --states
     PYTHONPATH=src python tests/report_digests.py --seed 7 --check-workers
+    PYTHONPATH=src python tests/report_digests.py --seed 7 --states --check-workers
 
 The optional names keep only those subcommands.  Each command runs
-in-process through gexp.cli.main.  With --check-workers it also exits 1,
-naming the commands on standard error, when the --workers 1 and --workers 2
-runs of a command differ in digest or exit code: report bytes must not
-depend on the worker count.  With --states it prints instead the
+in-process through gexp.cli.main.  With --states it prints instead the
 sha256 of the five arrays of coupling._batched_states over STATE_CONFIGS.
+With --check-workers it also exits 1, naming the configurations on
+standard error, when the worker-count 1 and 2 runs of a command differ in
+digest or exit code, or those of a coupling-state configuration in digest:
+report bytes and coupling states must not depend on the worker count.
 pytest does not collect this file.
 
 tests/report_digests.golden holds the digests of the smaller GOLDEN_COMMANDS
@@ -103,14 +105,17 @@ def digests(seed: int, names) -> list[str]:
 
 
 def worker_mismatches(lines: list[str]) -> list[str]:
-    """The commands (argv without --workers) of `lines`, as digests prints
-    them, whose runs at different worker counts differ in digest or exit
-    code."""
-    runs: dict[str, set[tuple[str, str]]] = {}
+    """The configurations of `lines`, as digests or state_digests prints
+    them, whose runs at different worker counts differ: a command (argv
+    without --workers) in digest or exit code, a coupling-state
+    configuration (without workers=) in digest."""
+    runs: dict[str, set[str]] = {}
     for line in lines:
-        digest, code, argv = line.split(" ", 2)
-        runs.setdefault(re.sub(r" --workers \S+", "", argv), set()).add((digest, code))
-    return [argv for argv, seen in runs.items() if len(seen) > 1]
+        # a report line is "digest code argv", a state line "digest drift ..."
+        outcome, config = re.fullmatch(r"(\S+(?: \d+)?) (.*)", line).groups()
+        config = re.sub(r" --workers \S+| workers=\S+", "", config)
+        runs.setdefault(config, set()).add(outcome)
+    return [config for config, seen in runs.items() if len(seen) > 1]
 
 
 # the tier-1 subset: the README's gheat, harnack and axioms, a G-heat solve
@@ -211,7 +216,8 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--check-workers", action="store_true",
-        help="exit 1 if a command's report differs between --workers 1 and 2",
+        help="exit 1 if a command's report or a coupling state differs between"
+        " workers 1 and 2",
     )
     parser.add_argument("names", nargs="*", help="subcommands to keep (default: all)")
     args = parser.parse_args()
@@ -221,12 +227,10 @@ if __name__ == "__main__":
         raise SystemExit(0)
     if args.seed is None:
         parser.error("--seed is required")
-    if args.states and args.check_workers:
-        parser.error("--check-workers checks the report digests, not --states")
     lines = state_digests(args.seed) if args.states else digests(args.seed, args.names)
     print("\n".join(lines))
     if args.check_workers:
         mismatched = worker_mismatches(lines)
-        for argv in mismatched:
-            print(f"reports differ between worker counts: {argv}", file=sys.stderr)
+        for config in mismatched:
+            print(f"digests differ between worker counts: {config}", file=sys.stderr)
         raise SystemExit(1 if mismatched else 0)

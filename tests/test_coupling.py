@@ -55,6 +55,12 @@ class TestEtaSchedule:
         with pytest.raises(ValueError):
             eta_schedule(unit_scenario(), 0.0, 1.0, 0.0, 1.0, 64)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_step_count_at_least_one(self, n_steps):
+        # 0 steps divided by zero, and -1 returned an empty schedule
+        with pytest.raises(ValueError, match=f"n_steps must be at least 1, got {n_steps}"):
+            eta_schedule(unit_scenario(), 1.0, 1.0, 0.0, 1.0, n_steps)
+
 
 class TestNovikovBound:
     def test_degenerate_band_reference_value(self):
@@ -257,8 +263,8 @@ class TestSuite:
         # the sweep instead of reaching the reports
         advance = coupling._advance_block
 
-        def spoil(spec, state, tmp, Z, lo, i0, *rest):
-            advance(spec, state, tmp, Z, lo, i0, *rest)
+        def spoil(spec, state, tmp, Z, i0, *rest):
+            advance(spec, state, tmp, Z, i0, *rest)
             if i0 + len(Z) == 8:
                 state[j][:, 0] = np.nan
 

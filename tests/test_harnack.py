@@ -191,6 +191,21 @@ class TestVerifyHarnack:
         with pytest.raises(ValueError, match="harnack exponent 1077.8"):
             verify_harnack(ou_spec, catalog()["sigmoid"], 0.0, 4.0, 2.0, 1.0, band_wide)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
+    def test_p_finite_and_above_one(self, band_wide, ou_spec, p):
+        # p = inf passed `p > 1` and gave a certificate with rhs nan that
+        # failed as a check, in both inequalities and both exponents
+        time_spec = dataclasses.replace(ou_spec, kind=Kind.TIME_DRIVEN)
+        f = catalog()["sigmoid"]
+        with pytest.raises(ValueError, match=f"p must exceed 1 and be finite, got {p}"):
+            verify_harnack(ou_spec, f, 0.0, 0.7, p, 1.0, band_wide)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            verify_shift_harnack(time_spec, f, 0.0, 0.5, p, 1.0, band_wide)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            harnack_exponent(p, 1.0, band_wide, 1.0, 0.7)
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            shift_harnack_exponent(p, 1.0, 0.5, 1.0, 0.5)
+
 
 class TestVerifyShiftHarnack:
     def test_zero_shift_jensen(self, band_wide, ou_spec):

@@ -147,6 +147,12 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             classical_ou_harnack_exponent(1.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 1.0, -2.0])
+    def test_alpha_finite_and_above_one(self, alpha):
+        # alpha = inf or nan passed `alpha <= 1` and gave a NaN exponent
+        with pytest.raises(ValueError, match=f"alpha must exceed 1 and be finite, got {alpha}"):
+            classical_ou_harnack_exponent(alpha, 0.5, 1.0)
+
     def test_alpha_rejected_before_any_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("a quadrature ran before the alpha check")

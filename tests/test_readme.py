@@ -59,6 +59,15 @@ def test_worker_mismatches_names_the_command():
         assert worker_mismatches([runs[0], moved + " gheat --T 1 --workers 2 --seed 7"]) == [
             "gheat --T 1 --seed 7"
         ]
+    # --states --check-workers exits 1 on a coupling-state digest that moves
+    # with the worker count; lines that differ in anything else are apart
+    state = "{} tanh:2 band=(0.5, 1.0) x=1.0 y=0.0 workers={} m={}"
+    states = [state.format("c" * 64, w, 64) for w in (1, 2)]
+    assert worker_mismatches(runs + states) == []
+    assert worker_mismatches([states[0], state.format("d" * 64, 1, 128)]) == []
+    assert worker_mismatches(runs + [states[0], state.format("d" * 64, 2, 64)]) == [
+        "tanh:2 band=(0.5, 1.0) x=1.0 y=0.0 m=64"
+    ]
 
 
 def test_report_digests_golden():

@@ -274,3 +274,53 @@ class TestScenarioSweep:
         ]
         assert results[0]["all_pass"]
         assert results[0] == results[1]
+
+
+class TestBlockContract:
+    """simulate._sweep_blocks hands each advance kernel one block of b paths:
+    its (S, b) views of the state and of the scratch, and its own (k, b)
+    columns of the batch of normals."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("n", [3, _BLOCK_PATHS, 2 * _BLOCK_PATHS + 123])
+    @pytest.mark.parametrize("entry", ["pbar_mc", "_batched_states"])
+    def test_kernel_sees_only_its_block(self, band_wide, monkeypatch, entry, n, workers):
+        from gexp import coupling, simulate
+
+        m, seed = 6, 29
+        scs = make_scenario_lattice(band_wide, 1.0, 1, 2)
+        S = len(scs)
+        module, name = (
+            (simulate, "_advance_terminal") if entry == "pbar_mc"
+            else (coupling, "_advance_block")
+        )
+        kernel = getattr(module, name)
+        calls = []
+
+        def spy(spec, views, tmp, Z, i0, *rest):
+            b = Z.shape[1]
+            assert Z.shape == (min(simulate._STEP_BATCH, m - i0), b)
+            assert all(a.shape == (S, b) for a in (*views, *tmp))
+            calls.append((i0, views[0].ctypes.data, Z.copy()))
+            kernel(spec, views, tmp, Z, i0, *rest)
+
+        monkeypatch.setattr(module, name, spy)
+        if entry == "pbar_mc":
+            pbar_mc(make_drift("ou"), catalog()["sigmoid"], 0.0, 1.0, scs,
+                    McConfig(n, m, seed), workers)
+        else:
+            coupling._batched_states(
+                make_drift("ou"), 1.0, 0.0, 1.0, scs, n, m, seed, workers=workers
+            )
+        rng = np.random.Generator(np.random.Philox(seed))
+        batches = range(0, m, simulate._STEP_BATCH)
+        assert sorted({i0 for i0, _, _ in calls}) == list(batches)
+        for i0 in batches:
+            # the blocks in the order of their state columns (float64, so 8
+            # bytes each): each block's normals are the columns of its paths
+            blocks = sorted((c for c in calls if c[0] == i0), key=lambda c: c[1])
+            starts = [(addr - blocks[0][1]) // 8 for _, addr, _ in blocks]
+            widths = [Z.shape[1] for _, _, Z in blocks]
+            assert starts == [sum(widths[:j]) for j in range(len(blocks))]
+            drawn = rng.standard_normal((min(simulate._STEP_BATCH, m - i0), n))
+            assert np.array_equal(np.hstack([Z for _, _, Z in blocks]), drawn)
